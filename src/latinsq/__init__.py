@@ -28,7 +28,6 @@ from .moves import (
     IntercalateMove,
     InvalidMove,
     apply_move,
-    apply_two_rowed_proper_move,
     enumerate_valid_moves,
     invert_move,
     is_valid_move,
@@ -60,7 +59,6 @@ __all__ = [
     "StateGraph",
     "UniformityReport",
     "apply_move",
-    "apply_two_rowed_proper_move",
     "build_state_graph",
     "cell_symbol_frequency_test",
     "check_connectivity_and_diameter",

@@ -11,6 +11,7 @@ the walk never rejects.  Samples are read off the proper visits only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -18,7 +19,6 @@ import numpy as np
 
 from .core import (
     GridView,
-    ImproperCell,
     IncidenceCube,
     LatinSquareError,
     SquareState,
@@ -118,27 +118,7 @@ class _Walker:
     def to_state(self) -> SquareState:
         n = self.n
         cube = IncidenceCube(np.array(self.cube, dtype=np.int8).reshape(n, n, n))
-        if self.neg is None:
-            return SquareState(cube, None)
-        r, c, s = self.neg
-        pos = cube.positive_symbols(r, c)
-        return SquareState(cube, ImproperCell(r, c, (pos[0], pos[1]), s))
-
-    def grid(self) -> tuple[tuple[int, ...], ...]:
-        """Proper-state grid readout."""
-        n, cube = self.n, self.cube
-        rows = []
-        for r in range(n):
-            base_r = r * n * n
-            row = []
-            for c in range(n):
-                base = base_r + c * n
-                for s in range(n):
-                    if cube[base + s] == 1:
-                        row.append(s)
-                        break
-            rows.append(tuple(row))
-        return tuple(rows)
+        return SquareState.from_cube(cube)
 
     def step(self) -> tuple[int, int, int, int, int, int]:
         """One flip; returns the raw anchors (r, c, s, r2, c2, s2)."""
@@ -241,7 +221,8 @@ def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) 
             visits += 1
             if visits == config.thin:
                 visits = 0
-                yield GridView(n, w.grid())
+                cube = IncidenceCube(np.array(w.cube, dtype=np.int8).reshape(n, n, n))
+                yield grid_from_cube(SquareState(cube))
                 emitted += 1
 
 
@@ -256,16 +237,23 @@ def sample(config: ChainConfig, count: int, rng: RngStream | None = None) -> lis
     return list(iter_samples(config, count, rng))
 
 
-def run_parallel(config: ChainConfig, chains: int, count_per_chain: int) -> list[GridView]:
-    """Concatenate ``chains`` independent runs of `sample`.
+def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[GridView]:
+    """Stream ``count`` samples from ``chains`` independent chains, chain by chain.
 
-    Each chain gets its own spawned child stream, so the output depends only
-    on (seed, chains, count_per_chain), never on scheduling.
+    Each chain gets its own spawned child stream and ceil(count / chains)
+    samples; the stream stops after ``count``.  The output depends only on
+    (seed, chains, count), never on scheduling.
     """
     if chains < 1:
         raise LatinSquareError("chains must be at least 1")
+    if count < 1:
+        raise LatinSquareError("sample count must be at least 1")
+    per_chain = -(-count // chains)
     streams = RngStream(config.seed).spawn(chains)
-    out: list[GridView] = []
-    for stream in streams:
-        out.extend(iter_samples(config, count_per_chain, stream))
-    return out
+    samples = itertools.chain.from_iterable(iter_samples(config, per_chain, s) for s in streams)
+    return itertools.islice(samples, count)
+
+
+def run_parallel(config: ChainConfig, chains: int, count_per_chain: int) -> list[GridView]:
+    """Concatenate ``chains`` independent runs of `sample`, one stream each."""
+    return list(iter_chains(config, chains, chains * count_per_chain))

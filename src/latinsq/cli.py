@@ -18,12 +18,13 @@ import json
 import sys
 from typing import IO, Iterator
 
-from .chain import ChainConfig, RngStream, iter_samples, run_parallel
+from .chain import ChainConfig, iter_chains
 from .connect import MoveSequence, transform_path
 from .core import (
     GridView,
     ImproperCell,
     InvalidSquare,
+    LatinSquareError,
     SquareState,
     cube_from_grid,
     grid_from_cube,
@@ -76,6 +77,8 @@ def parse_square_text(text: str) -> SquareState:
     grid = [[int(x) for x in lines[1 + r].split()] for r in range(n)]
     improper = None
     rest = lines[1 + n :]
+    if len(rest) > 1:
+        raise InvalidSquare(f"unexpected line after the trailer: {rest[1]!r}")
     if rest:
         parts = rest[0].split()
         if parts[0] != "improper" or len(parts) != 6:
@@ -85,15 +88,32 @@ def parse_square_text(text: str) -> SquareState:
     return cube_from_grid(grid, improper)
 
 
+def _json_int(value: object, what: str) -> int:
+    if type(value) is not int:
+        raise InvalidSquare(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_square_json(text: str) -> SquareState:
     obj = json.loads(text)
+    if not isinstance(obj, dict) or "n" not in obj or "grid" not in obj:
+        raise InvalidSquare("expected an object with keys 'n' and 'grid'")
+    rows = obj["grid"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InvalidSquare("'grid' must be a list of rows")
+    grid = [[_json_int(s, "symbol") for s in row] for row in rows]
+    if _json_int(obj["n"], "'n'") != len(grid):
+        raise InvalidSquare(f"'n' is {obj['n']} but the grid has {len(grid)} rows")
     improper = None
-    if obj.get("improper") is not None:
-        rec = obj["improper"]
-        improper = ImproperCell(
-            rec["row"], rec["col"], tuple(rec["positive"]), rec["negative"]
-        )
-    return cube_from_grid(obj["grid"], improper)
+    rec = obj.get("improper")
+    if rec is not None:
+        positive = rec.get("positive") if isinstance(rec, dict) else None
+        if not isinstance(positive, list) or len(positive) != 2:
+            raise InvalidSquare("'improper' must be null or a record with two positive symbols")
+        row, col, neg = (_json_int(rec.get(k), f"improper {k}") for k in ("row", "col", "negative"))
+        p, q = (_json_int(s, "improper positive") for s in positive)
+        improper = ImproperCell(row, col, (p, q), neg)
+    return cube_from_grid(grid, improper)
 
 
 def _read_squares_text(fh: IO[str]) -> Iterator[SquareState]:
@@ -118,8 +138,6 @@ def format_move_sequence(seq: MoveSequence) -> str:
 
 def parse_move_sequence(text: str) -> MoveSequence:
     """Inverse of format_move_sequence; the end state is recomputed by replay."""
-    from .moves import apply_move
-
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n "):
         raise InvalidSquare("expected header line 'n <order>'")
@@ -129,10 +147,7 @@ def parse_move_sequence(text: str) -> MoveSequence:
         square_end += 1
     start = parse_square_text("\n".join(lines[:square_end]))
     moves = tuple(IntercalateMove.parse(ln) for ln in lines[square_end:])
-    end = start
-    for m in moves:
-        end = apply_move(end, m)
-    return MoveSequence(start, moves, end)
+    return MoveSequence(start, moves, MoveSequence(start, moves).replay())
 
 
 def _load_state(path: str) -> SquareState:
@@ -148,39 +163,18 @@ def _load_state(path: str) -> SquareState:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        print("samples must be at least 1", file=sys.stderr)
-        return 2
-    if args.chains < 1:
-        print("chains must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        config = ChainConfig(args.n, seed=args.seed, burn_in=args.burn_in, thin=args.thin)
-    except Exception as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    # Stream record by record, chain by chain; matches run_parallel's order.
-    per_chain = -(-args.samples // args.chains)
-    emitted = 0
-    for stream in RngStream(args.seed).spawn(args.chains):
-        for gv in iter_samples(config, per_chain, stream):
-            if args.format == "json":
-                sys.stdout.write(format_square_json(gv) + "\n")
-            else:
-                sys.stdout.write(format_square_text(gv))
-            emitted += 1
-            if emitted == args.samples:
-                return 0
+    config = ChainConfig(args.n, seed=args.seed, burn_in=args.burn_in, thin=args.thin)
+    for gv in iter_chains(config, args.chains, args.samples):
+        if args.format == "json":
+            sys.stdout.write(format_square_json(gv) + "\n")
+        else:
+            sys.stdout.write(format_square_text(gv))
     return 0
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    try:
-        a = _load_state(args.file_a)
-        b = _load_state(args.file_b)
-    except Exception as exc:
-        print(f"parse failure: {exc}", file=sys.stderr)
-        return 1
+    a = _load_state(args.file_a)
+    b = _load_state(args.file_b)
     if a.n != b.n:
         print(f"order mismatch: {a.n} vs {b.n}", file=sys.stderr)
         return 1
@@ -202,11 +196,7 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        state = _load_state(args.file)
-    except (OSError, ValueError, InvalidSquare, json.JSONDecodeError) as exc:
-        print(f"parse failure: {exc}", file=sys.stderr)
-        return 1
+    state = _load_state(args.file)
     problems = validate(state)
     if problems:
         for p in problems:
@@ -263,13 +253,8 @@ def cmd_uniformity(args: argparse.Namespace) -> int:
             print(f"input squares must have order {n}", file=sys.stderr)
             return 2
     else:
-        try:
-            config = ChainConfig(n, seed=args.seed, burn_in=args.burn_in, thin=args.thin)
-        except Exception as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        samples = run_parallel(config, args.chains, -(-args.samples // args.chains))
-        samples = samples[: args.samples]
+        config = ChainConfig(n, seed=args.seed, burn_in=args.burn_in, thin=args.thin)
+        samples = list(iter_chains(config, args.chains, args.samples))
     if mode == "exact":
         report = chi_square_uniformity(samples, enumerate_latin_squares(n))
     else:
@@ -333,9 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; the only place where errors become exit codes.
+
+    Unreadable or malformed input exits 1 with "parse failure: ..."; any
+    other package error (flags, order limits, too few samples) exits 2.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (InvalidSquare, ValueError, OSError) as exc:
+        print(f"parse failure: {exc}", file=sys.stderr)
+        return 1
+    except LatinSquareError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -108,10 +108,7 @@ def _chase(state: SquareState, improper_row: int, helper_row: int, chased: int) 
     symbol.  Columns listed in walk order; top = improper row, bottom =
     helper row.
     """
-    rec = state.improper
-    if rec is None or rec.row != improper_row:
-        raise NotImproper(f"state has no improper cell in row {improper_row}")
-    target = rec.negative
+    target = state.improper.negative
     cols: list[int] = []
     tops: list[int] = []
     bottoms: list[int] = []
@@ -171,18 +168,11 @@ def _resolve_improper(
     pair = (state.improper.row, helper_row)
     while state.improper is not None:
         rec = state.improper
-        current = rec.row
-        helper = pair[0] if current == pair[1] else pair[1]
-        if state.cube.entry(helper, rec.col, rec.negative) != 1:
-            raise MismatchedRows(
-                f"helper row {helper} lost symbol {rec.negative} at column {rec.col}"
-            )
-        lo, hi = rec.positive_pair
-        chain_hi = _chase(state, current, helper, hi)
-        chain_lo = _chase(state, current, helper, lo)
+        helper = pair[0] if rec.row == pair[1] else pair[1]
+        chain_hi, chain_lo = find_row_cycles(state, rec.row, helper, rec.col)
         chain = chain_lo if chain_lo.length < chain_hi.length else chain_hi
         m = IntercalateMove.from_anchors(
-            current, rec.col, rec.negative,
+            rec.row, rec.col, rec.negative,
             helper, chain.columns[-1], chain.bottom_symbols[0],
         )
         state = apply_move(state, m)

@@ -73,9 +73,6 @@ class IncidenceCube:
     def entry(self, r: int, c: int, s: int) -> int:
         return int(self.data[r, c, s])
 
-    def __getitem__(self, rcs: tuple[int, int, int]) -> int:
-        return int(self.data[rcs])
-
     def with_changes(self, changes: dict[tuple[int, int, int], int]) -> "IncidenceCube":
         """Return a copy with the given entries replaced."""
         arr = self.data.copy()
@@ -217,18 +214,13 @@ def cube_from_grid(
 
 
 def grid_from_cube(state: SquareState) -> GridView:
-    """Inverse of cube_from_grid on its image; improper overlay reproduced."""
-    n = state.n
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            if state.improper is not None and (r, c) == (state.improper.row, state.improper.col):
-                row.append(min(state.improper.positive_pair))
-            else:
-                row.append(state.cube.symbol_at(r, c))
-        rows.append(tuple(row))
-    return GridView(n, tuple(rows), state.improper)
+    """Inverse of cube_from_grid on its image; improper overlay reproduced.
+
+    Each cell reads as the symbol of its first +1, which at the improper cell
+    is min(positive_pair), the GridView placeholder.
+    """
+    grid = state.cube.data.argmax(axis=2).tolist()
+    return GridView(state.n, tuple(map(tuple, grid)), state.improper)
 
 
 def validate(state: SquareState) -> list[str]:

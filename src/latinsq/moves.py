@@ -15,12 +15,8 @@ negative entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .core import ImproperCell, LatinSquareError, SquareState
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .connect import CyclePattern, MoveSequence
 
 
 class InvalidMove(LatinSquareError):
@@ -210,17 +206,3 @@ def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
                                 out.append(IntercalateMove(i, j, a, i2, j2, b))
     return out
 
-
-def apply_two_rowed_proper_move(
-    state: SquareState, rows: tuple[int, int], cycle: "CyclePattern"
-) -> tuple[SquareState, "MoveSequence"]:
-    """Exchange two rows of a proper square along one of their cycles.
-
-    This is the composite proper move: it stays within proper squares as a
-    whole but is realized internally as exactly r-1 elementary +/-1-moves.
-    """
-    from .connect import InvalidCycle, cycle_swap
-
-    if tuple(sorted(rows)) != tuple(sorted(cycle.rows)):
-        raise InvalidCycle(f"rows {rows} do not match the cycle's rows {cycle.rows}")
-    return cycle_swap(state, cycle)

@@ -20,6 +20,7 @@ from .core import (
     SquareState,
     cube_from_grid,
     cyclic_square,
+    grid_from_cube,
 )
 from .moves import apply_move, enumerate_valid_moves
 
@@ -34,18 +35,14 @@ class TooLarge(LatinSquareError):
 def canonical_key(state: SquareState) -> bytes:
     """Collision-free byte encoding used for hashing states.
 
-    Row-major symbol list; an improper square appends its cell record
-    (row, col, sorted positive pair, negative) after a 255 marker.
+    Row-major symbol list; an improper square writes 255 at its cell and
+    appends its cell record (row, col, sorted positive pair, negative) after
+    a 255 marker.
     """
-    out = bytearray()
+    out = bytearray(s for row in grid_from_cube(state).grid for s in row)
     rec = state.improper
-    for r in range(state.n):
-        for c in range(state.n):
-            if rec is not None and (r, c) == (rec.row, rec.col):
-                out.append(255)
-            else:
-                out.append(state.cube.symbol_at(r, c))
     if rec is not None:
+        out[rec.row * state.n + rec.col] = 255
         out.extend((255, rec.row, rec.col, *rec.positive_pair, rec.negative))
     return bytes(out)
 

@@ -5,12 +5,13 @@ from latinsq.chain import (
     DegenerateOrder,
     RngStream,
     _Walker,
+    iter_chains,
     iter_samples,
     run_parallel,
     sample,
     step,
 )
-from latinsq.core import cube_from_grid, cyclic_square, validate
+from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, validate
 from latinsq.moves import apply_move, enumerate_valid_moves, invert_move, is_valid_move
 from latinsq.oracle import canonical_key
 
@@ -134,6 +135,19 @@ def test_run_parallel_matches_manual_stream_assignment():
         manual.extend(sample(cfg, 10, s))
     assert merged == manual
     assert merged == run_parallel(cfg, 4, 10)
+
+
+def test_iter_chains_splits_by_ceiling_and_stops_at_count():
+    cfg = ChainConfig(3, seed=23, burn_in=20, thin=3)
+    # Seven samples over three chains: 3 + 3 + 1, a prefix of three full chains.
+    assert list(iter_chains(cfg, 3, 7)) == run_parallel(cfg, 3, 3)[:7]
+    assert list(iter_chains(cfg, 1, 5)) == sample(cfg, 5)
+
+
+@pytest.mark.parametrize("chains,count", [(0, 5), (-1, 5), (2, 0)])
+def test_iter_chains_rejects_empty_splits(chains, count):
+    with pytest.raises(LatinSquareError):
+        iter_chains(ChainConfig(3), chains, count)
 
 
 def test_iter_samples_streams_lazily():

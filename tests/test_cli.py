@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from latinsq.cli import (
     format_square_json,
@@ -11,13 +12,21 @@ from latinsq.cli import (
     parse_square_json,
     parse_square_text,
 )
-from latinsq.core import grid_from_cube
+from latinsq.core import InvalidSquare, cube_from_grid, cyclic_square, grid_from_cube, validate
+from latinsq.oracle import enumerate_improper_squares
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(result, expected_code):
+    code, _, err = result
+    assert code == expected_code
+    assert err.count("\n") == 1 and err.strip()
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -44,13 +53,30 @@ def test_improper_text_format(ex_improper):
     assert parse_square_text(text) == ex_improper
 
 
-def test_parse_rejects_invalid_square():
-    from latinsq.core import InvalidSquare
-
+def test_parse_rejects_invalid_square(ex_improper):
     with pytest.raises(InvalidSquare):
         parse_square_text("n 2\n0 1\n0 1\n")
     with pytest.raises(InvalidSquare):
         parse_square_text("0 1\n1 0\n")
+    with pytest.raises(InvalidSquare):
+        parse_square_text("n 2\n0 1\n1 0\nimproper 0 0 0 1 1\n0 1\n")
+    improper = json.loads(format_square_json(grid_from_cube(ex_improper)))
+    bad_json = [
+        {"n": 7, "grid": [[0, 1], [1, 0]]},
+        {"grid": [[0, 1], [1, 0]]},
+        {"n": 2},
+        [1],
+        {"n": 1, "grid": 5},
+        {"n": 2, "grid": [[0.0, 1], [1, 0]]},
+        {"n": 2, "grid": [[True, 0], [0, 1]]},
+        {**improper, "improper": {"row": 0}},
+        {**improper, "improper": {**improper["improper"], "positive": 5}},
+        {**improper, "improper": {**improper["improper"], "positive": [0, 2, 3]}},
+        {**improper, "improper": [2, 1]},
+    ]
+    for obj in bad_json:
+        with pytest.raises(InvalidSquare):
+            parse_square_json(json.dumps(obj))
 
 
 def test_move_sequence_round_trip(ex_improper):
@@ -97,10 +123,10 @@ def test_gen_chains_deterministic(capsys):
 
 
 def test_gen_flag_errors(capsys):
-    code, _, err = run_cli(capsys, "gen", "0", "--samples", "1")
-    assert code == 2 and err
-    code, _, err = run_cli(capsys, "gen", "3", "--samples", "0")
-    assert code == 2 and err
+    assert_one_line_error(run_cli(capsys, "gen", "0", "--samples", "1"), 2)
+    assert_one_line_error(run_cli(capsys, "gen", "3", "--samples", "0"), 2)
+    assert_one_line_error(run_cli(capsys, "gen", "3", "--chains", "0"), 2)
+    assert_one_line_error(run_cli(capsys, "gen", "3", "--burn-in", "-1"), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +183,19 @@ def test_verify_fixture(tmp_path, capsys, ex_improper):
 
 
 def test_verify_corrupted(tmp_path, capsys):
-    f = tmp_path / "bad.txt"
-    f.write_text("n 3\n0 1 2\n1 2 0\n2 0 0\n")
-    code, out, err = run_cli(capsys, "verify", str(f))
-    assert code == 1
-    assert "parse failure" in err
+    bad = [
+        "n 3\n0 1 2\n1 2 0\n2 0 0\n",
+        '{"n": 2, "rows": [[0, 1], [1, 0]]}',  # no "grid"
+        '{"n": 7, "grid": [[0, 1], [1, 0]]}',  # "n" disagrees with the grid
+        '{"n": 2, "grid": [[0, 1], [1, 0]',  # not JSON
+    ]
+    for k, text in enumerate(bad):
+        f = tmp_path / f"bad{k}.txt"
+        f.write_text(text)
+        result = run_cli(capsys, "verify", str(f))
+        assert_one_line_error(result, 1)
+        assert "parse failure" in result[2]
+    assert_one_line_error(run_cli(capsys, "verify", str(tmp_path / "missing.txt")), 1)
 
 
 def test_gen_output_verifies(tmp_path, capsys):
@@ -236,6 +270,9 @@ def test_uniformity_stdin_mode(tmp_path, capsys, monkeypatch):
     assert report["samples"] == 600
     assert report["categories"] == 12
 
+    monkeypatch.setattr(sys, "stdin", io.StringIO("n 3\n0 1 2\n1 2 0\n2 0 0\n"))
+    assert_one_line_error(run_cli(capsys, "uniformity", "3", "--stdin"), 1)
+
 
 def test_uniformity_cells_mode(capsys):
     code, out, _ = run_cli(
@@ -247,8 +284,9 @@ def test_uniformity_cells_mode(capsys):
 
 
 def test_uniformity_exact_mode_order_limit(capsys):
-    code, _, err = run_cli(capsys, "uniformity", "5", "--mode", "exact")
-    assert code == 2 and err
+    assert_one_line_error(run_cli(capsys, "uniformity", "5", "--mode", "exact"), 2)
+    # Too few samples for the per-cell test is a usage error of the same kind.
+    assert_one_line_error(run_cli(capsys, "uniformity", "5", "--samples", "10"), 2)
 
 
 def test_module_entry_point():
@@ -258,3 +296,97 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12"
+    proc = subprocess.run(
+        [sys.executable, "-m", "latinsq", "uniformity", "5", "--samples", "10"],
+        capture_output=True, text=True,
+    )
+    assert_one_line_error((proc.returncode, proc.stdout, proc.stderr), 2)
+
+
+# ---------------------------------------------------------------------------
+# parser fuzz: every input either parses to a valid state or is rejected
+# with InvalidSquare / ValueError
+
+
+def _valid_or_rejected(parse, text):
+    try:
+        state = parse(text)
+    except (InvalidSquare, ValueError):
+        return
+    assert validate(state) == []
+
+
+_SEEDS = [
+    cyclic_square(3),
+    cube_from_grid([[0, 1], [1, 0]]),
+    *enumerate_improper_squares(3)[::40],
+]
+_TOKENS = st.sampled_from(["n", "improper", "0", "1", "2", "3", "-1", "7", "x", "1.5", ""])
+
+
+@st.composite
+def _square_texts(draw):
+    """Well-formed square texts with a few tokens replaced or lines inserted."""
+    text = format_square_text(grid_from_cube(draw(st.sampled_from(_SEEDS))))
+    tokens = [ln.split() for ln in text.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(st.integers(0, len(tokens) - 1))
+        if tokens[line] and draw(st.booleans()):
+            tokens[line][draw(st.integers(0, len(tokens[line]) - 1))] = draw(_TOKENS)
+        else:
+            tokens.insert(line, draw(st.lists(_TOKENS, max_size=6)))
+    return "\n".join(" ".join(t) for t in tokens)
+
+
+_JSON_KEYS = st.sampled_from(["n", "grid", "improper", "row", "col", "positive", "negative"])
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=4)
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 8), st.floats(-1, 8), st.text(max_size=3)),
+    _json_containers,
+    max_leaves=12,
+)
+
+
+def _slots(node):
+    """(container, key) for every value nested in a JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    out = [(node, k) for k, _ in items]
+    for _, v in items:
+        out.extend(_slots(v))
+    return out
+
+
+@st.composite
+def _square_jsons(draw):
+    """Well-formed square documents with a few values replaced or removed."""
+    obj = json.loads(format_square_json(grid_from_cube(draw(st.sampled_from(_SEEDS)))))
+    for _ in range(draw(st.integers(0, 3))):
+        slots = _slots(obj)
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_JSON_VALUES)
+    return json.dumps(obj)
+
+
+@given(st.one_of(_square_texts(), st.text(max_size=40)))
+def test_parse_square_text_fuzz(text):
+    _valid_or_rejected(parse_square_text, text)
+
+
+@given(st.one_of(_square_jsons(), _JSON_VALUES.map(json.dumps), st.text(max_size=40)))
+def test_parse_square_json_fuzz(text):
+    _valid_or_rejected(parse_square_json, text)

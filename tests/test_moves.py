@@ -5,12 +5,11 @@ from latinsq.moves import (
     IntercalateMove,
     InvalidMove,
     apply_move,
-    apply_two_rowed_proper_move,
     enumerate_valid_moves,
     invert_move,
     is_valid_move,
 )
-from latinsq.connect import proper_row_cycles
+from latinsq.connect import cycle_swap, proper_row_cycles
 
 EX_MOVE = IntercalateMove.from_anchors(0, 1, 0, 2, 3, 1)
 
@@ -227,7 +226,7 @@ def test_two_rowed_proper_move_full_cycle():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
     assert cycle.length == 3
-    result, seq = apply_two_rowed_proper_move(state, (0, 1), cycle)
+    result, seq = cycle_swap(state, cycle)
     assert len(seq) == 2
     gv = grid_from_cube(result)
     assert gv.grid[0] == (1, 2, 0)
@@ -240,7 +239,7 @@ def test_two_rowed_proper_move_intercalate_is_single_move():
     cycles = proper_row_cycles(state, 0, 1)
     two = [c for c in cycles if c.length == 2]
     assert two
-    result, seq = apply_two_rowed_proper_move(state, (0, 1), two[0])
+    result, seq = cycle_swap(state, two[0])
     assert len(seq) == 1
     assert result.is_proper
 
@@ -248,9 +247,9 @@ def test_two_rowed_proper_move_intercalate_is_single_move():
 def test_two_rowed_proper_move_is_involution():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
-    once, _ = apply_two_rowed_proper_move(state, (0, 1), cycle)
+    once, _ = cycle_swap(state, cycle)
     again_cycle = proper_row_cycles(once, 0, 1)[0]
-    twice, _ = apply_two_rowed_proper_move(once, (0, 1), again_cycle)
+    twice, _ = cycle_swap(once, again_cycle)
     assert twice == state
 
 

@@ -133,3 +133,15 @@ def test_transform_path_never_beats_bfs_distance(graph3):
             seq = transform_path(graph3.states[src], graph3.states[dst])
             assert len(seq) >= dist[dst]
             assert len(seq) <= 16
+
+
+def test_canonical_key_byte_format(ex_improper, ex_proper):
+    # The key fixes the state-graph vertex order, so its bytes are pinned:
+    # row-major symbols, 255 at the improper cell, then 255 and the record
+    # (row, col, positive pair, negative).
+    assert canonical_key(ex_proper) == bytes(
+        [2, 0, 3, 1, 1, 3, 0, 2, 3, 2, 1, 0, 0, 1, 2, 3]
+    )
+    assert canonical_key(ex_improper) == bytes(
+        [2, 1, 3, 0, 1, 3, 0, 2, 3, 255, 1, 1, 0, 1, 2, 3, 255, 2, 1, 0, 2, 1]
+    )
