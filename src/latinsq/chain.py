@@ -19,9 +19,10 @@ import numpy as np
 
 from .core import (
     GridView,
-    IncidenceCube,
+    ImproperCell,
     LatinSquareError,
     SquareState,
+    cube_from_grid,
     cyclic_square,
     grid_from_cube,
 )
@@ -32,18 +33,13 @@ class DegenerateOrder(LatinSquareError):
     """The requested order is too small for the operation."""
 
 
-def default_thin(n: int) -> int:
-    """Proper visits between recorded samples; n^3 tracks the graph diameter."""
-    return n**3
-
-
-def default_burn_in(n: int) -> int:
-    return 10 * n**3
-
-
 @dataclass(frozen=True)
 class ChainConfig:
-    """Sampler configuration.  burn_in counts raw steps, thin proper visits."""
+    """Sampler configuration.  burn_in counts raw steps, thin proper visits.
+
+    The defaults are 10 n^3 raw steps and n^3 proper visits; n^3 tracks the
+    diameter of the move graph.
+    """
 
     n: int
     seed: int = 0
@@ -54,9 +50,9 @@ class ChainConfig:
         if self.n < 1:
             raise DegenerateOrder(f"order must be at least 1, got {self.n}")
         if self.burn_in is None:
-            object.__setattr__(self, "burn_in", default_burn_in(self.n))
+            object.__setattr__(self, "burn_in", 10 * self.n**3)
         if self.thin is None:
-            object.__setattr__(self, "thin", default_thin(self.n))
+            object.__setattr__(self, "thin", self.n**3)
         if self.burn_in < 0 or self.thin < 1:
             raise LatinSquareError("burn_in must be >= 0 and thin >= 1")
 
@@ -97,95 +93,108 @@ class RngStream:
 
 
 class _Walker:
-    """Mutable walk state on a flat list cube; index = (r*n + c)*n + s."""
+    """Mutable walk state: the symbol grid and its two conjugate maps, O(n^2).
 
-    __slots__ = ("n", "cube", "neg", "rng")
+    ``sym[r*n+c]`` is the symbol at (r, c), ``col[r*n+s]`` the column of s in
+    row r and ``row[c*n+s]`` the row of s in column c.  On an improper square
+    ``neg`` is the negative triple (r, c, s) and ``pairs`` holds the sorted
+    +1 pairs of its three lines: the rows on (c, s), the columns on (r, s)
+    and the symbols at (r, c).  ``sym`` holds the smaller symbol of the pair
+    there, as a GridView does; ``col`` and ``row`` are stale on the two lines.
+    """
 
-    def __init__(self, n: int, cube: list[int], neg: tuple[int, int, int] | None, rng: RngStream):
-        self.n = n
-        self.cube = cube
-        self.neg = neg
-        self.rng = rng
+    __slots__ = ("n", "sym", "col", "row", "neg", "pairs", "rng")
 
-    @classmethod
-    def from_state(cls, state: SquareState, rng: RngStream) -> "_Walker":
-        neg = None
-        if state.improper is not None:
-            rec = state.improper
-            neg = (rec.row, rec.col, rec.negative)
-        return cls(state.n, [int(v) for v in state.cube.data.reshape(-1)], neg, rng)
+    def __init__(self, state: SquareState, rng: RngStream):
+        cube = state.cube
+        self.n, self.rng = state.n, rng
+        self.sym = [s for line in grid_from_cube(state).grid for s in line]
+        # The first +1 of each (row, symbol) and (column, symbol) line.
+        self.col = cube.data.argmax(axis=1).ravel().tolist()
+        self.row = cube.data.argmax(axis=0).ravel().tolist()
+        self.neg = self.pairs = None
+        rec = state.improper
+        if rec is not None:
+            r, c, s = self.neg = (rec.row, rec.col, rec.negative)
+            self.pairs = (tuple(cube.rows_with(c, s)), tuple(cube.cols_with(r, s)), rec.positive_pair)
+
+    def view(self) -> GridView:
+        n, sym, neg = self.n, self.sym, self.neg
+        rec = None if neg is None else ImproperCell(neg[0], neg[1], self.pairs[2], neg[2])
+        return GridView(n, tuple(tuple(sym[i : i + n]) for i in range(0, n * n, n)), rec)
 
     def to_state(self) -> SquareState:
-        n = self.n
-        cube = IncidenceCube(np.array(self.cube, dtype=np.int8).reshape(n, n, n))
-        return SquareState.from_cube(cube)
+        gv = self.view()
+        return cube_from_grid(gv.grid, gv.improper)
 
-    def step(self) -> tuple[int, int, int, int, int, int]:
-        """One flip; returns the raw anchors (r, c, s, r2, c2, s2)."""
-        n, cube, rng = self.n, self.cube, self.rng
-        nn = n * n
-        if self.neg is None:
-            t = rng.integers(nn * (n - 1))
-            r, rem = divmod(t, n * (n - 1))
-            c, k = divmod(rem, n - 1)
-            base = (r * n + c) * n
-            for s0 in range(n):
-                if cube[base + s0] == 1:
-                    break
-            s = k + (k >= s0)
-            # Unique +1 positions on the lines through (r, c, s).
-            idx = c * n + s
-            for r2 in range(n):
-                if cube[r2 * nn + idx] == 1:
-                    break
-            base_r = r * nn
-            for c2 in range(n):
-                if cube[base_r + c2 * n + s] == 1:
-                    break
-            s2 = s0
-        else:
-            # Each line through the negative triple carries exactly two +1
-            # entries; one pick bit chooses the first or second per line.
-            r, c, s = self.neg
-            pick = rng.integers(8)
-            idx = c * n + s
-            r2 = -1
-            for x in range(n):
-                if cube[x * nn + idx] == 1:
-                    if not pick & 1 or r2 >= 0:
-                        r2 = x
-                        break
-                    r2 = x
-            base_r = r * nn
-            c2 = -1
-            for x in range(n):
-                if cube[base_r + x * n + s] == 1:
-                    if not pick & 2 or c2 >= 0:
-                        c2 = x
-                        break
-                    c2 = x
-            base = base_r + c * n
-            s2 = -1
-            for x in range(n):
-                if cube[base + x] == 1:
-                    if not pick & 4 or s2 >= 0:
-                        s2 = x
-                        break
-                    s2 = x
+    def advance(self, count: int, proper: bool = False) -> tuple[int, int, int, int, int, int] | None:
+        """Take ``count`` flips, or with ``proper`` flip until ``count`` proper visits.
 
-        i_rc = (r * n + c) * n
-        i_rc2 = (r * n + c2) * n
-        i_r2c = (r2 * n + c) * n
-        i_r2c2 = (r2 * n + c2) * n
-        cube[i_rc + s] += 1
-        cube[i_rc + s2] -= 1
-        cube[i_rc2 + s2] += 1
-        cube[i_rc2 + s] -= 1
-        cube[i_r2c + s2] += 1
-        cube[i_r2c + s] -= 1
-        cube[i_r2c2 + s] += 1
-        cube[i_r2c2 + s2] -= 1
-        self.neg = (r2, c2, s2) if cube[i_r2c2 + s2] == -1 else None
+        Returns the last flip's anchors (r, c, s, r2, c2, s2): s goes to (r, c)
+        and (r2, c2), s2 to (r, c2) and (r2, c).  None when ``count`` is 0.
+        """
+        if count < 1:
+            return None
+        n, sym, col, row, draw = self.n, self.sym, self.col, self.row, self.rng.integers
+        nm1 = n - 1
+        per_row = n * nm1
+        bound = n * per_row
+        raw = 0 if proper else 1
+        improper = self.neg is not None
+        if improper:
+            r2, c2, s2 = self.neg
+            r2n, c2n = r2 * n, c2 * n
+            (ra, rb), (ca, cb), (sa, sb) = self.pairs
+        while count:
+            if improper:
+                # The -1 sits at (r, c, s); one pick bit per line chooses
+                # which of its two +1s the flip takes, the other one stays.
+                r, c, s, rn, cn = r2, c2, s2, r2n, c2n
+                pick = draw(8)
+                r2, ro = ra, rb
+                if pick & 1:
+                    r2, ro = rb, ra
+                c2, co = ca, cb
+                if pick & 2:
+                    c2, co = cb, ca
+                s2, so = sa, sb
+                if pick & 4:
+                    s2, so = sb, sa
+                sym[rn + c], col[rn + s], row[cn + s] = so, co, ro
+            else:
+                r, t = divmod(draw(bound), per_row)
+                c, k = divmod(t, nm1)
+                rn, cn = r * n, c * n
+                s2 = sym[rn + c]
+                s = k + (k >= s2)
+                r2, c2 = row[cn + s], col[rn + s]
+                sym[rn + c], col[rn + s], row[cn + s] = s, c, r
+            r2n, c2n = r2 * n, c2 * n
+            sym[rn + c2], sym[r2n + c] = s2, s2
+            col[rn + s2], col[r2n + s] = c2, c2
+            row[cn + s2], row[c2n + s] = r2, r2
+            x = sym[r2n + c2]
+            if x == s2:
+                sym[r2n + c2], col[r2n + s2], row[c2n + s2] = s, c, r
+                improper = False
+                count -= 1
+            else:
+                # New -1 at (r2, c2, s2); each of its lines keeps its old +1
+                # beside the one the flip added.
+                ra, rb = r, row[c2n + s2]
+                if rb < r:
+                    ra, rb = rb, r
+                ca, cb = c, col[r2n + s2]
+                if cb < c:
+                    ca, cb = cb, c
+                sa, sb = s, x
+                if x < s:
+                    sa, sb = x, s
+                sym[r2n + c2] = sa
+                improper = True
+                count -= raw
+        self.neg = (r2, c2, s2) if improper else None
+        self.pairs = ((ra, rb), (ca, cb), (sa, sb)) if improper else None
         return r, c, s, r2, c2, s2
 
 
@@ -193,8 +202,8 @@ def step(state: SquareState, rng: RngStream) -> tuple[SquareState, IntercalateMo
     """One random +/-1-move; returns the new state and the move taken."""
     if state.n < 2:
         raise DegenerateOrder("the walk needs order at least 2")
-    w = _Walker.from_state(state, rng)
-    anchors = w.step()
+    w = _Walker(state, rng)
+    anchors = w.advance(1)
     return w.to_state(), IntercalateMove.from_anchors(*anchors)
 
 
@@ -210,20 +219,11 @@ def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) 
         return
     if rng is None:
         rng = RngStream(config.seed).spawn(1)[0]
-    w = _Walker.from_state(cyclic_square(n), rng)
-    for _ in range(config.burn_in):
-        w.step()
-    emitted = 0
-    visits = 0
-    while emitted < count:
-        w.step()
-        if w.neg is None:
-            visits += 1
-            if visits == config.thin:
-                visits = 0
-                cube = IncidenceCube(np.array(w.cube, dtype=np.int8).reshape(n, n, n))
-                yield grid_from_cube(SquareState(cube))
-                emitted += 1
+    w = _Walker(cyclic_square(n), rng)
+    w.advance(config.burn_in)
+    for _ in range(count):
+        w.advance(config.thin, proper=True)
+        yield w.view()
 
 
 def sample(config: ChainConfig, count: int, rng: RngStream | None = None) -> list[GridView]:

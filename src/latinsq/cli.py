@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import IO, Iterator
 
@@ -321,11 +322,17 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place where errors become exit codes.
 
     Unreadable or malformed input exits 1 with "parse failure: ..."; any
-    other package error (flags, order limits, too few samples) exits 2.
+    other package error (flags, order limits, too few samples) exits 2.  A
+    stdout closed by its reader exits 141, as a SIGPIPE kill would, silently.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
+        return 141
     except (InvalidSquare, ValueError, OSError) as exc:
         print(f"parse failure: {exc}", file=sys.stderr)
         return 1

@@ -66,10 +66,6 @@ class IncidenceCube:
         self.n = arr.shape[0]
         self.data = arr
 
-    @classmethod
-    def empty(cls, n: int) -> "IncidenceCube":
-        return cls(np.zeros((n, n, n), dtype=np.int8))
-
     def entry(self, r: int, c: int, s: int) -> int:
         return int(self.data[r, c, s])
 
@@ -100,9 +96,6 @@ class IncidenceCube:
     def cols_with(self, r: int, s: int) -> list[int]:
         """Columns holding +1 at (r, ., s)."""
         return [int(c) for c in np.flatnonzero(self.data[r, :, s] == 1)]
-
-    def tobytes(self) -> bytes:
-        return self.data.tobytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceCube):

@@ -11,7 +11,7 @@ from latinsq.chain import (
     sample,
     step,
 )
-from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, validate
+from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, grid_from_cube, validate
 from latinsq.moves import apply_move, enumerate_valid_moves, invert_move, is_valid_move
 from latinsq.oracle import canonical_key
 
@@ -74,7 +74,7 @@ def test_improper_state_has_eight_equally_likely_flips(graph3):
         assert validate(result) == []
         assert neg_triple in move.plus_triples()
         results.add(canonical_key(result))
-    assert len(results) >= 2  # distinct picks genuinely branch
+    assert len(results) == 8  # every pick bit names a different +1
 
 
 def test_chain_steps_are_valid_moves_and_stay_in_space():
@@ -170,8 +170,80 @@ def test_public_step_matches_walker():
     rng1 = RngStream(123)
     rng2 = RngStream(123)
     state = cyclic_square(4)
-    w = _Walker.from_state(state, rng2)
+    w = _Walker(state, rng2)
     for _ in range(50):
         state, _ = step(state, rng1)
-        w.step()
+    w.advance(50)
     assert w.to_state() == state
+
+
+def _check_walker_state(w):
+    """The walker's grid, conjugate maps and improper pairs agree with its cube."""
+    n = w.n
+    state = w.to_state()
+    assert validate(state) == []
+    assert w.view() == grid_from_cube(state)
+    cube = state.cube
+    bad_cell = bad_row_line = bad_col_line = None
+    if w.neg is None:
+        assert w.pairs is None
+    else:
+        r, c, s = w.neg
+        bad_cell, bad_row_line, bad_col_line = (r, c), (r, s), (c, s)
+        rows, cols, syms = w.pairs
+        assert list(rows) == cube.rows_with(c, s)
+        assert list(cols) == cube.cols_with(r, s)
+        assert list(syms) == cube.positive_symbols(r, c)
+        assert cube.entry(r, c, s) == -1
+    for a in range(n):
+        for b in range(n):
+            if (a, b) != bad_cell:
+                s = w.sym[a * n + b]
+                assert cube.positive_symbols(a, b) == [s]
+                if (a, s) != bad_row_line:
+                    assert w.col[a * n + s] == b
+                if (b, s) != bad_col_line:
+                    assert w.row[b * n + s] == a
+            if (a, b) != bad_row_line:
+                assert cube.cols_with(a, b) == [w.col[a * n + b]]
+            if (a, b) != bad_col_line:
+                assert cube.rows_with(a, b) == [w.row[a * n + b]]
+
+
+def _improper_prefix_state(n, seed):
+    """The first improper state of a walk from the cyclic square."""
+    w = _Walker(cyclic_square(n), RngStream(seed))
+    while w.neg is None:
+        w.advance(1)
+    return w.to_state()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_walker_state_consistent_after_every_step(n, graph3):
+    starts = [cyclic_square(n)]
+    if n > 2:
+        starts.append(_improper_prefix_state(n, 1000 + n))
+    if n == 3:
+        starts.extend([s for s in graph3.states if not s.is_proper][::6])
+    for seed in range(3):
+        for start in starts:
+            w = _Walker(start, RngStream(seed))
+            assert w.to_state() == start
+            _check_walker_state(w)
+            for _ in range(60):
+                w.advance(1)
+                _check_walker_state(w)
+
+
+def test_walker_advance_counts_raw_steps_or_proper_visits():
+    a = _Walker(cyclic_square(5), RngStream(4))
+    b = _Walker(cyclic_square(5), RngStream(4))
+    assert a.advance(0) is None
+    last = None
+    for _ in range(7):
+        while True:
+            last = b.advance(1)
+            if b.neg is None:
+                break
+    assert a.advance(7, proper=True) == last
+    assert a.to_state() == b.to_state()

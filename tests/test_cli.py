@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -127,6 +128,42 @@ def test_gen_flag_errors(capsys):
     assert_one_line_error(run_cli(capsys, "gen", "3", "--samples", "0"), 2)
     assert_one_line_error(run_cli(capsys, "gen", "3", "--chains", "0"), 2)
     assert_one_line_error(run_cli(capsys, "gen", "3", "--burn-in", "-1"), 2)
+
+
+# sha256 of stdout for fixed seeds: a change to the walk, to its use of the
+# random stream or to the output formats shows here.  (`uniformity 4` needs at
+# least 5760 samples for its 576 categories.)
+GOLDEN_STDOUT = [
+    (("gen", "4", "--seed", "77", "--samples", "6", "--chains", "3", "--burn-in", "100", "--thin", "8"),
+     "edcfef2ba6ddc56eade222f9a44f95340925485bd815e598927c63bcff054b49"),
+    (("gen", "16", "--seed", "1", "--samples", "2"),
+     "9a40fb4d921db9491dcc871a8932308ded59c58fe89efa1b2228e70778726dfe"),
+    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json"),
+     "fc4346579978ee1ad7b81270211d52c2a76adc7681dad06b59d32ce642ed7ae2"),
+    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3"),
+     "7bbdc004d044a8672a47471a5ea4e29f2c422accc986edb66e7e64a82c08d036"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
+def test_golden_stdout_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gen_into_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latinsq", "gen", "3", "--samples", "20000", "--burn-in", "0", "--thin", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    # 20000 records are far more than a pipe buffers, so the writer is still
+    # running when the reader goes away.
+    assert proc.stdout.readline() == b"n 3\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------
