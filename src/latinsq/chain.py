@@ -106,17 +106,22 @@ class _Walker:
     __slots__ = ("n", "sym", "col", "row", "neg", "pairs", "rng")
 
     def __init__(self, state: SquareState, rng: RngStream):
-        cube = state.cube
-        self.n, self.rng = state.n, rng
-        self.sym = [s for line in grid_from_cube(state).grid for s in line]
-        # The first +1 of each (row, symbol) and (column, symbol) line.
-        self.col = cube.data.argmax(axis=1).ravel().tolist()
-        self.row = cube.data.argmax(axis=0).ravel().tolist()
+        n = self.n = state.n
+        self.rng = rng
+        self.sym = [s for line in state.grid for s in line]
         self.neg = self.pairs = None
+        plus = [(r, c, s) for r, line in enumerate(state.grid) for c, s in enumerate(line)]
         rec = state.improper
         if rec is not None:
             r, c, s = self.neg = (rec.row, rec.col, rec.negative)
-            self.pairs = (tuple(cube.rows_with(c, s)), tuple(cube.cols_with(r, s)), rec.positive_pair)
+            self.pairs = (tuple(state.rows_with(c, s)), tuple(state.cols_with(r, s)), rec.positive_pair)
+            plus.append((r, c, rec.positive_pair[1]))
+        # Each line through the -1 has two +1s, so its map entry is stale;
+        # steps read those lines from ``pairs``.
+        self.col, self.row = [0] * (n * n), [0] * (n * n)
+        for r, c, s in plus:
+            self.col[r * n + s] = c
+            self.row[c * n + s] = r
 
     def view(self) -> GridView:
         n, sym, neg = self.n, self.sym, self.neg

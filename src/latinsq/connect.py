@@ -91,7 +91,7 @@ class MoveSequence:
 
 
 def _unique_col(state: SquareState, row: int, sym: int) -> int:
-    cols = state.cube.cols_with(row, sym)
+    cols = state.cols_with(row, sym)
     if len(cols) != 1:
         raise LatinSquareError(
             f"symbol {sym} appears {len(cols)} times positively in row {row}"
@@ -117,7 +117,7 @@ def _chase(state: SquareState, improper_row: int, helper_row: int, chased: int) 
         c = _unique_col(state, helper_row, sym)
         cols.append(c)
         bottoms.append(sym)
-        top = state.cube.symbol_at(improper_row, c)
+        top = state.symbol_at(improper_row, c)
         tops.append(top)
         if top == target:
             return CyclePattern(
@@ -140,7 +140,7 @@ def find_row_cycles(
         raise NotImproper(
             f"state has no improper cell at ({improper_row},{column})"
         )
-    if state.cube.entry(source_row, column, rec.negative) != 1:
+    if state.entry(source_row, column, rec.negative) != 1:
         raise MismatchedRows(
             f"row {source_row} does not hold symbol {rec.negative} at column {column}"
         )
@@ -191,7 +191,7 @@ def normalize_to_proper(state: SquareState) -> tuple[SquareState, MoveSequence]:
     if state.improper is None:
         return state, MoveSequence(state)
     rec = state.improper
-    candidates = [r for r in state.cube.rows_with(rec.col, rec.negative) if r != rec.row]
+    candidates = [r for r in state.rows_with(rec.col, rec.negative) if r != rec.row]
     if not candidates:
         raise NotImproper(
             f"no row holds symbol {rec.negative} in column {rec.col}; state is corrupt"
@@ -217,14 +217,14 @@ def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[CycleP
         cols = [c0]
         seen.add(c0)
         while True:
-            bottom = state.cube.symbol_at(row_b, cols[-1])
+            bottom = state.symbol_at(row_b, cols[-1])
             nxt = _unique_col(state, row_a, bottom)
             if nxt == c0:
                 break
             cols.append(nxt)
             seen.add(nxt)
-        tops = tuple(state.cube.symbol_at(row_a, c) for c in cols)
-        bottoms = tuple(state.cube.symbol_at(row_b, c) for c in cols)
+        tops = tuple(state.symbol_at(row_a, c) for c in cols)
+        bottoms = tuple(state.symbol_at(row_b, c) for c in cols)
         cycles.append(CyclePattern((row_a, row_b), tuple(cols), tops, bottoms))
     return cycles
 
@@ -241,9 +241,9 @@ def _check_cycle(state: SquareState, cycle: CyclePattern) -> None:
     if len(cycle.top_symbols) != r or len(cycle.bottom_symbols) != r:
         raise InvalidCycle("symbol lists must match the column count")
     for k, c in enumerate(cycle.columns):
-        if state.cube.entry(i1, c, cycle.top_symbols[k]) != 1:
+        if state.entry(i1, c, cycle.top_symbols[k]) != 1:
             raise InvalidCycle(f"row {i1} does not hold {cycle.top_symbols[k]} at column {c}")
-        if state.cube.entry(i2, c, cycle.bottom_symbols[k]) != 1:
+        if state.entry(i2, c, cycle.bottom_symbols[k]) != 1:
             raise InvalidCycle(f"row {i2} does not hold {cycle.bottom_symbols[k]} at column {c}")
         if cycle.bottom_symbols[k] != cycle.top_symbols[(k + 1) % r]:
             raise InvalidCycle("bottom symbols are not the top symbols rotated by one")
@@ -302,12 +302,12 @@ def swap_row_entries(
     if j1 == j2:
         raise PreconditionViolated("j1 and j2 must differ")
     s = rec.negative
-    if state.cube.entry(i1, j1, s) != 1:
+    if state.entry(i1, j1, s) != 1:
         raise PreconditionViolated(
             f"cell ({i1},{j1}) does not hold the negative symbol {s}"
         )
-    t = state.cube.symbol_at(i1, j2)
-    i3_rows = state.cube.rows_with(j2, s)
+    t = state.symbol_at(i1, j2)
+    i3_rows = state.rows_with(j2, s)
     if len(i3_rows) != 1:
         raise PreconditionViolated(f"column {j2} does not hold symbol {s} exactly once")
     i3 = i3_rows[0]
@@ -329,13 +329,13 @@ def swap_row_entries(
     # row i3 yields one of the improper cell's positives and never touches
     # j2 (row i3 holding s there would derail the closing steps).
     p_lo, p_hi = rec.positive_pair
-    starts = [c for c in state.cube.cols_with(i2, s) if c != j1]
+    starts = [c for c in state.cols_with(i2, s) if c != j1]
     chains: list[tuple[list[int], int]] = []
     for c_start in sorted(starts):
         cols = [c_start]
         terminal = -1
         while True:
-            sym3 = state.cube.symbol_at(i3, cols[-1])
+            sym3 = state.symbol_at(i3, cols[-1])
             if sym3 in (p_lo, p_hi):
                 terminal = sym3
                 break
@@ -359,7 +359,7 @@ def swap_row_entries(
         # Park the new negative cell (i1, c1) with moves on rows i1 and a
         # spare row, keeping rows i2 and i3 untouched for the cycle swap.
         spare = [
-            r for r in state.cube.rows_with(c1, b_sym) if r not in (i1, i2, i3)
+            r for r in state.rows_with(c1, b_sym) if r not in (i1, i2, i3)
         ]
         if not spare:
             raise LatinSquareError("no spare row for the detour; state is corrupt")
@@ -367,8 +367,8 @@ def swap_row_entries(
         moves.extend(undo)
 
     if len(chain) >= 2:
-        tops = tuple(state.cube.symbol_at(i2, c) for c in chain)
-        bottoms = tuple(state.cube.symbol_at(i3, c) for c in chain)
+        tops = tuple(state.symbol_at(i2, c) for c in chain)
+        bottoms = tuple(state.symbol_at(i3, c) for c in chain)
         pattern = CyclePattern((i2, i3), tuple(chain), tops, bottoms)
         state, swap_seq = cycle_swap(state, pattern)
         moves.extend(swap_seq.moves)
@@ -393,10 +393,10 @@ def fix_row(
     reaches its own target column.  Costs at most 2(n-1)^2 moves.
     """
     n = state.n
-    target_row = [target.cube.symbol_at(k, c) for c in range(n)]
+    target_row = [target.symbol_at(k, c) for c in range(n)]
     moves: list[IntercalateMove] = []
     while True:
-        row = [state.cube.symbol_at(k, c) for c in range(n)]
+        row = [state.symbol_at(k, c) for c in range(n)]
         mismatched = [c for c in range(n) if row[c] != target_row[c]]
         if not mismatched:
             return state, moves
@@ -415,7 +415,7 @@ def fix_row(
                 # tau landed on its own target column: close out the round
                 # with a two-row resolution below row k.
                 helpers = [
-                    r for r in state.cube.rows_with(rec.col, tau) if r != k
+                    r for r in state.rows_with(rec.col, tau) if r != k
                 ]
                 if not helpers or min(helpers) <= k:
                     raise LatinSquareError("no helper row below k; state is corrupt")
@@ -428,7 +428,7 @@ def fix_row(
 
 
 def _unique_row_below(state: SquareState, k: int, col: int, sym: int) -> int:
-    rows = state.cube.rows_with(col, sym)
+    rows = state.rows_with(col, sym)
     if len(rows) != 1:
         raise LatinSquareError(f"column {col} does not hold {sym} exactly once")
     if rows[0] <= k:

@@ -1,16 +1,18 @@
-"""Signed incidence-cube representation of proper and improper Latin squares.
+"""Proper and improper Latin squares: the symbol grid plus the improper record.
 
-A Latin square of order n is stored as an n x n x n array over {-1, 0, 1}
-indexed by (row, column, symbol).  A proper square has a single +1 per cell
-and every axis-parallel line summing to 1.  An improper square additionally
-carries exactly one -1 entry; the cell holding it then has two +1 symbols.
-The cube is the source of truth; the familiar n x n symbol grid is a derived
-view.
+A Latin square of order n is the n x n grid of its symbols.  An improper
+square carries one improper cell with two positive symbols and one negative
+symbol; its record says where that cell is and what it holds, and the grid
+holds the smaller positive symbol there.  The signed incidence cube, the
+n x n x n array over {-1, 0, 1} indexed by (row, column, symbol) with +1 at
+every positive and -1 at the negative, is a derived view: built on first use
+and kept, it is what `validate` checks every invariant on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,8 +53,7 @@ class ImproperCell:
 class IncidenceCube:
     """Dense n x n x n array over {-1, 0, 1}, axes ordered (row, col, symbol).
 
-    Instances are treated as immutable values: the backing array is marked
-    read-only and mutation happens by copying.
+    The backing array is marked read-only.
     """
 
     __slots__ = ("n", "data")
@@ -68,13 +69,6 @@ class IncidenceCube:
 
     def entry(self, r: int, c: int, s: int) -> int:
         return int(self.data[r, c, s])
-
-    def with_changes(self, changes: dict[tuple[int, int, int], int]) -> "IncidenceCube":
-        """Return a copy with the given entries replaced."""
-        arr = self.data.copy()
-        for (r, c, s), v in changes.items():
-            arr[r, c, s] = v
-        return IncidenceCube(arr)
 
     def negative_cells(self) -> list[tuple[int, int, int]]:
         return [tuple(int(v) for v in t) for t in zip(*np.nonzero(self.data == -1))]
@@ -97,33 +91,27 @@ class IncidenceCube:
         """Columns holding +1 at (r, ., s)."""
         return [int(c) for c in np.flatnonzero(self.data[r, :, s] == 1)]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IncidenceCube):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.data, other.data)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.data.tobytes()))
-
     def __repr__(self) -> str:
         return f"IncidenceCube(n={self.n})"
 
 
 @dataclass(frozen=True)
 class SquareState:
-    """A proper or improper Latin square: cube plus explicit improper record.
+    """A proper or improper Latin square: the symbol grid plus the improper record.
 
-    ``improper`` is None exactly when the cube has no -1 entry.  The record is
-    redundant with the cube but keeps the hot paths free of scans; `validate`
-    cross-checks the two.
+    ``grid`` is a tuple of row tuples holding min(positive_pair) at the
+    improper cell, as a GridView does; ``improper`` is None exactly when the
+    square is proper.  Equality and hashing compare the grid and the record.
+    ``cube`` is the derived incidence-cube view.
     """
 
-    cube: IncidenceCube
+    grid: tuple[tuple[int, ...], ...]
     improper: ImproperCell | None = None
+    _cube: IncidenceCube | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
-        return self.cube.n
+        return len(self.grid)
 
     @property
     def is_proper(self) -> bool:
@@ -133,12 +121,35 @@ class SquareState:
     def kind(self) -> str:
         return "proper" if self.improper is None else "improper"
 
+    @property
+    def cube(self) -> IncidenceCube:
+        """The incidence cube of the grid and the record, built once."""
+        if self._cube is None:
+            n, rec = self.n, self.improper
+            arr = np.zeros((n, n, n), dtype=np.int8)
+            rows, cols = np.indices((n, n))
+            arr[rows, cols, np.array(self.grid, dtype=np.intp)] = 1
+            if rec is not None:
+                arr[rec.row, rec.col, rec.positive_pair[1]] = 1
+                arr[rec.row, rec.col, rec.negative] = -1
+            object.__setattr__(self, "_cube", IncidenceCube(arr))
+        return self._cube
+
+    @classmethod
+    def candidate(cls, cube: IncidenceCube, improper: ImproperCell | None) -> "SquareState":
+        """A state whose cube view is ``cube`` and whose record is ``improper``, unchecked.
+
+        Its grid reads each cell as its first maximal entry.  Candidate data
+        built this way is examined by `validate` rather than rejected.
+        """
+        return cls(tuple(map(tuple, cube.data.argmax(axis=2).tolist())), improper, cube)
+
     @classmethod
     def from_cube(cls, cube: IncidenceCube) -> "SquareState":
         """Build a state from a cube, deriving the improper record by scan."""
         negatives = cube.negative_cells()
         if not negatives:
-            return cls(cube, None)
+            return cls.candidate(cube, None)
         if len(negatives) > 1:
             raise InvalidSquare(f"multiple negative cells: {negatives}")
         r, c, s = negatives[0]
@@ -147,7 +158,39 @@ class SquareState:
             raise InvalidSquare(
                 f"improper cell ({r},{c}) must carry exactly two positive symbols, got {pos}"
             )
-        return cls(cube, ImproperCell(r, c, (pos[0], pos[1]), s))
+        return cls.candidate(cube, ImproperCell(r, c, (pos[0], pos[1]), s))
+
+    # Readers of the incidence structure, straight from the grid.
+
+    def entry(self, r: int, c: int, s: int) -> int:
+        """The cube entry at (r, c, s)."""
+        rec = self.improper
+        if rec is not None and r == rec.row and c == rec.col:
+            return -1 if s == rec.negative else int(s in rec.positive_pair)
+        return int(self.grid[r][c] == s)
+
+    def symbol_at(self, r: int, c: int) -> int:
+        """Symbol of a proper cell."""
+        rec = self.improper
+        if rec is not None and r == rec.row and c == rec.col:
+            raise InvalidSquare(f"cell ({r},{c}) is not a proper cell")
+        return self.grid[r][c]
+
+    def rows_with(self, c: int, s: int) -> list[int]:
+        """Rows holding +1 at (., c, s), ascending."""
+        rows = [r for r, line in enumerate(self.grid) if line[c] == s]
+        rec = self.improper
+        if rec is not None and c == rec.col and s == rec.positive_pair[1]:
+            insort(rows, rec.row)  # the grid shows only the smaller positive there
+        return rows
+
+    def cols_with(self, r: int, s: int) -> list[int]:
+        """Columns holding +1 at (r, ., s), ascending."""
+        cols = [c for c, x in enumerate(self.grid[r]) if x == s]
+        rec = self.improper
+        if rec is not None and r == rec.row and s == rec.positive_pair[1]:
+            insort(cols, rec.col)
+        return cols
 
     def __repr__(self) -> str:
         return f"SquareState(n={self.n}, kind={self.kind})"
@@ -170,25 +213,19 @@ def cube_from_grid(
     grid: list[list[int]] | tuple[tuple[int, ...], ...],
     improper: ImproperCell | None = None,
 ) -> SquareState:
-    """Encode a symbol grid (plus optional improper record) as a SquareState.
+    """Check a symbol grid (plus optional improper record) and make it a SquareState.
 
-    The grid value at the improper cell, if any, is ignored: that cell is
-    populated from the record (+1 on both positives, -1 on the negative).
+    The grid value at the improper cell, if any, is ignored: the state holds
+    min(positive_pair) there, and the record gives the cell's content.
     Raises InvalidSquare when the result violates any cube invariant.
     """
     n = len(grid)
     if n < 1:
         raise InvalidSquare("order must be at least 1")
-    arr = np.zeros((n, n, n), dtype=np.int8)
-    for r, row in enumerate(grid):
+    rows = [list(row) for row in grid]
+    for r, row in enumerate(rows):
         if len(row) != n:
             raise InvalidSquare(f"row {r} has length {len(row)}, expected {n}")
-        for c, s in enumerate(row):
-            if improper is not None and (r, c) == (improper.row, improper.col):
-                continue
-            if not 0 <= s < n:
-                raise InvalidSquare(f"symbol {s} at ({r},{c}) outside 0..{n - 1}")
-            arr[r, c, s] = 1
     if improper is not None:
         r, c = improper.row, improper.col
         if not (0 <= r < n and 0 <= c < n):
@@ -196,10 +233,12 @@ def cube_from_grid(
         p, q = improper.positive_pair
         if not all(0 <= s < n for s in (p, q, improper.negative)):
             raise InvalidSquare("improper record names symbols outside 0..n-1")
-        arr[r, c, p] = 1
-        arr[r, c, q] = 1
-        arr[r, c, improper.negative] = -1
-    state = SquareState(IncidenceCube(arr), improper)
+        rows[r][c] = p
+    for r, row in enumerate(rows):
+        for c, s in enumerate(row):
+            if not 0 <= s < n:
+                raise InvalidSquare(f"symbol {s} at ({r},{c}) outside 0..{n - 1}")
+    state = SquareState(tuple(map(tuple, rows)), improper)
     violations = validate(state)
     if violations:
         raise InvalidSquare("; ".join(violations))
@@ -207,13 +246,8 @@ def cube_from_grid(
 
 
 def grid_from_cube(state: SquareState) -> GridView:
-    """Inverse of cube_from_grid on its image; improper overlay reproduced.
-
-    Each cell reads as the symbol of its first +1, which at the improper cell
-    is min(positive_pair), the GridView placeholder.
-    """
-    grid = state.cube.data.argmax(axis=2).tolist()
-    return GridView(state.n, tuple(map(tuple, grid)), state.improper)
+    """Inverse of cube_from_grid on its image: the state's grid and record."""
+    return GridView(state.n, state.grid, state.improper)
 
 
 def validate(state: SquareState) -> list[str]:

@@ -1,4 +1,4 @@
-"""The +/-1-move algebra on incidence cubes.
+"""The +/-1-move algebra on proper and improper Latin squares.
 
 A move is the addition of an intercalate: a 2 x 2 x 2 alternating-sign flip
 over two rows {i, i2}, two columns {j, j2} and two symbols {a, b}.  Writing it
@@ -7,9 +7,10 @@ as ((i,j;a),(i2,j2;b)), the flip adds
     +1 at (i,j,a), (i,j2,b), (i2,j,b), (i2,j2,a)
     -1 at (i,j,b), (i,j2,a), (i2,j,a), (i2,j2,b)
 
-so line sums are conserved by construction.  A move is valid on a state when
-every touched entry stays inside {-1, 0, 1} and the result has at most one
-negative entry.
+to the incidence cube, so line sums are conserved by construction.  A move is
+valid on a state when every touched entry stays inside {-1, 0, 1} and the
+result has at most one negative entry.  Moves read their eight entries from
+the state's grid and write a new grid; the cube is never built here.
 """
 
 from __future__ import annotations
@@ -106,38 +107,33 @@ def invert_move(m: IntercalateMove) -> IntercalateMove:
 
 def _flip_outcome(
     plus_entries: list[int], minus_entries: list[int], negatives_before: int
-) -> tuple[bool, str, int]:
-    """Shared validity logic on the eight touched entry values.
-
-    Returns (ok, reason, new_negative_index) where new_negative_index is the
-    position in minus_entries that becomes -1, or -1 if the result is proper.
-    """
+) -> tuple[bool, str]:
+    """Shared validity logic on the eight touched entry values: (ok, reason)."""
     for k, e in enumerate(plus_entries):
         if e > 0:
-            return False, f"entry already 1 at +1 position {k}", -1
-    new_neg = -1
+            return False, f"entry already 1 at +1 position {k}"
     negatives = negatives_before
     for e in plus_entries:
         if e == -1:
             negatives -= 1
     for k, e in enumerate(minus_entries):
         if e < 0:
-            return False, f"entry already -1 at -1 position {k}", -1
+            return False, f"entry already -1 at -1 position {k}"
         if e == 0:
             negatives += 1
-            new_neg = k
     if negatives > 1:
-        return False, "result would have more than one negative cell", -1
-    return True, "", new_neg
+        return False, "result would have more than one negative cell"
+    return True, ""
 
 
-def _check_move(state: SquareState, m: IntercalateMove) -> tuple[bool, str, int]:
+def _check_move(state: SquareState, m: IntercalateMove) -> tuple[bool, str]:
     n = state.n
     if max(m.i2, m.j2, m.a, m.b) >= n:
-        return False, f"move indices exceed order {n}", -1
-    data = state.cube.data
-    plus = [int(data[t]) for t in m.plus_triples()]
-    minus = [int(data[t]) for t in m.minus_triples()]
+        return False, f"move indices exceed order {n}"
+    e = state.entry
+    i, j, a, i2, j2, b = m.i, m.j, m.a, m.i2, m.j2, m.b
+    plus = [e(i, j, a), e(i, j2, b), e(i2, j, b), e(i2, j2, a)]
+    minus = [e(i, j, b), e(i, j2, a), e(i2, j, a), e(i2, j2, b)]
     return _flip_outcome(plus, minus, 0 if state.improper is None else 1)
 
 
@@ -147,62 +143,100 @@ def is_valid_move(state: SquareState, m: IntercalateMove) -> bool:
 
 
 def apply_move(state: SquareState, m: IntercalateMove) -> SquareState:
-    """Add the move's intercalate to the state's cube.
+    """Add the move's intercalate to the state.
 
     Fails atomically with InvalidMove when any entry would leave {-1,0,1} or
     a second negative cell would arise; the input state is never modified.
     """
-    ok, reason, new_neg = _check_move(state, m)
+    ok, reason = _check_move(state, m)
     if not ok:
         raise InvalidMove(f"move ({m.text()}) invalid: {reason}")
-    changes: dict[tuple[int, int, int], int] = {}
-    data = state.cube.data
-    for t in m.plus_triples():
-        changes[t] = int(data[t]) + 1
-    for t in m.minus_triples():
-        changes[t] = int(data[t]) - 1
-    cube = state.cube.with_changes(changes)
-    if new_neg >= 0:
-        r, c, s = m.minus_triples()[new_neg]
-        pos = cube.positive_symbols(r, c)
-        return SquareState(cube, ImproperCell(r, c, (pos[0], pos[1]), s))
-    if state.improper is not None:
-        old = (state.improper.row, state.improper.col, state.improper.negative)
-        if old not in m.plus_triples():
-            # Negative entry survives; the move may still have exchanged one
-            # of the positive symbols at that cell, so rescan the pair.
-            pos = cube.positive_symbols(old[0], old[1])
-            return SquareState(cube, ImproperCell(old[0], old[1], (pos[0], pos[1]), old[2]))
-    return SquareState(cube, None)
+    i, j, i2, j2 = m.i, m.j, m.i2, m.j2
+    rows = {i: list(state.grid[i]), i2: list(state.grid[i2])}
+    rec = state.improper
+    at_rec = None if rec is None else (rec.row, rec.col)
+    touched = rec is not None and rec.row in (i, i2) and rec.col in (j, j2)
+    new = None if touched else rec  # the record survives unless its cell is touched
+    # Each touched cell gains +1 at symbol x and loses 1 at symbol y.
+    for r, c, x, y in ((i, j, m.a, m.b), (i, j2, m.b, m.a), (i2, j, m.b, m.a), (i2, j2, m.a, m.b)):
+        line = rows[r]
+        if (r, c) == at_rec:
+            p, q = rec.positive_pair
+            if x != rec.negative:
+                # x is new here, so y is one of the two positives.
+                pair, neg = ((x, q) if y == p else (p, x)), rec.negative
+            elif y in (p, q):
+                line[c] = q if y == p else p  # the -1 cancels: a proper cell again
+                continue
+            else:
+                pair, neg = (p, q), y  # the -1 cancels and reappears at y
+        elif line[c] == y:
+            line[c] = x
+            continue
+        else:
+            pair, neg = (line[c], x), y  # y was absent: the cell keeps its symbol and gains x
+        new = ImproperCell(r, c, pair, neg)
+        line[c] = new.positive_pair[0]
+    grid = list(state.grid)
+    grid[i], grid[i2] = tuple(rows[i]), tuple(rows[i2])
+    return SquareState(tuple(grid), new)
 
 
 def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
     """All canonical moves valid on the state, ordered lexicographically
-    by (i, i2, j, j2, a, b)."""
-    n = state.n
-    # Nested python lists make the 8-entry reads cheap; this is the hot loop
-    # of the exhaustive graph search.
-    cube = state.cube.data.tolist()
-    had_neg = state.improper is not None
-    out: list[IntercalateMove] = []
-    for i in range(n - 1):
-        ci = cube[i]
-        for i2 in range(i + 1, n):
-            ci2 = cube[i2]
-            for j in range(n - 1):
-                cij, ci2j = ci[j], ci2[j]
-                for j2 in range(j + 1, n):
-                    cij2, ci2j2 = ci[j2], ci2[j2]
-                    for a in range(n):
-                        for b in range(n):
-                            if a == b:
-                                continue
-                            ok, _, _ = _flip_outcome(
-                                [cij[a], cij2[b], ci2j[b], ci2j2[a]],
-                                [cij[b], cij2[a], ci2j[a], ci2j2[b]],
-                                1 if had_neg else 0,
-                            )
-                            if ok:
-                                out.append(IntercalateMove(i, j, a, i2, j2, b))
-    return out
+    by (i, i2, j, j2, a, b).
 
+    A valid result has at most one negative entry, and a move cancels at
+    most the one -1 that exists, so at least three of a valid move's four -1
+    positions sit on a +1.  Naming the move from the one whose row and column
+    neighbours are both +1s, every valid move is found from a +1 (i, j, b), a
+    symbol a != b, a +1 of a in row i and a +1 of a in column j.  Those
+    candidates are brought to canonical form, deduplicated, sorted and kept
+    when the same predicate as `is_valid_move` accepts them.
+    """
+    n = state.n
+    rec = state.improper
+    plus = [(i, j, b) for i, line in enumerate(state.grid) for j, b in enumerate(line)]
+    # The nonzero entries by triple: a lookup here is cheaper than state.entry
+    # over the eight reads of every candidate.
+    value = dict.fromkeys(plus, 1)
+    if rec is not None:
+        plus.append((rec.row, rec.col, rec.positive_pair[1]))
+        value[plus[-1]] = 1
+        value[rec.row, rec.col, rec.negative] = -1
+    in_row = [[[] for _ in range(n)] for _ in range(n)]  # in_row[i][a]: columns of a's +1s in row i
+    in_col = [[[] for _ in range(n)] for _ in range(n)]  # in_col[j][a]: rows of a's +1s in column j
+    for i, j, b in plus:
+        in_row[i][b].append(j)
+        in_col[j][b].append(i)
+    found = set()
+    for i, j, b in plus:
+        row_i, col_j = in_row[i], in_col[j]
+        for a in range(n):
+            if a == b:
+                continue
+            for j2 in row_i[a]:
+                if j2 == j:
+                    continue
+                for i2 in col_j[a]:
+                    if i2 == i:
+                        continue
+                    # Canonical naming, as IntercalateMove.from_anchors.
+                    r, r2, c, c2, x, y = i, i2, j, j2, a, b
+                    if r > r2:
+                        r, r2, x, y = r2, r, y, x
+                    if c > c2:
+                        c, c2, x, y = c2, c, y, x
+                    found.add((r, r2, c, c2, x, y))
+    e = value.get
+    negatives = 0 if rec is None else 1
+    out: list[IntercalateMove] = []
+    for i, i2, j, j2, a, b in sorted(found):
+        ok, _ = _flip_outcome(
+            [e((i, j, a), 0), e((i, j2, b), 0), e((i2, j, b), 0), e((i2, j2, a), 0)],
+            [e((i, j, b), 0), e((i, j2, a), 0), e((i2, j, a), 0), e((i2, j2, b), 0)],
+            negatives,
+        )
+        if ok:
+            out.append(IntercalateMove(i, j, a, i2, j2, b))
+    return out

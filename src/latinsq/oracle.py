@@ -20,7 +20,6 @@ from .core import (
     SquareState,
     cube_from_grid,
     cyclic_square,
-    grid_from_cube,
 )
 from .moves import apply_move, enumerate_valid_moves
 
@@ -39,7 +38,7 @@ def canonical_key(state: SquareState) -> bytes:
     appends its cell record (row, col, sorted positive pair, negative) after
     a 255 marker.
     """
-    out = bytearray(s for row in grid_from_cube(state).grid for s in row)
+    out = bytearray(b"".join(map(bytes, state.grid)))
     rec = state.improper
     if rec is not None:
         out[rec.row * state.n + rec.col] = 255
@@ -225,9 +224,9 @@ def build_state_graph(n: int) -> StateGraph:
     if not 2 <= n <= GRAPH_LIMIT:
         raise TooLarge(f"state graph is limited to 2 <= n <= {GRAPH_LIMIT}")
     start = cyclic_square(n)
-    key0 = canonical_key(start)
+    keys = [canonical_key(start)]
     states = [start]
-    index = {key0: 0}
+    index = {keys[0]: 0}
     edges: set[tuple[int, int]] = set()
     queue = deque([0])
     while queue:
@@ -240,22 +239,22 @@ def build_state_graph(n: int) -> StateGraph:
             if j is None:
                 j = len(states)
                 index[key] = j
+                keys.append(key)
                 states.append(nxt)
                 queue.append(j)
             edges.add((min(idx, j), max(idx, j)))
 
-    order = sorted(range(len(states)), key=lambda i: canonical_key(states[i]))
+    order = sorted(range(len(states)), key=keys.__getitem__)
     relabel = {old: new for new, old in enumerate(order)}
-    sorted_states = [states[i] for i in order]
-    adjacency: list[list[int]] = [[] for _ in sorted_states]
+    adjacency: list[list[int]] = [[] for _ in order]
     for u, v in edges:
         ru, rv = relabel[u], relabel[v]
         adjacency[ru].append(rv)
         adjacency[rv].append(ru)
     for nbrs in adjacency:
         nbrs.sort()
-    new_index = {canonical_key(s): i for i, s in enumerate(sorted_states)}
-    return StateGraph(n, sorted_states, new_index, adjacency)
+    new_index = {keys[old]: new for new, old in enumerate(order)}
+    return StateGraph(n, [states[i] for i in order], new_index, adjacency)
 
 
 def _bfs_distances(g: StateGraph, source: int) -> list[int]:

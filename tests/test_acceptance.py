@@ -9,6 +9,7 @@ true variants (a cancelling move always exists, and the walk's own steps
 always cancel).
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -37,6 +38,7 @@ from latinsq.oracle import (
     _enumerate_grids,
     _enumerate_grids_by_symbol,
     build_state_graph,
+    canonical_key,
     check_connectivity_and_diameter,
     count_latin_squares,
     enumerate_improper_squares,
@@ -94,6 +96,22 @@ def test_criterion_2_connectivity(acceptance_record, graph3, graph4):
         # the BFS closure covers exactly the independently enumerated state set
         assert proper_ok and improper_ok
     acceptance_record("criterion 2: state graph connected for n=2,3,4", ok, "; ".join(details))
+
+
+# sha256 of build_state_graph(4): each vertex's canonical key in vertex order,
+# then each adjacency list.  A change to the moves, to the keys or to the
+# vertex order shows here.
+GRAPH4_DIGEST = "cdf8c37e81b52d6645a97a03cc2d23500c341700c43db442c5a87d71ab66e865"
+
+
+def test_state_graph_order_four_bytes_pinned(graph4):
+    h = hashlib.sha256()
+    for state in graph4.states:
+        key = canonical_key(state)
+        h.update(bytes([len(key)]) + key)
+    for nbrs in graph4.adjacency:
+        h.update((" ".join(map(str, nbrs)) + "\n").encode())
+    assert h.hexdigest() == GRAPH4_DIGEST
 
 
 def test_criterion_3_diameter_bounds(acceptance_record, graph3, graph4):
@@ -389,6 +407,59 @@ def test_criterion_8_chain_steps_cancel_negative(acceptance_record, graph3):
         "state cancels the -1 triple",
         True,
         f"{checked} (state, pick) pairs exhaustively",
+    )
+
+
+def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
+    # The walk's own transition matrix, built from the public step with every
+    # pick scripted in turn: n^2 (n-1) equally likely picks from a proper
+    # state, 8 from an improper one.
+    class _Pick:
+        def __init__(self, v, bound):
+            self.v, self.bound = v, bound
+
+        def integers(self, bound):
+            assert bound == self.bound
+            return self.v
+
+    n = 3
+    index = {canonical_key(s): k for k, s in enumerate(graph3.states)}
+    size = len(index)
+    P = np.zeros((size, size))
+    for k, state in enumerate(graph3.states):
+        picks = n * n * (n - 1) if state.is_proper else 8
+        for v in range(picks):
+            result, _ = step(state, _Pick(v, picks))
+            P[k, index[canonical_key(result)]] += 1.0 / picks
+    assert np.allclose(P.sum(axis=1), 1.0)
+
+    # Irreducible and aperiodic together: some power of the support is all
+    # positive; for a primitive N x N matrix every power from (N-1)^2 + 1
+    # (Wielandt's bound) is, so squaring past it decides both.
+    support = (P > 0).astype(np.int64)
+    power = 1
+    while power <= (size - 1) ** 2 + 1:
+        support = (support @ support > 0).astype(np.int64)
+        power *= 2
+    assert support.all()
+
+    # Stationary law: pi P = pi, sum pi = 1.
+    A = np.vstack([P.T - np.eye(size), np.ones(size)])
+    b = np.zeros(size + 1)
+    b[-1] = 1.0
+    pi = np.linalg.lstsq(A, b, rcond=None)[0]
+    proper = np.array([s.is_proper for s in graph3.states])
+    assert proper.sum() == 12
+    proper_mass = pi[proper].sum()
+    spread = np.abs(pi[proper] / (proper_mass / 12) - 1).max()
+    assert abs(proper_mass - 1 / 3) < 1e-12
+    assert spread < 1e-12
+    slem = np.sort(np.abs(np.linalg.eigvals(P)))[-2]
+    acceptance_record(
+        "walk transition matrix at n=3: irreducible, aperiodic, uniform on proper squares",
+        True,
+        f"{size} states, proper mass {proper_mass:.15f}, relative spread {spread:.1e}, "
+        f"second-largest |eigenvalue| {slem:.4f}",
     )
 
 

@@ -142,11 +142,17 @@ GOLDEN_STDOUT = [
      "fc4346579978ee1ad7b81270211d52c2a76adc7681dad06b59d32ce642ed7ae2"),
     (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3"),
      "7bbdc004d044a8672a47471a5ea4e29f2c422accc986edb66e7e64a82c08d036"),
+    (("path", "improper4.txt", "cyclic4.txt", "--verify"),
+     "38d0173da538136cc0cdce7b9e2e44517598cf3e6203a45669ac78878200604b"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
-def test_golden_stdout_bytes(capsys, argv, digest):
+def test_golden_stdout_bytes(capsys, tmp_path, monkeypatch, ex_improper, argv, digest):
+    # The square files that `path` reads, in the working directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "improper4.txt").write_text(format_square_text(grid_from_cube(ex_improper)))
+    (tmp_path / "cyclic4.txt").write_text(format_square_text(grid_from_cube(cyclic_square(4))))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

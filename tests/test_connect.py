@@ -313,3 +313,39 @@ def test_move_sequence_replay_checks_prefixes(ex_improper, ex_proper):
         ex_improper, (IntercalateMove.from_anchors(0, 1, 0, 2, 3, 1),), ex_proper
     )
     assert seq.replay(check=True) == ex_proper
+
+
+def _path_endpoints(n, seed):
+    """Four proper and four improper states, at least n^2 walk steps apart."""
+    rng = RngStream(seed)
+    state = cyclic_square(n)
+    proper, improper = [], []
+    while len(proper) < 4 or len(improper) < 4:
+        for _ in range(n * n):
+            state, _ = step(state, rng)
+        kind = proper if state.is_proper else improper
+        if len(kind) < 4:
+            kind.append(state)
+    return proper, improper
+
+
+# sha256 of the move text of transform_path over fixed pairs: proper to
+# proper, improper to proper, proper to improper and improper to improper.
+PATH_DIGESTS = {
+    5: "b0636862bdc5cdc983635f5bd30897f5984953ec0a19b8201d0d3927017a3e43",
+    8: "2b91ef34c7d8480ff7f6668384da1666082aee7b1a25f1160e427ccaa1cb1926",
+    12: "efc86416db30ef97f8be3258642ab86d913c796e35aaf39c7e7b5907828d0ba3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PATH_DIGESTS))
+def test_transform_path_move_text_pinned(n):
+    import hashlib
+
+    (p0, p1, p2, p3), (i0, i1, i2, i3) = _path_endpoints(n, 500 + n)
+    text = ""
+    for a, b in ((p0, p1), (i0, p2), (p3, i1), (i2, i3)):
+        seq = transform_path(a, b)
+        assert seq.replay(check=True) == b
+        text += "".join(m.text() + "\n" for m in seq.moves) + "--\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PATH_DIGESTS[n]

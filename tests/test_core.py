@@ -83,7 +83,7 @@ def test_validate_reports_multiple_negatives():
     arr.flags.writeable = True
     arr[0, 0, 0] = -1
     arr[1, 1, 1] = -1
-    bad = SquareState(IncidenceCube(arr), None)
+    bad = SquareState.candidate(IncidenceCube(arr), None)
     problems = validate(bad)
     assert any("multiple negative cells" in p for p in problems)
 
@@ -95,7 +95,7 @@ def test_validate_reports_line_sums_for_overwritten_cell():
     arr.flags.writeable = True
     arr[0, 0, 0] = 0
     arr[0, 0, 1] = 1
-    bad = SquareState(IncidenceCube(arr), None)
+    bad = SquareState.candidate(IncidenceCube(arr), None)
     problems = validate(bad)
     line_problems = [p for p in problems if "line" in p]
     assert len(line_problems) == 4
@@ -106,9 +106,9 @@ def test_validate_reports_line_sums_for_overwritten_cell():
 
 
 def test_validate_catches_record_mismatch(ex_improper):
-    wrong = SquareState(ex_improper.cube, ImproperCell(2, 1, (0, 3), 1))
+    wrong = SquareState.candidate(ex_improper.cube, ImproperCell(2, 1, (0, 3), 1))
     assert any("does not match" in p for p in validate(wrong))
-    missing = SquareState(ex_improper.cube, None)
+    missing = SquareState.candidate(ex_improper.cube, None)
     assert any("record missing" in p for p in validate(missing))
 
 
@@ -158,3 +158,21 @@ def test_line_sums_all_one_for_valid_states(ex_improper):
     assert np.all(data.sum(axis=0) == 1)
     assert np.all(data.sum(axis=1) == 1)
     assert np.all(data.sum(axis=2) == 1)
+
+
+def test_grid_readers_agree_with_cube_view(graph3, ex_improper):
+    # The state's readers work on the grid and the record; the cube view is
+    # the reference, on every line of every order-3 state.
+    for state in [*graph3.states, ex_improper]:
+        n, cube = state.n, state.cube
+        for a in range(n):
+            for b in range(n):
+                assert state.rows_with(a, b) == cube.rows_with(a, b)
+                assert state.cols_with(a, b) == cube.cols_with(a, b)
+                for s in range(n):
+                    assert state.entry(a, b, s) == cube.entry(a, b, s)
+                if len(cube.positive_symbols(a, b)) == 1:
+                    assert state.symbol_at(a, b) == cube.symbol_at(a, b)
+                else:
+                    with pytest.raises(InvalidSquare):
+                        state.symbol_at(a, b)

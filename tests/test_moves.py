@@ -122,19 +122,35 @@ def test_enumerate_order_one_empty():
     assert enumerate_valid_moves(cyclic_square(1)) == []
 
 
+def _scan_valid_moves(state):
+    """The reference enumerator: every canonical move through the public
+    predicate, in (i, i2, j, j2, a, b) order."""
+    from itertools import combinations, permutations
+
+    n = state.n
+    return [
+        IntercalateMove(i, j, a, i2, j2, b)
+        for i, i2 in combinations(range(n), 2)
+        for j, j2 in combinations(range(n), 2)
+        for a, b in permutations(range(n), 2)
+        if is_valid_move(state, IntercalateMove(i, j, a, i2, j2, b))
+    ]
+
+
 def test_enumerate_is_sorted_and_cross_validates(graph3):
+    # Exhaustive at n = 3: the enumerator lists exactly the moves the
+    # predicate accepts, so it misses none.
     for state in graph3.states:
         moves = enumerate_valid_moves(state)
         assert moves == sorted(moves, key=lambda m: (m.i, m.i2, m.j, m.j2, m.a, m.b))
         assert all(is_valid_move(state, m) for m in moves)
+        assert moves == _scan_valid_moves(state)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_enumerate_matches_predicate_on_sampled_states(n):
-    # The enumerator's fast scan and the public predicate are separate code
-    # paths; cross-validate them over every canonical move on chain states.
-    from itertools import combinations, permutations
-
+    # The enumerator's candidate search and the public predicate are separate
+    # code paths; cross-validate them over every canonical move on chain states.
     from latinsq.chain import RngStream, step
 
     rng = RngStream(50 + n)
@@ -142,14 +158,7 @@ def test_enumerate_matches_predicate_on_sampled_states(n):
     for _ in range(6):
         for _ in range(25):
             state, _ = step(state, rng)
-        expected = []
-        for i, i2 in combinations(range(n), 2):
-            for j, j2 in combinations(range(n), 2):
-                for a, b in permutations(range(n), 2):
-                    m = IntercalateMove(i, j, a, i2, j2, b)
-                    if is_valid_move(state, m):
-                        expected.append(m)
-        assert enumerate_valid_moves(state) == expected
+        assert enumerate_valid_moves(state) == _scan_valid_moves(state)
 
 
 def test_improper_moves_either_cancel_or_flip_clean_intercalates(graph3):
