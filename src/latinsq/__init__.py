@@ -13,15 +13,12 @@ from .connect import (
     transform_path,
 )
 from .core import (
-    GridView,
     ImproperCell,
-    IncidenceCube,
     InvalidSquare,
     LatinSquareError,
     SquareState,
     cube_from_grid,
     cyclic_square,
-    grid_from_cube,
     validate,
 )
 from .moves import (
@@ -29,7 +26,6 @@ from .moves import (
     InvalidMove,
     apply_move,
     enumerate_valid_moves,
-    invert_move,
     is_valid_move,
 )
 from .oracle import (
@@ -46,9 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainConfig",
     "CyclePattern",
-    "GridView",
     "ImproperCell",
-    "IncidenceCube",
     "IntercalateMove",
     "InvalidMove",
     "InvalidSquare",
@@ -70,8 +64,6 @@ __all__ = [
     "enumerate_latin_squares",
     "enumerate_valid_moves",
     "find_row_cycles",
-    "grid_from_cube",
-    "invert_move",
     "is_valid_move",
     "normalize_to_proper",
     "proper_row_cycles",

@@ -17,15 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (
-    GridView,
-    ImproperCell,
-    LatinSquareError,
-    SquareState,
-    cube_from_grid,
-    cyclic_square,
-    grid_from_cube,
-)
+from .core import ImproperCell, LatinSquareError, SquareState, cube_from_grid, cyclic_square
 from .moves import IntercalateMove
 
 
@@ -100,7 +92,7 @@ class _Walker:
     ``neg`` is the negative triple (r, c, s) and ``pairs`` holds the sorted
     +1 pairs of its three lines: the rows on (c, s), the columns on (r, s)
     and the symbols at (r, c).  ``sym`` holds the smaller symbol of the pair
-    there, as a GridView does; ``col`` and ``row`` are stale on the two lines.
+    there, as a SquareState does; ``col`` and ``row`` are stale on the two lines.
     """
 
     __slots__ = ("n", "sym", "col", "row", "neg", "pairs", "rng")
@@ -123,14 +115,16 @@ class _Walker:
             self.col[r * n + s] = c
             self.row[c * n + s] = r
 
-    def view(self) -> GridView:
+    def view(self) -> SquareState:
+        """The current square, unchecked: the walk keeps it valid."""
         n, sym, neg = self.n, self.sym, self.neg
         rec = None if neg is None else ImproperCell(neg[0], neg[1], self.pairs[2], neg[2])
-        return GridView(n, tuple(tuple(sym[i : i + n]) for i in range(0, n * n, n)), rec)
+        return SquareState(tuple(tuple(sym[i : i + n]) for i in range(0, n * n, n)), rec)
 
     def to_state(self) -> SquareState:
-        gv = self.view()
-        return cube_from_grid(gv.grid, gv.improper)
+        """The current square, checked."""
+        v = self.view()
+        return cube_from_grid(v.grid, v.improper)
 
     def advance(self, count: int, proper: bool = False) -> tuple[int, int, int, int, int, int] | None:
         """Take ``count`` flips, or with ``proper`` flip until ``count`` proper visits.
@@ -212,13 +206,13 @@ def step(state: SquareState, rng: RngStream) -> tuple[SquareState, IntercalateMo
     return w.to_state(), IntercalateMove.from_anchors(*anchors)
 
 
-def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) -> Iterator[GridView]:
+def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) -> Iterator[SquareState]:
     """Stream ``count`` proper squares from one chain; see `sample`."""
     if count < 1:
         raise LatinSquareError("count must be at least 1")
     n = config.n
     if n == 1:
-        one = grid_from_cube(cyclic_square(1))
+        one = cyclic_square(1)
         for _ in range(count):
             yield one
         return
@@ -231,7 +225,7 @@ def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) 
         yield w.view()
 
 
-def sample(config: ChainConfig, count: int, rng: RngStream | None = None) -> list[GridView]:
+def sample(config: ChainConfig, count: int, rng: RngStream | None = None) -> list[SquareState]:
     """Draw ``count`` approximately uniform proper squares.
 
     Starts from the cyclic square, discards ``burn_in`` raw steps, then
@@ -242,7 +236,7 @@ def sample(config: ChainConfig, count: int, rng: RngStream | None = None) -> lis
     return list(iter_samples(config, count, rng))
 
 
-def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[GridView]:
+def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[SquareState]:
     """Stream ``count`` samples from ``chains`` independent chains, chain by chain.
 
     Each chain gets its own spawned child stream and ceil(count / chains)
@@ -259,6 +253,6 @@ def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[GridVi
     return itertools.islice(samples, count)
 
 
-def run_parallel(config: ChainConfig, chains: int, count_per_chain: int) -> list[GridView]:
+def run_parallel(config: ChainConfig, chains: int, count_per_chain: int) -> list[SquareState]:
     """Concatenate ``chains`` independent runs of `sample`, one stream each."""
     return list(iter_chains(config, chains, chains * count_per_chain))

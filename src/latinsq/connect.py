@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import LatinSquareError, SquareState
+from .core import LatinSquareError, SquareState, validate
 from .moves import IntercalateMove, apply_move
 
 
@@ -78,8 +78,6 @@ class MoveSequence:
 
     def replay(self, check: bool = False) -> SquareState:
         """Re-apply the moves to ``start``; with ``check`` validate prefixes."""
-        from .core import validate
-
         state = self.start
         for m in self.moves:
             state = apply_move(state, m)

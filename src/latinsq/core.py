@@ -3,18 +3,17 @@
 A Latin square of order n is the n x n grid of its symbols.  An improper
 square carries one improper cell with two positive symbols and one negative
 symbol; its record says where that cell is and what it holds, and the grid
-holds the smaller positive symbol there.  The signed incidence cube, the
-n x n x n array over {-1, 0, 1} indexed by (row, column, symbol) with +1 at
-every positive and -1 at the negative, is a derived view: built on first use
-and kept, it is what `validate` checks every invariant on.
+holds the smaller positive symbol there.  Read as the signed incidence cube
+of the paper (the n x n x n array over {-1, 0, 1} indexed by (row, column,
+symbol), +1 at every positive and -1 at the negative), a state is valid when
+every line of the cube sums to 1 and at most one entry is -1.  `validate`
+checks exactly that, from the grid and the record; no cube is built.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 class LatinSquareError(Exception):
@@ -50,64 +49,18 @@ class ImproperCell:
             )
 
 
-class IncidenceCube:
-    """Dense n x n x n array over {-1, 0, 1}, axes ordered (row, col, symbol).
-
-    The backing array is marked read-only.
-    """
-
-    __slots__ = ("n", "data")
-
-    def __init__(self, data: np.ndarray):
-        arr = np.asarray(data, dtype=np.int8)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise InvalidSquare(f"cube must be cubic, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.n = arr.shape[0]
-        self.data = arr
-
-    def entry(self, r: int, c: int, s: int) -> int:
-        return int(self.data[r, c, s])
-
-    def negative_cells(self) -> list[tuple[int, int, int]]:
-        return [tuple(int(v) for v in t) for t in zip(*np.nonzero(self.data == -1))]
-
-    def positive_symbols(self, r: int, c: int) -> list[int]:
-        return [int(s) for s in np.flatnonzero(self.data[r, c, :] == 1)]
-
-    def symbol_at(self, r: int, c: int) -> int:
-        """Symbol of a proper cell (exactly one +1, no -1)."""
-        syms = self.positive_symbols(r, c)
-        if len(syms) != 1 or self.data[r, c, :].min() < 0:
-            raise InvalidSquare(f"cell ({r},{c}) is not a proper cell")
-        return syms[0]
-
-    def rows_with(self, c: int, s: int) -> list[int]:
-        """Rows holding +1 at (., c, s)."""
-        return [int(r) for r in np.flatnonzero(self.data[:, c, s] == 1)]
-
-    def cols_with(self, r: int, s: int) -> list[int]:
-        """Columns holding +1 at (r, ., s)."""
-        return [int(c) for c in np.flatnonzero(self.data[r, :, s] == 1)]
-
-    def __repr__(self) -> str:
-        return f"IncidenceCube(n={self.n})"
-
-
 @dataclass(frozen=True)
 class SquareState:
     """A proper or improper Latin square: the symbol grid plus the improper record.
 
     ``grid`` is a tuple of row tuples holding min(positive_pair) at the
-    improper cell, as a GridView does; ``improper`` is None exactly when the
-    square is proper.  Equality and hashing compare the grid and the record.
-    ``cube`` is the derived incidence-cube view.
+    improper cell; ``improper`` is None exactly when the square is proper.
+    Equality and hashing compare the grid and the record.  The constructor
+    checks nothing: `cube_from_grid` is the checked one.
     """
 
     grid: tuple[tuple[int, ...], ...]
     improper: ImproperCell | None = None
-    _cube: IncidenceCube | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -120,45 +73,6 @@ class SquareState:
     @property
     def kind(self) -> str:
         return "proper" if self.improper is None else "improper"
-
-    @property
-    def cube(self) -> IncidenceCube:
-        """The incidence cube of the grid and the record, built once."""
-        if self._cube is None:
-            n, rec = self.n, self.improper
-            arr = np.zeros((n, n, n), dtype=np.int8)
-            rows, cols = np.indices((n, n))
-            arr[rows, cols, np.array(self.grid, dtype=np.intp)] = 1
-            if rec is not None:
-                arr[rec.row, rec.col, rec.positive_pair[1]] = 1
-                arr[rec.row, rec.col, rec.negative] = -1
-            object.__setattr__(self, "_cube", IncidenceCube(arr))
-        return self._cube
-
-    @classmethod
-    def candidate(cls, cube: IncidenceCube, improper: ImproperCell | None) -> "SquareState":
-        """A state whose cube view is ``cube`` and whose record is ``improper``, unchecked.
-
-        Its grid reads each cell as its first maximal entry.  Candidate data
-        built this way is examined by `validate` rather than rejected.
-        """
-        return cls(tuple(map(tuple, cube.data.argmax(axis=2).tolist())), improper, cube)
-
-    @classmethod
-    def from_cube(cls, cube: IncidenceCube) -> "SquareState":
-        """Build a state from a cube, deriving the improper record by scan."""
-        negatives = cube.negative_cells()
-        if not negatives:
-            return cls.candidate(cube, None)
-        if len(negatives) > 1:
-            raise InvalidSquare(f"multiple negative cells: {negatives}")
-        r, c, s = negatives[0]
-        pos = cube.positive_symbols(r, c)
-        if len(pos) != 2:
-            raise InvalidSquare(
-                f"improper cell ({r},{c}) must carry exactly two positive symbols, got {pos}"
-            )
-        return cls.candidate(cube, ImproperCell(r, c, (pos[0], pos[1]), s))
 
     # Readers of the incidence structure, straight from the grid.
 
@@ -196,28 +110,17 @@ class SquareState:
         return f"SquareState(n={self.n}, kind={self.kind})"
 
 
-@dataclass(frozen=True)
-class GridView:
-    """n x n symbol array view of a state.
-
-    For an improper state the grid holds min(positive_pair) at the improper
-    cell as a placeholder; the ``improper`` overlay carries the full content.
-    """
-
-    n: int
-    grid: tuple[tuple[int, ...], ...]
-    improper: ImproperCell | None = None
-
-
 def cube_from_grid(
     grid: list[list[int]] | tuple[tuple[int, ...], ...],
     improper: ImproperCell | None = None,
 ) -> SquareState:
-    """Check a symbol grid (plus optional improper record) and make it a SquareState.
+    """The checked constructor: a SquareState from a symbol grid and an optional record.
 
-    The grid value at the improper cell, if any, is ignored: the state holds
-    min(positive_pair) there, and the record gives the cell's content.
-    Raises InvalidSquare when the result violates any cube invariant.
+    The name is historical; no cube is built.  The grid value at the
+    improper cell, if any, is ignored: the state holds min(positive_pair)
+    there, and the record gives the cell's content.  Raises InvalidSquare
+    when the shape or a symbol is out of range, or when `validate` reports
+    any violation.
     """
     n = len(grid)
     if n < 1:
@@ -245,73 +148,57 @@ def cube_from_grid(
     return state
 
 
-def grid_from_cube(state: SquareState) -> GridView:
-    """Inverse of cube_from_grid on its image: the state's grid and record."""
-    return GridView(state.n, state.grid, state.improper)
-
-
 def validate(state: SquareState) -> list[str]:
-    """Check every invariant; return one message per violation (empty = valid).
+    """Check every line of the state's incidence cube; one message per violation.
 
-    Accepts arbitrary candidate data: a state built directly from a bad cube
-    is examined rather than rejected up front.
+    An empty list means the state is a valid proper or improper square.  The
+    state may be any grid with symbols in 0..n-1 plus any record inside it:
+    a bad one is examined rather than rejected up front.  One pass counts
+    the symbols of each row and column; the improper cell counts with its
+    cube entries instead of its grid symbol.  Messages come in the cube's
+    order: the cell, then rows by (row, symbol), then columns by (column,
+    symbol), then the record.
     """
-    violations: list[str] = []
-    cube = state.cube
-    n = cube.n
+    grid, rec = state.grid, state.improper
+    n = len(grid)
     if n < 1:
         return [f"order {n} is not positive"]
-    data = cube.data
-
-    bad = np.argwhere((data < -1) | (data > 1))
-    for r, c, s in bad[:16]:
-        violations.append(
-            f"entry ({r},{c},{s}) = {int(data[r, c, s])} outside {{-1,0,1}}"
-        )
-
-    cell_sums = data.sum(axis=2)
-    for r, c in np.argwhere(cell_sums != 1):
-        violations.append(
-            f"line row={r} col={c} (over symbols) sums to {int(cell_sums[r, c])}"
-        )
-    row_sums = data.sum(axis=1)
-    for r, s in np.argwhere(row_sums != 1):
-        violations.append(
-            f"line row={r} sym={s} (over columns) sums to {int(row_sums[r, s])}"
-        )
-    col_sums = data.sum(axis=0)
-    for c, s in np.argwhere(col_sums != 1):
-        violations.append(
-            f"line col={c} sym={s} (over rows) sums to {int(col_sums[c, s])}"
-        )
-
-    negatives = cube.negative_cells()
-    if len(negatives) > 1:
-        violations.append(f"multiple negative cells: {negatives}")
-    elif len(negatives) == 1:
-        r, c, s = negatives[0]
-        pos = cube.positive_symbols(r, c)
-        if len(pos) != 2:
-            violations.append(
-                f"improper cell ({r},{c}) carries {len(pos)} positive symbols, expected 2"
+    violations: list[str] = []
+    at = (-1, -1)
+    if rec is not None:
+        at = rec.row, rec.col
+        x = grid[rec.row][rec.col]
+        # The cube at the improper cell, written as the record writes it:
+        # the grid symbol, then the larger positive, then the negative.
+        cell = {x: 1}
+        cell[rec.positive_pair[1]] = 1
+        cell[rec.negative] = -1
+        total = sum(cell.values())
+        if total != 1:
+            violations.append(f"line row={rec.row} col={rec.col} (over symbols) sums to {total}")
+    for axis, over, lines, k in (("row", "columns", grid, at[0]), ("col", "rows", zip(*grid), at[1])):
+        for i, line in enumerate(lines):
+            if i != k and len(set(line)) == n:
+                continue  # a permutation of 0..n-1: every sum is 1
+            sums = [0] * n
+            for s in line:
+                sums[s] += 1
+            if i == k:
+                sums[x] -= 1
+                for s, v in cell.items():
+                    sums[s] += v
+            violations.extend(
+                f"line {axis}={i} sym={s} (over {over}) sums to {v}" for s, v in enumerate(sums) if v != 1
             )
-        if state.improper is None:
-            violations.append(f"improper record missing for negative cell ({r},{c})")
-        else:
-            rec = state.improper
-            if (rec.row, rec.col) != (r, c):
-                violations.append(
-                    f"improper record at ({rec.row},{rec.col}) but negative cell is ({r},{c})"
-                )
-            elif rec.negative != s or list(rec.positive_pair) != pos:
-                violations.append(
-                    f"improper record {rec.positive_pair}-{rec.negative} does not match "
-                    f"cell content {tuple(pos)}-{s}"
-                )
-    else:
-        if state.improper is not None:
-            violations.append("improper record present but cube has no negative entry")
-
+    if rec is not None:
+        r, c, s = rec.row, rec.col, rec.negative
+        pos = sorted(t for t, v in cell.items() if v == 1)
+        if len(pos) != 2:
+            violations.append(f"improper cell ({r},{c}) carries {len(pos)} positive symbols, expected 2")
+        if list(rec.positive_pair) != pos:
+            violations.append(
+                f"improper record {rec.positive_pair}-{s} does not match cell content {tuple(pos)}-{s}"
+            )
     return violations
 
 

@@ -9,8 +9,9 @@ as ((i,j;a),(i2,j2;b)), the flip adds
 
 to the incidence cube, so line sums are conserved by construction.  A move is
 valid on a state when every touched entry stays inside {-1, 0, 1} and the
-result has at most one negative entry.  Moves read their eight entries from
-the state's grid and write a new grid; the cube is never built here.
+result has at most one negative entry.  Moves read their eight cube entries
+from the state's grid and record and write a new grid; no cube is built.
+A move's inverse, `IntercalateMove.inverted`, exchanges a and b.
 """
 
 from __future__ import annotations
@@ -98,11 +99,6 @@ class IntercalateMove:
             raise ValueError(f"expected six integers, got {line!r}")
         i, j, a, i2, j2, b = (int(p) for p in parts)
         return IntercalateMove.from_anchors(i, j, a, i2, j2, b)
-
-
-def invert_move(m: IntercalateMove) -> IntercalateMove:
-    """Module-level alias for IntercalateMove.inverted."""
-    return m.inverted()
 
 
 def _flip_outcome(

@@ -13,14 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (
-    GridView,
-    ImproperCell,
-    LatinSquareError,
-    SquareState,
-    cube_from_grid,
-    cyclic_square,
-)
+from .core import ImproperCell, LatinSquareError, SquareState, cube_from_grid, cyclic_square
 from .moves import apply_move, enumerate_valid_moves
 
 ENUMERATION_LIMIT = 5
@@ -113,13 +106,13 @@ def _enumerate_grids_by_symbol(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def enumerate_latin_squares(n: int) -> list[GridView]:
+def enumerate_latin_squares(n: int) -> list[SquareState]:
     """All Latin squares of order n <= 5, each once, lexicographic order."""
     if n < 1:
         raise LatinSquareError("order must be at least 1")
     if n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration is limited to n <= {ENUMERATION_LIMIT}")
-    return [GridView(n, g) for g in _enumerate_grids(n)]
+    return [SquareState(g) for g in _enumerate_grids(n)]
 
 
 def count_latin_squares(n: int) -> int:

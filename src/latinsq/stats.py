@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from scipy.stats import chi2
 
-from .core import GridView, LatinSquareError
+from .core import LatinSquareError, SquareState
 
 ALPHA = 0.001  # total two-sided mass outside the acceptance band
 
@@ -58,7 +58,7 @@ def pearson_statistic(observed: list[int], expected: float) -> float:
 
 
 def chi_square_uniformity(
-    samples: list[GridView], universe: list[GridView]
+    samples: list[SquareState], universe: list[SquareState]
 ) -> UniformityReport:
     """Exact-category goodness of fit against the full square list."""
     categories = len(universe)
@@ -67,12 +67,12 @@ def chi_square_uniformity(
             f"need at least {10 * categories} samples for {categories} categories, "
             f"got {len(samples)}"
         )
-    index = {gv.grid: k for k, gv in enumerate(universe)}
+    index = {sq.grid: k for k, sq in enumerate(universe)}
     counts = [0] * categories
-    for gv in samples:
-        k = index.get(gv.grid)
+    for sq in samples:
+        k = index.get(sq.grid)
         if k is None:
-            raise UnknownSquare(f"sample outside the universe: {gv.grid}")
+            raise UnknownSquare(f"sample outside the universe: {sq.grid}")
         counts[k] += 1
     expected = len(samples) / categories
     statistic = pearson_statistic(counts, expected)
@@ -81,7 +81,7 @@ def chi_square_uniformity(
     return UniformityReport(categories, len(samples), statistic, dof, lo <= statistic <= hi)
 
 
-def cell_symbol_frequency_test(samples: list[GridView], n: int) -> UniformityReport:
+def cell_symbol_frequency_test(samples: list[SquareState], n: int) -> UniformityReport:
     """Per-cell symbol frequencies against uniform 1/n, Bonferroni corrected.
 
     Uniformity over squares implies each cell's symbol is uniform (the square
@@ -93,8 +93,8 @@ def cell_symbol_frequency_test(samples: list[GridView], n: int) -> UniformityRep
     if len(samples) < 10 * n:
         raise InsufficientSamples(f"need at least {10 * n} samples, got {len(samples)}")
     counters: list[list[Counter]] = [[Counter() for _ in range(n)] for _ in range(n)]
-    for gv in samples:
-        for r, row in enumerate(gv.grid):
+    for sq in samples:
+        for r, row in enumerate(sq.grid):
             for c, s in enumerate(row):
                 counters[r][c][s] += 1
     expected = len(samples) / n

@@ -37,6 +37,11 @@ def graph3():
     return build_state_graph(3)
 
 
+@pytest.fixture(scope="session")
+def graph4():
+    return build_state_graph(4)
+
+
 # ---------------------------------------------------------------------------
 # acceptance reporting: one PASS/FAIL line per criterion in the summary
 

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from cube_reference import IncidenceCube
 from latinsq.chain import ChainConfig, RngStream, run_parallel, sample, step
 from latinsq.cli import main as cli_main
 from latinsq.connect import (
@@ -25,13 +26,12 @@ from latinsq.connect import (
     swap_row_entries,
     transform_path,
 )
-from latinsq.core import cube_from_grid, cyclic_square, grid_from_cube, validate
+from latinsq.core import cube_from_grid, cyclic_square, validate
 from latinsq.moves import (
     IntercalateMove,
     InvalidMove,
     apply_move,
     enumerate_valid_moves,
-    invert_move,
     is_valid_move,
 )
 from latinsq.oracle import (
@@ -51,18 +51,13 @@ from conftest import EX_PROPER_GRID
 CI_SEED = 20260810
 
 
-@pytest.fixture(scope="module")
-def graph4():
-    return build_state_graph(4)
-
-
-def _state(grid_view):
-    return cube_from_grid([list(r) for r in grid_view.grid])
+def _state(square):
+    return cube_from_grid([list(r) for r in square.grid])
 
 
 def _random_states(n, seed, count):
     cfg = ChainConfig(n, seed=seed, burn_in=20 * n * n, thin=n * n)
-    return [_state(gv) for gv in sample(cfg, count)]
+    return [_state(sq) for sq in sample(cfg, count)]
 
 
 def test_criterion_1_paper_fixture(acceptance_record, ex_improper, ex_proper):
@@ -77,7 +72,7 @@ def test_criterion_1_paper_fixture(acceptance_record, ex_improper, ex_proper):
         f"exact equality, {elapsed * 1e6:.0f}us",
     )
     assert result == ex_proper
-    assert grid_from_cube(result).grid == tuple(tuple(r) for r in EX_PROPER_GRID)
+    assert result.grid == tuple(tuple(r) for r in EX_PROPER_GRID)
     assert elapsed < 1e-3
 
 
@@ -135,7 +130,7 @@ def test_criterion_3_diameter_bounds(acceptance_record, graph3, graph4):
 def test_criterion_4_constructive_path_bounds(acceptance_record):
     checked = 0
     worst = {}
-    squares3 = [_state(gv) for gv in enumerate_latin_squares(3)]
+    squares3 = [_state(sq) for sq in enumerate_latin_squares(3)]
     for a in squares3:
         for b in squares3:
             seq = transform_path(a, b)
@@ -201,7 +196,7 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
                 for cycle in proper_row_cycles(a, *rows):
                     result, seq = cycle_swap(a, cycle)
                     assert len(seq) == cycle.length - 1
-                    diff = np.argwhere(result.cube.data != a.cube.data)
+                    diff = np.argwhere(IncidenceCube.of(result).data != IncidenceCube.of(a).data)
                     cells = {(int(r), int(c)) for r, c, _ in diff}
                     assert cells <= {(r, c) for r in cycle.rows for c in cycle.columns}
                     cycles_checked += 1
@@ -221,19 +216,21 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
             if rec is None:
                 continue
             j1 = rec.col
-            rows_i1 = [r for r in state.cube.rows_with(j1, rec.negative) if r != rec.row]
+            before = IncidenceCube.of(state)
+            rows_i1 = [r for r in before.rows_with(j1, rec.negative) if r != rec.row]
             i1 = rows_i1[0]
             j2 = (j1 + 1 + instances) % n
             if j2 == j1:
                 j2 = (j2 + 1) % n
-            t = state.cube.symbol_at(i1, j2)
+            t = before.symbol_at(i1, j2)
             result, seq = swap_row_entries(state, i1, j1, j2)
+            after = IncidenceCube.of(result)
             assert len(seq) <= 2 * (n - 1)
-            assert result.cube.symbol_at(i1, j1) == t
-            assert result.cube.symbol_at(i1, j2) == rec.negative
+            assert after.symbol_at(i1, j1) == t
+            assert after.symbol_at(i1, j2) == rec.negative
             for c in range(n):
                 if c not in (j1, j2):
-                    assert np.array_equal(result.cube.data[i1, c], state.cube.data[i1, c])
+                    assert np.array_equal(after.data[i1, c], before.data[i1, c])
             instances += 1
     acceptance_record(
         "criterion 5: two-row resolution, cycle switch and row-swap move budgets",
@@ -256,7 +253,7 @@ def test_graph4_states_valid_and_row_cycles_bounded(graph4):
         if rec is None:
             continue
         assert len({*rec.positive_pair, rec.negative}) == 3
-        sources = [r for r in state.cube.rows_with(rec.col, rec.negative) if r != rec.row]
+        sources = [r for r in IncidenceCube.of(state).rows_with(rec.col, rec.negative) if r != rec.row]
         assert len(sources) == 2
         a, b = find_row_cycles(state, rec.row, sources[0], rec.col)
         assert not (set(a.columns) & set(b.columns))
@@ -290,7 +287,7 @@ def test_criterion_7_uniformity(acceptance_record):
     rep3 = chi_square_uniformity(samples3, universe3)
     reports.append(f"n=3 stat {rep3.statistic:.1f} dof 11 pass {rep3.passed}")
     # every square appears, with counts within 5 sigma of the multinomial mean
-    counts3 = Counter(gv.grid for gv in samples3)
+    counts3 = Counter(sq.grid for sq in samples3)
     assert len(counts3) == 12
     sigma = (12000 * (1 / 12) * (11 / 12)) ** 0.5
     assert all(abs(c - 1000) <= 5 * sigma for c in counts3.values())
@@ -337,8 +334,8 @@ def test_criterion_8_move_algebra(acceptance_record, graph3):
                                     applied = False
                                 assert valid == applied
                                 if applied:
-                                    assert apply_move(result, invert_move(m)) == state
-                                    data = result.cube.data
+                                    assert apply_move(result, m.inverted()) == state
+                                    data = IncidenceCube.of(result).data
                                     assert np.all(data.sum(axis=0) == 1)
                                     assert np.all(data.sum(axis=1) == 1)
                                     assert np.all(data.sum(axis=2) == 1)
@@ -363,7 +360,7 @@ def test_criterion_8_improper_moves_cancel_negative(acceptance_record, graph3):
         neg = (rec.row, rec.col, rec.negative)
         for m in enumerate_valid_moves(state):
             if neg not in m.plus_triples():
-                counterexample = (grid_from_cube(state).grid, rec, m.text())
+                counterexample = (state.grid, rec, m.text())
                 break
         if counterexample:
             break

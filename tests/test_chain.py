@@ -1,5 +1,6 @@
 import pytest
 
+from cube_reference import IncidenceCube
 from latinsq.chain import (
     ChainConfig,
     DegenerateOrder,
@@ -11,8 +12,8 @@ from latinsq.chain import (
     sample,
     step,
 )
-from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, grid_from_cube, validate
-from latinsq.moves import apply_move, enumerate_valid_moves, invert_move, is_valid_move
+from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, validate
+from latinsq.moves import apply_move, enumerate_valid_moves, is_valid_move
 from latinsq.oracle import canonical_key
 
 
@@ -93,15 +94,15 @@ def test_reversibility_of_support_exhaustive_order_three(graph3):
     for state in graph3.states[:40]:
         for m in enumerate_valid_moves(state):
             target = apply_move(state, m)
-            inv = invert_move(m)
+            inv = m.inverted()
             assert is_valid_move(target, inv)
             assert apply_move(target, inv) == state
 
 
 def test_sample_returns_proper_grids_only():
-    for gv in sample(ChainConfig(4, seed=3, burn_in=100, thin=3), 25):
-        assert gv.improper is None
-        state = cube_from_grid([list(r) for r in gv.grid])
+    for sq in sample(ChainConfig(4, seed=3, burn_in=100, thin=3), 25):
+        assert sq.improper is None
+        state = cube_from_grid([list(r) for r in sq.grid])
         assert validate(state) == []
 
 
@@ -113,12 +114,12 @@ def test_sample_determinism():
 def test_order_one_sampling():
     out = sample(ChainConfig(1, seed=0), 4)
     assert len(out) == 4
-    assert all(gv.grid == ((0,),) for gv in out)
+    assert all(sq.grid == ((0,),) for sq in out)
 
 
 def test_order_two_runs_normally():
     out = sample(ChainConfig(2, seed=1, burn_in=10, thin=2), 6)
-    assert {gv.grid for gv in out} <= {((0, 1), (1, 0)), ((1, 0), (0, 1))}
+    assert {sq.grid for sq in out} <= {((0, 1), (1, 0)), ((1, 0), (0, 1))}
 
 
 def test_run_parallel_single_chain_matches_sample():
@@ -182,8 +183,8 @@ def _check_walker_state(w):
     n = w.n
     state = w.to_state()
     assert validate(state) == []
-    assert w.view() == grid_from_cube(state)
-    cube = state.cube
+    assert w.view() == state
+    cube = IncidenceCube.of(state)
     bad_cell = bad_row_line = bad_col_line = None
     if w.neg is None:
         assert w.pairs is None

@@ -13,7 +13,7 @@ from latinsq.cli import (
     parse_square_json,
     parse_square_text,
 )
-from latinsq.core import InvalidSquare, cube_from_grid, cyclic_square, grid_from_cube, validate
+from latinsq.core import InvalidSquare, cube_from_grid, cyclic_square, validate
 from latinsq.oracle import enumerate_improper_squares
 
 
@@ -36,18 +36,18 @@ def assert_one_line_error(result, expected_code):
 
 def test_text_round_trip_over_order_three_graph(graph3):
     for state in graph3.states:
-        text = format_square_text(grid_from_cube(state))
+        text = format_square_text(state)
         assert parse_square_text(text) == state
 
 
 def test_json_round_trip_over_order_three_graph(graph3):
     for state in graph3.states:
-        blob = format_square_json(grid_from_cube(state))
+        blob = format_square_json(state)
         assert parse_square_json(blob) == state
 
 
 def test_improper_text_format(ex_improper):
-    text = format_square_text(grid_from_cube(ex_improper))
+    text = format_square_text(ex_improper)
     lines = text.strip().splitlines()
     assert lines[0] == "n 4"
     assert lines[-1] == "improper 2 1 0 2 1"
@@ -61,7 +61,7 @@ def test_parse_rejects_invalid_square(ex_improper):
         parse_square_text("0 1\n1 0\n")
     with pytest.raises(InvalidSquare):
         parse_square_text("n 2\n0 1\n1 0\nimproper 0 0 0 1 1\n0 1\n")
-    improper = json.loads(format_square_json(grid_from_cube(ex_improper)))
+    improper = json.loads(format_square_json(ex_improper))
     bad_json = [
         {"n": 7, "grid": [[0, 1], [1, 0]]},
         {"grid": [[0, 1], [1, 0]]},
@@ -151,8 +151,8 @@ GOLDEN_STDOUT = [
 def test_golden_stdout_bytes(capsys, tmp_path, monkeypatch, ex_improper, argv, digest):
     # The square files that `path` reads, in the working directory.
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "improper4.txt").write_text(format_square_text(grid_from_cube(ex_improper)))
-    (tmp_path / "cyclic4.txt").write_text(format_square_text(grid_from_cube(cyclic_square(4))))
+    (tmp_path / "improper4.txt").write_text(format_square_text(ex_improper))
+    (tmp_path / "cyclic4.txt").write_text(format_square_text(cyclic_square(4)))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -178,7 +178,7 @@ def test_gen_into_closed_pipe_exits_quietly():
 
 def test_path_identical_files(tmp_path, capsys, ex_proper):
     f = tmp_path / "a.txt"
-    f.write_text(format_square_text(grid_from_cube(ex_proper)))
+    f.write_text(format_square_text(ex_proper))
     code, out, _ = run_cli(capsys, "path", str(f), str(f), "--verify")
     assert code == 0
     assert out.strip() == "OK 0 54"
@@ -187,8 +187,8 @@ def test_path_identical_files(tmp_path, capsys, ex_proper):
 def test_path_fixture_single_move(tmp_path, capsys, ex_improper, ex_proper):
     fa = tmp_path / "a.txt"
     fb = tmp_path / "b.txt"
-    fa.write_text(format_square_text(grid_from_cube(ex_improper)))
-    fb.write_text(format_square_text(grid_from_cube(ex_proper)))
+    fa.write_text(format_square_text(ex_improper))
+    fb.write_text(format_square_text(ex_proper))
     code, out, _ = run_cli(capsys, "path", str(fa), str(fb), "--verify")
     assert code == 0
     lines = out.strip().splitlines()
@@ -220,7 +220,7 @@ def test_path_random_order_five(tmp_path, capsys):
 
 def test_verify_fixture(tmp_path, capsys, ex_improper):
     f = tmp_path / "sq.txt"
-    f.write_text(format_square_text(grid_from_cube(ex_improper)))
+    f.write_text(format_square_text(ex_improper))
     code, out, _ = run_cli(capsys, "verify", str(f))
     assert code == 0 and out.strip() == "valid improper"
 
@@ -238,6 +238,8 @@ def test_verify_corrupted(tmp_path, capsys):
         result = run_cli(capsys, "verify", str(f))
         assert_one_line_error(result, 1)
         assert "parse failure" in result[2]
+        if k == 0:
+            assert "line row=2 sym=0 (over columns) sums to 2" in result[2]
     assert_one_line_error(run_cli(capsys, "verify", str(tmp_path / "missing.txt")), 1)
 
 
@@ -370,7 +372,7 @@ _TOKENS = st.sampled_from(["n", "improper", "0", "1", "2", "3", "-1", "7", "x", 
 @st.composite
 def _square_texts(draw):
     """Well-formed square texts with a few tokens replaced or lines inserted."""
-    text = format_square_text(grid_from_cube(draw(st.sampled_from(_SEEDS))))
+    text = format_square_text(draw(st.sampled_from(_SEEDS)))
     tokens = [ln.split() for ln in text.splitlines()]
     for _ in range(draw(st.integers(0, 3))):
         line = draw(st.integers(0, len(tokens) - 1))
@@ -412,7 +414,7 @@ def _slots(node):
 @st.composite
 def _square_jsons(draw):
     """Well-formed square documents with a few values replaced or removed."""
-    obj = json.loads(format_square_json(grid_from_cube(draw(st.sampled_from(_SEEDS)))))
+    obj = json.loads(format_square_json(draw(st.sampled_from(_SEEDS))))
     for _ in range(draw(st.integers(0, 3))):
         slots = _slots(obj)
         if not slots:

@@ -1,5 +1,6 @@
 import pytest
 
+from cube_reference import IncidenceCube
 from latinsq.chain import ChainConfig, RngStream, sample, step
 from latinsq.connect import (
     CyclePattern,
@@ -17,7 +18,7 @@ from latinsq.connect import (
     swap_row_entries,
     transform_path,
 )
-from latinsq.core import ImproperCell, cube_from_grid, cyclic_square, grid_from_cube, validate
+from latinsq.core import ImproperCell, cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove
 from latinsq.oracle import enumerate_latin_squares
 
@@ -72,7 +73,7 @@ def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
         if state.is_proper:
             continue
         rec = state.improper
-        sources = [r for r in state.cube.rows_with(rec.col, rec.negative) if r != rec.row]
+        sources = [r for r in IncidenceCube.of(state).rows_with(rec.col, rec.negative) if r != rec.row]
         for src in sources:
             a, b = find_row_cycles(state, rec.row, src, rec.col)
             assert not (set(a.columns) & set(b.columns))
@@ -127,8 +128,7 @@ def test_cycle_swap_full_cycle_order_three():
     cycle = proper_row_cycles(state, 0, 1)[0]
     result, seq = cycle_swap(state, cycle)
     assert len(seq) == 2
-    gv = grid_from_cube(result)
-    assert gv.grid[0] == (1, 2, 0) and gv.grid[1] == (0, 1, 2)
+    assert result.grid[0] == (1, 2, 0) and result.grid[1] == (0, 1, 2)
 
 
 def test_cycle_swap_exchanges_rows_and_counts(graph3):
@@ -138,9 +138,10 @@ def test_cycle_swap_exchanges_rows_and_counts(graph3):
         for cycle in proper_row_cycles(state, 0, 2):
             result, seq = cycle_swap(state, cycle)
             assert len(seq) == cycle.length - 1
+            cube = IncidenceCube.of(result)
             for k, c in enumerate(cycle.columns):
-                assert result.cube.symbol_at(0, c) == cycle.bottom_symbols[k]
-                assert result.cube.symbol_at(2, c) == cycle.top_symbols[k]
+                assert cube.symbol_at(0, c) == cycle.bottom_symbols[k]
+                assert cube.symbol_at(2, c) == cycle.top_symbols[k]
 
 
 def test_cycle_swap_off_cycle_cells_untouched():
@@ -153,7 +154,7 @@ def test_cycle_swap_off_cycle_cells_untouched():
             for cycle in proper_row_cycles(state, *rows):
                 result, seq = cycle_swap(state, cycle)
                 assert len(seq) == cycle.length - 1
-                diff = np.argwhere(result.cube.data != state.cube.data)
+                diff = np.argwhere(IncidenceCube.of(result).data != IncidenceCube.of(state).data)
                 touched_cells = {(int(r), int(c)) for r, c, _ in diff}
                 expected = {(r, c) for r in cycle.rows for c in cycle.columns}
                 assert touched_cells <= expected
@@ -187,7 +188,7 @@ def test_swap_row_entries_single_move_fixture():
     result, seq = swap_row_entries(state, 0, 1, 0)
     assert seq.moves == (IntercalateMove.from_anchors(0, 1, 1, 1, 0, 0),)
     assert result.is_proper
-    assert grid_from_cube(result).grid == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert result.grid == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def test_swap_row_entries_preconditions(ex_improper, ex_proper):
@@ -210,7 +211,7 @@ def _lemma_instances(n, seed, want):
     for state in _improper_states_from_chain(n, seed, want * 3):
         rec = state.improper
         j1 = rec.col
-        candidates = [r for r in state.cube.rows_with(j1, rec.negative) if r != rec.row]
+        candidates = [r for r in IncidenceCube.of(state).rows_with(j1, rec.negative) if r != rec.row]
         for i1 in candidates:
             for j2 in range(n):
                 if j2 != j1:
@@ -226,18 +227,20 @@ def test_swap_row_entries_contract_randomized(n):
 
     for state, i1, j1, j2 in _lemma_instances(n, seed=100 + n, want=40):
         s = state.improper.negative
-        t = state.cube.symbol_at(i1, j2)
+        before = IncidenceCube.of(state)
+        t = before.symbol_at(i1, j2)
         i2 = state.improper.row
-        i3 = state.cube.rows_with(j2, s)[0]
+        i3 = before.rows_with(j2, s)[0]
         result, seq = swap_row_entries(state, i1, j1, j2)
+        after = IncidenceCube.of(result)
         assert len(seq) <= 2 * (n - 1)
         assert validate(result) == []
         # row i1 contract: exactly the two named cells changed, s and t swapped
-        assert result.cube.symbol_at(i1, j1) == t
-        assert result.cube.symbol_at(i1, j2) == s
+        assert after.symbol_at(i1, j1) == t
+        assert after.symbol_at(i1, j2) == s
         for c in range(n):
             if c not in (j1, j2):
-                assert np.array_equal(result.cube.data[i1, c], state.cube.data[i1, c])
+                assert np.array_equal(after.data[i1, c], before.data[i1, c])
         # output form: proper, or improper at (i2 or i3, j1) with negative t
         if result.improper is not None:
             rec = result.improper
@@ -245,7 +248,7 @@ def test_swap_row_entries_contract_randomized(n):
             assert rec.row in (i2, i3)
             assert rec.negative == t
         # confinement: only (i1,j1), (i1,j2) and rows i2, i3 may differ
-        diff_rows = {int(r) for r, _, _ in np.argwhere(result.cube.data != state.cube.data)}
+        diff_rows = {int(r) for r, _, _ in np.argwhere(after.data != before.data)}
         assert diff_rows <= {i1, i2, i3}
         # every intermediate state stays valid
         assert seq.replay(check=True) == result
@@ -268,7 +271,7 @@ def test_transform_path_order_mismatch(ex_proper):
 
 def test_transform_path_all_order_three_pairs():
     squares = [
-        cube_from_grid([list(r) for r in gv.grid]) for gv in enumerate_latin_squares(3)
+        cube_from_grid([list(r) for r in sq.grid]) for sq in enumerate_latin_squares(3)
     ]
     bound = 2 * (3 - 1) ** 3
     for a in squares:

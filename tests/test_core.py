@@ -1,16 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import latinsq
+from cube_reference import IncidenceCube, from_cube, validate_cube
 from latinsq.core import (
-    GridView,
     ImproperCell,
-    IncidenceCube,
     InvalidSquare,
     SquareState,
     cube_from_grid,
     cyclic_square,
-    grid_from_cube,
     validate,
 )
 from latinsq.oracle import enumerate_latin_squares
@@ -24,7 +25,7 @@ def test_proper_two_by_two_encoding():
         for c in range(2):
             for s in range(2):
                 expected = 1 if (r, c, s) in ones else 0
-                assert state.cube.entry(r, c, s) == expected
+                assert IncidenceCube.of(state).entry(r, c, s) == expected
 
 
 def test_improper_fixture_encodes_and_validates(ex_improper):
@@ -35,9 +36,10 @@ def test_improper_fixture_encodes_and_validates(ex_improper):
     assert rec.positive_pair == (0, 2)
     assert rec.negative == 1
     assert validate(ex_improper) == []
-    assert ex_improper.cube.entry(2, 1, 1) == -1
-    assert ex_improper.cube.entry(2, 1, 0) == 1
-    assert ex_improper.cube.entry(2, 1, 2) == 1
+    cube = IncidenceCube.of(ex_improper)
+    assert cube.entry(2, 1, 1) == -1
+    assert cube.entry(2, 1, 0) == 1
+    assert cube.entry(2, 1, 2) == 1
 
 
 def test_duplicate_column_rejected():
@@ -54,49 +56,47 @@ def test_order_zero_rejected_order_one_admitted():
 
 def test_grid_round_trip_small():
     grid = [[0, 1], [1, 0]]
-    gv = grid_from_cube(cube_from_grid(grid))
-    assert gv.grid == ((0, 1), (1, 0))
-    assert gv.improper is None
+    state = cube_from_grid(grid)
+    assert state.grid == ((0, 1), (1, 0))
+    assert state.improper is None
 
 
 def test_improper_round_trip(ex_improper):
-    gv = grid_from_cube(ex_improper)
-    assert gv.grid == ((2, 1, 3, 0), (1, 3, 0, 2), (3, 0, 1, 1), (0, 1, 2, 3))
-    assert gv.improper == ex_improper.improper
-    again = cube_from_grid([list(r) for r in gv.grid], gv.improper)
+    assert ex_improper.grid == ((2, 1, 3, 0), (1, 3, 0, 2), (3, 0, 1, 1), (0, 1, 2, 3))
+    again = cube_from_grid([list(r) for r in ex_improper.grid], ex_improper.improper)
     assert again == ex_improper
 
 
 def test_round_trip_over_enumerated_squares():
     seen = 0
     for n in (1, 2, 3, 4):
-        for gv in enumerate_latin_squares(n):
-            state = cube_from_grid([list(r) for r in gv.grid])
-            assert grid_from_cube(state).grid == gv.grid
+        for sq in enumerate_latin_squares(n):
+            state = cube_from_grid([list(r) for r in sq.grid])
+            assert state == sq
             seen += 1
             if seen >= 1000:
                 return
 
 
 def test_validate_reports_multiple_negatives():
-    arr = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]]).cube.data.copy()
+    arr = IncidenceCube.of(cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])).data.copy()
     arr.flags.writeable = True
     arr[0, 0, 0] = -1
     arr[1, 1, 1] = -1
-    bad = SquareState.candidate(IncidenceCube(arr), None)
-    problems = validate(bad)
+    problems = validate_cube(IncidenceCube(arr), None)
     assert any("multiple negative cells" in p for p in problems)
 
 
 def test_validate_reports_line_sums_for_overwritten_cell():
     # Overwriting one cell's symbol breaks the row and column lines of both
     # the old and the new symbol: four line sums in total.
-    arr = cyclic_square(3).cube.data.copy()
+    arr = IncidenceCube.of(cyclic_square(3)).data.copy()
     arr.flags.writeable = True
     arr[0, 0, 0] = 0
     arr[0, 0, 1] = 1
-    bad = SquareState.candidate(IncidenceCube(arr), None)
-    problems = validate(bad)
+    problems = validate_cube(IncidenceCube(arr), None)
+    # The same square as a grid: the grid checker gives the same messages.
+    assert validate(SquareState(((1, 1, 2), (1, 2, 0), (2, 0, 1)))) == problems
     line_problems = [p for p in problems if "line" in p]
     assert len(line_problems) == 4
     assert any("row=0 sym=0" in p for p in line_problems)
@@ -106,10 +106,9 @@ def test_validate_reports_line_sums_for_overwritten_cell():
 
 
 def test_validate_catches_record_mismatch(ex_improper):
-    wrong = SquareState.candidate(ex_improper.cube, ImproperCell(2, 1, (0, 3), 1))
-    assert any("does not match" in p for p in validate(wrong))
-    missing = SquareState.candidate(ex_improper.cube, None)
-    assert any("record missing" in p for p in validate(missing))
+    cube = IncidenceCube.of(ex_improper)
+    assert any("does not match" in p for p in validate_cube(cube, ImproperCell(2, 1, (0, 3), 1)))
+    assert any("record missing" in p for p in validate_cube(cube, None))
 
 
 def test_improper_cell_distinctness_enforced():
@@ -131,30 +130,34 @@ def test_row_permuted_cyclic_squares_round_trip(n, rnd):
     grid = [[(i + j) % n for j in range(n)] for i in rows]
     state = cube_from_grid(grid)
     assert validate(state) == []
-    assert grid_from_cube(state).grid == tuple(tuple(r) for r in grid)
+    assert state.grid == tuple(tuple(r) for r in grid)
 
 
 def test_square_state_from_cube_derives_record(ex_improper):
-    rebuilt = SquareState.from_cube(ex_improper.cube)
+    rebuilt = from_cube(IncidenceCube.of(ex_improper))
     assert rebuilt == ex_improper
-    proper = SquareState.from_cube(cyclic_square(3).cube)
+    proper = from_cube(IncidenceCube.of(cyclic_square(3)))
     assert proper.improper is None
-    arr = cyclic_square(3).cube.data.copy()
+    arr = IncidenceCube.of(cyclic_square(3)).data.copy()
     arr.flags.writeable = True
     arr[0, 0, 0] = -1
     arr[1, 1, 1] = -1
     with pytest.raises(InvalidSquare):
-        SquareState.from_cube(IncidenceCube(arr))
+        from_cube(IncidenceCube(arr))
 
 
-def test_grid_view_is_value_like():
-    a = GridView(2, ((0, 1), (1, 0)))
-    b = GridView(2, ((0, 1), (1, 0)))
+def test_square_state_is_value_like(ex_improper):
+    a = SquareState(((0, 1), (1, 0)))
+    b = SquareState(((0, 1), (1, 0)))
     assert a == b and hash(a) == hash(b)
+    copy = SquareState(ex_improper.grid, ex_improper.improper)
+    assert copy == ex_improper and hash(copy) == hash(ex_improper)
+    assert copy != SquareState(ex_improper.grid)
+    assert [f.name for f in dataclasses.fields(SquareState)] == ["grid", "improper"]
 
 
 def test_line_sums_all_one_for_valid_states(ex_improper):
-    data = ex_improper.cube.data
+    data = IncidenceCube.of(ex_improper).data
     assert np.all(data.sum(axis=0) == 1)
     assert np.all(data.sum(axis=1) == 1)
     assert np.all(data.sum(axis=2) == 1)
@@ -164,7 +167,7 @@ def test_grid_readers_agree_with_cube_view(graph3, ex_improper):
     # The state's readers work on the grid and the record; the cube view is
     # the reference, on every line of every order-3 state.
     for state in [*graph3.states, ex_improper]:
-        n, cube = state.n, state.cube
+        n, cube = state.n, IncidenceCube.of(state)
         for a in range(n):
             for b in range(n):
                 assert state.rows_with(a, b) == cube.rows_with(a, b)
@@ -176,3 +179,73 @@ def test_grid_readers_agree_with_cube_view(graph3, ex_improper):
                 else:
                     with pytest.raises(InvalidSquare):
                         state.symbol_at(a, b)
+
+
+def test_validate_matches_cube_checker_on_every_small_state(graph3, graph4, ex_improper):
+    for state in [*graph3.states, *graph4.states, ex_improper]:
+        assert validate(state) == validate_cube(IncidenceCube.of(state), state.improper) == []
+
+
+@st.composite
+def _candidate_states(draw):
+    # A row-permuted cyclic square with a few cells overwritten, and for
+    # n >= 3 maybe a record whose cell holds p, q, the negative or another
+    # symbol: valid and corrupt grids plus records alike.
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.permutations(range(n)))
+    grid = [[(i + j) % n for j in range(n)] for i in rows]
+    for r, c, s in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=3)):
+        grid[r][c] = s
+    rec = None
+    if n >= 3 and draw(st.booleans()):
+        p, q, neg = draw(st.permutations(range(n)))[:3]
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rec = ImproperCell(r, c, (p, q), neg)
+        grid[r][c] = draw(st.sampled_from([p, q, neg, draw(st.integers(0, n - 1))]))
+    return SquareState(tuple(map(tuple, grid)), rec)
+
+
+@settings(max_examples=500)
+@given(_candidate_states())
+def test_validate_matches_cube_checker_on_fuzzed_candidates(state):
+    assert validate(state) == validate_cube(IncidenceCube.of(state), state.improper)
+
+
+def test_public_surface_is_pinned():
+    assert sorted(latinsq.__all__) == [
+        "ChainConfig",
+        "CyclePattern",
+        "ImproperCell",
+        "IntercalateMove",
+        "InvalidMove",
+        "InvalidSquare",
+        "LatinSquareError",
+        "MoveSequence",
+        "RngStream",
+        "SquareState",
+        "StateGraph",
+        "UniformityReport",
+        "apply_move",
+        "build_state_graph",
+        "cell_symbol_frequency_test",
+        "check_connectivity_and_diameter",
+        "chi_square_uniformity",
+        "count_latin_squares",
+        "cube_from_grid",
+        "cycle_swap",
+        "cyclic_square",
+        "enumerate_latin_squares",
+        "enumerate_valid_moves",
+        "find_row_cycles",
+        "is_valid_move",
+        "normalize_to_proper",
+        "proper_row_cycles",
+        "run_parallel",
+        "sample",
+        "step",
+        "swap_row_entries",
+        "transform_path",
+        "validate",
+    ]
+    for name in latinsq.__all__:
+        assert getattr(latinsq, name) is not None

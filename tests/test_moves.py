@@ -1,12 +1,12 @@
 import pytest
 
-from latinsq.core import cube_from_grid, cyclic_square, grid_from_cube, validate
+from cube_reference import IncidenceCube
+from latinsq.core import cube_from_grid, cyclic_square, validate
 from latinsq.moves import (
     IntercalateMove,
     InvalidMove,
     apply_move,
     enumerate_valid_moves,
-    invert_move,
     is_valid_move,
 )
 from latinsq.connect import cycle_swap, proper_row_cycles
@@ -22,14 +22,14 @@ def test_apply_move_reproduces_proper_square(ex_improper, ex_proper):
 
 
 def test_inverse_move_runs_backwards(ex_improper, ex_proper):
-    back = apply_move(ex_proper, invert_move(EX_MOVE))
+    back = apply_move(ex_proper, EX_MOVE.inverted())
     assert back == ex_improper
 
 
 def test_invert_swaps_symbols_and_is_involution():
     m = IntercalateMove.from_anchors(0, 1, 0, 2, 3, 1)
-    assert invert_move(m) == IntercalateMove(0, 1, 1, 2, 3, 0)
-    assert invert_move(invert_move(m)) == m
+    assert m.inverted() == IntercalateMove(0, 1, 1, 2, 3, 0)
+    assert m.inverted().inverted() == m
 
 
 def test_delta_signs_alternate():
@@ -98,9 +98,8 @@ def test_apply_to_proper_creates_improper_cell():
     assert (rec.row, rec.col) == (1, 1)
     assert rec.positive_pair == (1, 2)
     assert rec.negative == 0
-    gv = grid_from_cube(result)
-    assert gv.grid[0] == (1, 0, 2)
-    assert gv.grid[2] == (2, 0, 1)
+    assert result.grid[0] == (1, 0, 2)
+    assert result.grid[2] == (2, 0, 1)
     assert validate(result) == []
 
 
@@ -176,7 +175,8 @@ def test_improper_moves_either_cancel_or_flip_clean_intercalates(graph3):
             if neg_triple in m.plus_triples():
                 cancelling += 1
                 continue
-            assert all(state.cube.entry(*t) == 1 for t in m.minus_triples())
+            cube = IncidenceCube.of(state)
+            assert all(cube.entry(*t) == 1 for t in m.minus_triples())
             assert result.improper is not None
             assert (result.improper.row, result.improper.col, result.improper.negative) == neg_triple
             assert validate(result) == []
@@ -204,7 +204,7 @@ def test_apply_invert_identity_across_graph(graph3):
     for state in graph3.states[:20]:
         for m in enumerate_valid_moves(state):
             there = apply_move(state, m)
-            assert apply_move(there, invert_move(m)) == state
+            assert apply_move(there, m.inverted()) == state
 
 
 def test_surviving_negative_keeps_record():
@@ -237,10 +237,9 @@ def test_two_rowed_proper_move_full_cycle():
     assert cycle.length == 3
     result, seq = cycle_swap(state, cycle)
     assert len(seq) == 2
-    gv = grid_from_cube(result)
-    assert gv.grid[0] == (1, 2, 0)
-    assert gv.grid[1] == (0, 1, 2)
-    assert gv.grid[2] == (2, 0, 1)
+    assert result.grid[0] == (1, 2, 0)
+    assert result.grid[1] == (0, 1, 2)
+    assert result.grid[2] == (2, 0, 1)
 
 
 def test_two_rowed_proper_move_intercalate_is_single_move():
@@ -267,7 +266,7 @@ def test_line_sums_preserved_by_all_valid_moves(graph3):
 
     for state in graph3.states[:30]:
         for m in enumerate_valid_moves(state):
-            data = apply_move(state, m).cube.data
+            data = IncidenceCube.of(apply_move(state, m)).data
             assert np.all(data.sum(axis=0) == 1)
             assert np.all(data.sum(axis=1) == 1)
             assert np.all(data.sum(axis=2) == 1)

@@ -1,7 +1,7 @@
 import pytest
 
 from latinsq.core import validate
-from latinsq.moves import enumerate_valid_moves, invert_move, is_valid_move
+from latinsq.moves import enumerate_valid_moves, is_valid_move
 from latinsq.oracle import (
     TooLarge,
     _enumerate_grids,
@@ -20,7 +20,7 @@ def test_enumeration_counts(n, count):
     squares = enumerate_latin_squares(n)
     assert len(squares) == count
     assert count_latin_squares(n) == count
-    grids = [gv.grid for gv in squares]
+    grids = [sq.grid for sq in squares]
     assert grids == sorted(grids)  # lexicographic
     assert len(set(grids)) == count  # each exactly once
 
@@ -71,8 +71,8 @@ def test_graph_vertex_set_matches_independent_enumeration(graph3):
     from latinsq.core import cube_from_grid
 
     enum_proper = {
-        canonical_key(cube_from_grid([list(r) for r in gv.grid]))
-        for gv in enumerate_latin_squares(3)
+        canonical_key(cube_from_grid([list(r) for r in sq.grid]))
+        for sq in enumerate_latin_squares(3)
     }
     enum_improper = {canonical_key(s) for s in enumerate_improper_squares(3)}
     assert proper_keys == enum_proper
@@ -90,7 +90,7 @@ def test_graph_edges_symmetric_via_inverted_move(graph3):
             target = apply_move(state, m)
             j = graph3.index[canonical_key(target)]
             assert j in graph3.adjacency[idx]
-            assert is_valid_move(target, invert_move(m))
+            assert is_valid_move(target, m.inverted())
 
 
 def test_canonical_key_distinguishes_states(graph3):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latinsq.core import GridView
+from latinsq.core import SquareState
 from latinsq.oracle import enumerate_latin_squares
 from latinsq.stats import (
     InsufficientSamples,
@@ -19,7 +19,7 @@ def _universe3():
 
 def test_equal_counts_statistic_zero_fails_two_sided_band():
     universe = _universe3()
-    samples = [gv for gv in universe for _ in range(10)]
+    samples = [sq for sq in universe for _ in range(10)]
     report = chi_square_uniformity(samples, universe)
     assert report.statistic == 0.0
     assert report.dof == 11
@@ -39,8 +39,8 @@ def test_degenerate_concentration_fails():
 
 def test_unknown_square_rejected():
     universe = _universe3()
-    rogue = GridView(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
-    fake = GridView(3, ((9, 9, 9),) * 3)
+    rogue = SquareState(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    fake = SquareState(((9, 9, 9),) * 3)
     with pytest.raises(UnknownSquare):
         chi_square_uniformity([fake] + [rogue] * 200, universe)
 
@@ -64,7 +64,7 @@ def test_statistic_invariant_under_universe_relabeling():
 
 def test_full_universe_cell_counts_exactly_uniform():
     universe = _universe3()
-    samples = [gv for gv in universe for _ in range(10)]
+    samples = [sq for sq in universe for _ in range(10)]
     report = cell_symbol_frequency_test(samples, 3)
     assert report.statistic == 0.0
     assert report.dof == 2
