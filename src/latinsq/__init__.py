@@ -1,7 +1,7 @@
 """Latin squares via the +/-1-move random walk: sampling, explicit move
 paths between any two squares, and exhaustive/statistical verification."""
 
-from .chain import ChainConfig, RngStream, run_parallel, sample, step
+from .chain import ChainConfig, RngStream, sample, step
 from .connect import (
     CyclePattern,
     MoveSequence,
@@ -67,7 +67,6 @@ __all__ = [
     "is_valid_move",
     "normalize_to_proper",
     "proper_row_cycles",
-    "run_parallel",
     "sample",
     "step",
     "swap_row_entries",

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import ImproperCell, LatinSquareError, SquareState, cube_from_grid, cyclic_square
 from .moves import IntercalateMove
+from .oracle import enumerate_latin_squares
 
 
 class DegenerateOrder(LatinSquareError):
@@ -211,13 +212,15 @@ def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) 
     if count < 1:
         raise LatinSquareError("count must be at least 1")
     n = config.n
-    if n == 1:
-        one = cyclic_square(1)
-        for _ in range(count):
-            yield one
-        return
     if rng is None:
         rng = RngStream(config.seed).spawn(1)[0]
+    if n <= 2:
+        # Order 2 has no improper squares, so every step flips to the other
+        # square and the walk has period 2: draw the squares directly.
+        squares = enumerate_latin_squares(n)
+        for _ in range(count):
+            yield squares[rng.integers(len(squares))]
+        return
     w = _Walker(cyclic_square(n), rng)
     w.advance(config.burn_in)
     for _ in range(count):
@@ -229,9 +232,10 @@ def sample(config: ChainConfig, count: int, rng: RngStream | None = None) -> lis
     """Draw ``count`` approximately uniform proper squares.
 
     Starts from the cyclic square, discards ``burn_in`` raw steps, then
-    records every ``thin``-th proper visit.  Byte-reproducible for a fixed
-    seed; when ``rng`` is omitted the stream is the first spawn of the
-    config seed so that a one-chain parallel run matches exactly.
+    records every ``thin``-th proper visit (at n <= 2, a uniform draw from
+    the enumerated squares instead).  Byte-reproducible for a fixed seed;
+    when ``rng`` is omitted the stream is the first spawn of the config
+    seed so that a one-chain parallel run matches exactly.
     """
     return list(iter_samples(config, count, rng))
 
@@ -251,8 +255,3 @@ def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[Square
     streams = RngStream(config.seed).spawn(chains)
     samples = itertools.chain.from_iterable(iter_samples(config, per_chain, s) for s in streams)
     return itertools.islice(samples, count)
-
-
-def run_parallel(config: ChainConfig, chains: int, count_per_chain: int) -> list[SquareState]:
-    """Concatenate ``chains`` independent runs of `sample`, one stream each."""
-    return list(iter_chains(config, chains, chains * count_per_chain))

@@ -20,9 +20,8 @@ import sys
 from typing import IO, Iterator
 
 from .chain import ChainConfig, iter_chains
-from .connect import MoveSequence, transform_path
+from .connect import transform_path
 from .core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, cube_from_grid
-from .moves import IntercalateMove
 from .oracle import (
     ENUMERATION_LIMIT,
     GRAPH_LIMIT,
@@ -120,26 +119,6 @@ def _read_squares_text(fh: IO[str]) -> Iterator[SquareState]:
             block.append(stripped)
     if block:
         yield parse_square_text("\n".join(block))
-
-
-def format_move_sequence(seq: MoveSequence) -> str:
-    """Header and start square (the square text form), then one move per line."""
-    out = format_square_text(seq.start)
-    return out + "".join(m.text() + "\n" for m in seq.moves)
-
-
-def parse_move_sequence(text: str) -> MoveSequence:
-    """Inverse of format_move_sequence; the end state is recomputed by replay."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
-        raise InvalidSquare("expected header line 'n <order>'")
-    n = int(lines[0].split()[1])
-    square_end = 1 + n
-    if square_end < len(lines) and lines[square_end].startswith("improper"):
-        square_end += 1
-    start = parse_square_text("\n".join(lines[:square_end]))
-    moves = tuple(IntercalateMove.parse(ln) for ln in lines[square_end:])
-    return MoveSequence(start, moves, MoveSequence(start, moves).replay())
 
 
 def _load_state(path: str) -> SquareState:

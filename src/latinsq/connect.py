@@ -11,11 +11,14 @@ Everything here is built from three primitives and one driver:
 * ``transform_path`` composes the above to turn any square into any other,
   fixing rows top-down; the emitted sequence never exceeds 2(n-1)^3 moves and
   every intermediate state is a valid proper or improper square.
+
+Each returns one `MoveSequence` whose ``end`` is the resulting square.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .core import LatinSquareError, SquareState, validate
 from .moves import IntercalateMove, apply_move
@@ -76,6 +79,10 @@ class MoveSequence:
     def __len__(self) -> int:
         return len(self.moves)
 
+    def inverted(self) -> "MoveSequence":
+        """The moves from ``end`` back to ``start``: each inverted, last first."""
+        return MoveSequence(self.end, tuple(m.inverted() for m in reversed(self.moves)), self.start)
+
     def replay(self, check: bool = False) -> SquareState:
         """Re-apply the moves to ``start``; with ``check`` validate prefixes."""
         state = self.start
@@ -97,8 +104,40 @@ def _unique_col(state: SquareState, row: int, sym: int) -> int:
     return cols[0]
 
 
+def _extend(
+    state: SquareState, moves: Iterable[IntercalateMove], out: list[IntercalateMove]
+) -> SquareState:
+    """Apply ``moves`` to ``state`` in order, appending each to ``out``."""
+    for m in moves:
+        state = apply_move(state, m)
+        out.append(m)
+    return state
+
+
+def _two_row_chain(
+    state: SquareState, top: int, bottom: int, col: int, ends: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Walk the chain of rows (``top``, ``bottom``) from column ``col``.
+
+    At each column read the bottom row's symbol; stop when it is in ``ends``,
+    else jump to the column where the top row holds it.  Returns the columns
+    and the bottom symbols, in walk order.  A valid state ends the walk
+    within n columns.
+    """
+    cols: list[int] = []
+    bottoms: list[int] = []
+    for _ in range(state.n):
+        sym = state.symbol_at(bottom, col)
+        cols.append(col)
+        bottoms.append(sym)
+        if sym in ends:
+            return cols, bottoms
+        col = _unique_col(state, top, sym)
+    raise LatinSquareError("chain did not terminate; state is corrupt")
+
+
 def _chase(state: SquareState, improper_row: int, helper_row: int, chased: int) -> CyclePattern:
-    """Walk the two-row chain that starts at ``chased``.
+    """The two-row chain that starts at ``chased``.
 
     From the improper cell, repeatedly jump to the column where the helper
     row holds the current symbol and read the improper row's symbol there;
@@ -106,23 +145,9 @@ def _chase(state: SquareState, improper_row: int, helper_row: int, chased: int) 
     symbol.  Columns listed in walk order; top = improper row, bottom =
     helper row.
     """
-    target = state.improper.negative
-    cols: list[int] = []
-    tops: list[int] = []
-    bottoms: list[int] = []
-    sym = chased
-    for _ in range(state.n):
-        c = _unique_col(state, helper_row, sym)
-        cols.append(c)
-        bottoms.append(sym)
-        top = state.symbol_at(improper_row, c)
-        tops.append(top)
-        if top == target:
-            return CyclePattern(
-                (improper_row, helper_row), tuple(cols), tuple(tops), tuple(bottoms)
-            )
-        sym = top
-    raise LatinSquareError("chain did not terminate; state is corrupt")
+    start = _unique_col(state, helper_row, chased)
+    cols, tops = _two_row_chain(state, helper_row, improper_row, start, (state.improper.negative,))
+    return CyclePattern((improper_row, helper_row), tuple(cols), tuple(tops), (chased, *tops[:-1]))
 
 
 def find_row_cycles(
@@ -149,9 +174,7 @@ def find_row_cycles(
     )
 
 
-def _resolve_improper(
-    state: SquareState, helper_row: int
-) -> tuple[SquareState, list[IntercalateMove]]:
+def _resolve_improper(state: SquareState, helper_row: int) -> MoveSequence:
     """Drive an improper state proper with moves confined to two rows.
 
     The working pair is (improper row, helper row); after each move the
@@ -160,25 +183,21 @@ def _resolve_improper(
     current chains (ties go to the larger positive), which makes the total
     number of moves at most the first minimum, i.e. floor((n-1)/2).
     """
-    moves: list[IntercalateMove] = []
-    if state.improper is None:
-        return state, moves
-    pair = (state.improper.row, helper_row)
+    start, moves = state, []
     while state.improper is not None:
         rec = state.improper
-        helper = pair[0] if rec.row == pair[1] else pair[1]
-        chain_hi, chain_lo = find_row_cycles(state, rec.row, helper, rec.col)
+        chain_hi, chain_lo = find_row_cycles(state, rec.row, helper_row, rec.col)
         chain = chain_lo if chain_lo.length < chain_hi.length else chain_hi
         m = IntercalateMove.from_anchors(
             rec.row, rec.col, rec.negative,
-            helper, chain.columns[-1], chain.bottom_symbols[0],
+            helper_row, chain.columns[-1], chain.bottom_symbols[0],
         )
-        state = apply_move(state, m)
-        moves.append(m)
-    return state, moves
+        state = _extend(state, (m,), moves)
+        helper_row = rec.row
+    return MoveSequence(start, tuple(moves), state)
 
 
-def normalize_to_proper(state: SquareState) -> tuple[SquareState, MoveSequence]:
+def normalize_to_proper(state: SquareState) -> MoveSequence:
     """Resolve an improper square into a proper one (identity on proper input).
 
     The helper row is the smallest row other than the improper one holding
@@ -187,15 +206,14 @@ def normalize_to_proper(state: SquareState) -> tuple[SquareState, MoveSequence]:
     rows and has length at most floor((n-1)/2).
     """
     if state.improper is None:
-        return state, MoveSequence(state)
+        return MoveSequence(state)
     rec = state.improper
     candidates = [r for r in state.rows_with(rec.col, rec.negative) if r != rec.row]
     if not candidates:
         raise NotImproper(
             f"no row holds symbol {rec.negative} in column {rec.col}; state is corrupt"
         )
-    end, moves = _resolve_improper(state, candidates[0])
-    return end, MoveSequence(state, tuple(moves), end)
+    return _resolve_improper(state, candidates[0])
 
 
 def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[CyclePattern]:
@@ -206,24 +224,16 @@ def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[CycleP
     """
     if state.improper is not None or row_a == row_b:
         raise InvalidCycle("cycle decomposition needs a proper state and two distinct rows")
-    n = state.n
     seen: set[int] = set()
     cycles: list[CyclePattern] = []
-    for c0 in range(n):
+    for c0 in range(state.n):
         if c0 in seen:
             continue
-        cols = [c0]
-        seen.add(c0)
-        while True:
-            bottom = state.symbol_at(row_b, cols[-1])
-            nxt = _unique_col(state, row_a, bottom)
-            if nxt == c0:
-                break
-            cols.append(nxt)
-            seen.add(nxt)
-        tops = tuple(state.symbol_at(row_a, c) for c in cols)
-        bottoms = tuple(state.symbol_at(row_b, c) for c in cols)
-        cycles.append(CyclePattern((row_a, row_b), tuple(cols), tops, bottoms))
+        # The cycle closes when row b shows the symbol row a holds at c0.
+        cols, bottoms = _two_row_chain(state, row_a, row_b, c0, (state.symbol_at(row_a, c0),))
+        seen.update(cols)
+        tops = (bottoms[-1], *bottoms[:-1])
+        cycles.append(CyclePattern((row_a, row_b), tuple(cols), tops, tuple(bottoms)))
     return cycles
 
 
@@ -247,7 +257,7 @@ def _check_cycle(state: SquareState, cycle: CyclePattern) -> None:
             raise InvalidCycle("bottom symbols are not the top symbols rotated by one")
 
 
-def cycle_swap(state: SquareState, cycle: CyclePattern) -> tuple[SquareState, MoveSequence]:
+def cycle_swap(state: SquareState, cycle: CyclePattern) -> MoveSequence:
     """Exchange the two rows of a proper square along a closed cycle.
 
     Emits exactly r-1 moves: the first opens the cycle (making the state
@@ -266,15 +276,10 @@ def cycle_swap(state: SquareState, cycle: CyclePattern) -> tuple[SquareState, Mo
         ms.append(
             IntercalateMove.from_anchors(i2, cols[k], top[0], i1, cols[k + 1], top[k + 1])
         )
-    end = state
-    for m in ms:
-        end = apply_move(end, m)
-    return end, MoveSequence(state, tuple(ms), end)
+    return MoveSequence(state, tuple(ms), _extend(state, ms, []))
 
 
-def swap_row_entries(
-    state: SquareState, i1: int, j1: int, j2: int
-) -> tuple[SquareState, MoveSequence]:
+def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSequence:
     """Swap the symbols of row ``i1`` at columns ``j1`` and ``j2``.
 
     Preconditions (each violation is named): the state is improper with its
@@ -310,49 +315,29 @@ def swap_row_entries(
         raise PreconditionViolated(f"column {j2} does not hold symbol {s} exactly once")
     i3 = i3_rows[0]
 
-    start = state
-    moves: list[IntercalateMove] = []
-
-    def push(st: SquareState, m: IntercalateMove) -> SquareState:
-        moves.append(m)
-        return apply_move(st, m)
-
     if i3 == i2:
         # The negative row itself holds s at j2: one move does it all.
-        state = push(state, IntercalateMove.from_anchors(i1, j1, t, i2, j2, s))
-        return state, MoveSequence(start, tuple(moves), state)
+        m = IntercalateMove.from_anchors(i1, j1, t, i2, j2, s)
+        return MoveSequence(state, (m,), apply_move(state, m))
 
     # General case.  Chase the chain of rows (i2, i3) from each of the two
     # columns where row i2 holds s; a usable chain ends on a column where
     # row i3 yields one of the improper cell's positives and never touches
     # j2 (row i3 holding s there would derail the closing steps).
-    p_lo, p_hi = rec.positive_pair
-    starts = [c for c in state.cols_with(i2, s) if c != j1]
     chains: list[tuple[list[int], int]] = []
-    for c_start in sorted(starts):
-        cols = [c_start]
-        terminal = -1
-        while True:
-            sym3 = state.symbol_at(i3, cols[-1])
-            if sym3 in (p_lo, p_hi):
-                terminal = sym3
-                break
-            if sym3 == s:
-                break  # ran into column j2; chain unusable
-            nxt = _unique_col(state, i2, sym3)
-            if nxt in cols or nxt in starts:
-                break  # closed on itself; chain unusable
-            cols.append(nxt)
-        if terminal >= 0:
-            chains.append((cols, terminal))
+    for c_start in state.cols_with(i2, s):
+        cols, bottoms = _two_row_chain(state, i2, i3, c_start, (*rec.positive_pair, s))
+        if bottoms[-1] != s:
+            chains.append((cols, bottoms[-1]))
     if not chains:
         raise LatinSquareError("no usable chain found; state is corrupt")
     chain, b_sym = min(chains, key=lambda cb: (len(cb[0]), cb[0][0]))
     c1 = chain[0]
 
-    state = push(state, IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym))
+    start, moves = state, []
+    state = _extend(state, (IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym),), moves)
 
-    undo: list[IntercalateMove] = []
+    detour = MoveSequence(state)
     if state.improper is not None and len(chain) >= 2:
         # Park the new negative cell (i1, c1) with moves on rows i1 and a
         # spare row, keeping rows i2 and i3 untouched for the cycle swap.
@@ -361,27 +346,28 @@ def swap_row_entries(
         ]
         if not spare:
             raise LatinSquareError("no spare row for the detour; state is corrupt")
-        state, undo = _resolve_improper(state, spare[0])
-        moves.extend(undo)
+        detour = _resolve_improper(state, spare[0])
+        state = detour.end
+        moves.extend(detour.moves)
 
     if len(chain) >= 2:
         tops = tuple(state.symbol_at(i2, c) for c in chain)
         bottoms = tuple(state.symbol_at(i3, c) for c in chain)
-        pattern = CyclePattern((i2, i3), tuple(chain), tops, bottoms)
-        state, swap_seq = cycle_swap(state, pattern)
-        moves.extend(swap_seq.moves)
+        swap = cycle_swap(state, CyclePattern((i2, i3), tuple(chain), tops, bottoms))
+        state = swap.end
+        moves.extend(swap.moves)
 
-    for m in reversed(undo):
-        state = push(state, m.inverted())
+    # The detour and the swap share no row, so the detour's inverse still
+    # undoes it; two moves then close the swap.
+    state = _extend(state, (
+        *detour.inverted().moves,
+        IntercalateMove.from_anchors(i3, j1, b_sym, i1, c1, s),
+        IntercalateMove.from_anchors(i1, j1, t, i3, j2, s),
+    ), moves)
+    return MoveSequence(start, tuple(moves), state)
 
-    state = push(state, IntercalateMove.from_anchors(i3, j1, b_sym, i1, c1, s))
-    state = push(state, IntercalateMove.from_anchors(i1, j1, t, i3, j2, s))
-    return state, MoveSequence(start, tuple(moves), state)
 
-
-def fix_row(
-    state: SquareState, target: SquareState, k: int
-) -> tuple[SquareState, list[IntercalateMove]]:
+def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
     """Make row ``k`` of a proper square equal to row ``k`` of ``target``.
 
     Assumes rows above ``k`` already agree; no move ever touches them.  Each
@@ -392,20 +378,18 @@ def fix_row(
     """
     n = state.n
     target_row = [target.symbol_at(k, c) for c in range(n)]
-    moves: list[IntercalateMove] = []
+    start, moves = state, []
     while True:
         row = [state.symbol_at(k, c) for c in range(n)]
         mismatched = [c for c in range(n) if row[c] != target_row[c]]
         if not mismatched:
-            return state, moves
+            return MoveSequence(start, tuple(moves), state)
         j2 = mismatched[0]
         s = target_row[j2]
         t = row[j2]
         j1 = row.index(s)
         i1 = _unique_row_below(state, k, j2, s)
-        m = IntercalateMove.from_anchors(k, j2, s, i1, j1, t)
-        state = apply_move(state, m)
-        moves.append(m)
+        state = _extend(state, (IntercalateMove.from_anchors(k, j2, s, i1, j1, t),), moves)
         while state.improper is not None:
             rec = state.improper
             tau = rec.negative
@@ -417,12 +401,13 @@ def fix_row(
                 ]
                 if not helpers or min(helpers) <= k:
                     raise LatinSquareError("no helper row below k; state is corrupt")
-                state, cleanup = _resolve_improper(state, helpers[0])
-                moves.extend(cleanup)
+                cleanup = _resolve_improper(state, helpers[0])
+                state = cleanup.end
+                moves.extend(cleanup.moves)
                 break
-            jt = target_row.index(tau)
-            state, seq = swap_row_entries(state, k, rec.col, jt)
-            moves.extend(seq.moves)
+            swap = swap_row_entries(state, k, rec.col, target_row.index(tau))
+            state = swap.end
+            moves.extend(swap.moves)
 
 
 def _unique_row_below(state: SquareState, k: int, col: int, sym: int) -> int:
@@ -446,18 +431,16 @@ def transform_path(a: SquareState, b: SquareState) -> MoveSequence:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if a == b:
         return MoveSequence(a, (), b)
-    state, seq_a = normalize_to_proper(a)
-    b_proper, seq_b = normalize_to_proper(b)
-    moves = list(seq_a.moves)
+    seq_a = normalize_to_proper(a)
+    seq_b = normalize_to_proper(b)
+    state, moves = seq_a.end, list(seq_a.moves)
     for k in range(a.n - 1):
-        state, row_moves = fix_row(state, b_proper, k)
-        moves.extend(row_moves)
-    if state != b_proper:
+        row = fix_row(state, seq_b.end, k)
+        state = row.end
+        moves.extend(row.moves)
+    if state != seq_b.end:
         raise LatinSquareError("row fixing did not converge; internal error")
-    for m in reversed(seq_b.moves):
-        inv = m.inverted()
-        state = apply_move(state, inv)
-        moves.append(inv)
+    state = _extend(state, seq_b.inverted().moves, moves)
     if state != b:
         raise LatinSquareError("endpoint mismatch after replay; internal error")
     return MoveSequence(a, tuple(moves), b)

@@ -92,14 +92,6 @@ class IntercalateMove:
         """Wire form: six space-separated integers "i j a i2 j2 b"."""
         return f"{self.i} {self.j} {self.a} {self.i2} {self.j2} {self.b}"
 
-    @staticmethod
-    def parse(line: str) -> "IntercalateMove":
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"expected six integers, got {line!r}")
-        i, j, a, i2, j2, b = (int(p) for p in parts)
-        return IntercalateMove.from_anchors(i, j, a, i2, j2, b)
-
 
 def _flip_outcome(
     plus_entries: list[int], minus_entries: list[int], negatives_before: int

@@ -49,7 +49,12 @@ class UniformityReport:
 
 
 def acceptance_band(dof: int, alpha: float = ALPHA) -> tuple[float, float]:
-    """Central (1 - alpha) band of the chi-square distribution."""
+    """Central (1 - alpha) band of the chi-square distribution.
+
+    With no degree of freedom (one category) the statistic is always 0.
+    """
+    if dof == 0:
+        return 0.0, 0.0
     return float(chi2.ppf(alpha / 2, dof)), float(chi2.ppf(1 - alpha / 2, dof))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cube_reference import IncidenceCube
-from latinsq.chain import ChainConfig, RngStream, run_parallel, sample, step
+from latinsq.chain import ChainConfig, RngStream, iter_chains, sample, step
 from latinsq.cli import main as cli_main
 from latinsq.connect import (
     cycle_swap,
@@ -151,7 +151,8 @@ def test_criterion_4_constructive_path_bounds(acceptance_record):
             assert seq.replay(check=True) == b
             state = a
             for row in range(n - 1):
-                state, row_moves = fix_row(state, b, row)
+                row_moves = fix_row(state, b, row)
+                state = row_moves.end
                 assert len(row_moves) <= row_budget
             assert state == b
             longest = max(longest, len(seq))
@@ -168,7 +169,8 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
     # normalize_to_proper: exhaustive at n=3, sampled at n=5..8
     improper3 = [s for s in graph3.states if not s.is_proper]
     for state in improper3:
-        result, seq = normalize_to_proper(state)
+        seq = normalize_to_proper(state)
+        result = seq.end
         assert result.is_proper and len(seq) <= 1
         assert len({r for m in seq.moves for r in (m.i, m.i2)}) <= 2
     sampled = 0
@@ -181,7 +183,8 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
             if state.improper is None:
                 continue
             seen += 1
-            result, seq = normalize_to_proper(state)
+            seq = normalize_to_proper(state)
+            result = seq.end
             assert result.is_proper
             assert len(seq) <= (n - 1) // 2
             assert len({r for m in seq.moves for r in (m.i, m.i2)}) <= 2
@@ -194,7 +197,8 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
             (a,) = _random_states(n, seed=CI_SEED + 31 * n + k, count=1)
             for rows in ((0, 1), (1, n - 1)):
                 for cycle in proper_row_cycles(a, *rows):
-                    result, seq = cycle_swap(a, cycle)
+                    seq = cycle_swap(a, cycle)
+                    result = seq.end
                     assert len(seq) == cycle.length - 1
                     diff = np.argwhere(IncidenceCube.of(result).data != IncidenceCube.of(a).data)
                     cells = {(int(r), int(c)) for r, c, _ in diff}
@@ -223,7 +227,8 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
             if j2 == j1:
                 j2 = (j2 + 1) % n
             t = before.symbol_at(i1, j2)
-            result, seq = swap_row_entries(state, i1, j1, j2)
+            seq = swap_row_entries(state, i1, j1, j2)
+            result = seq.end
             after = IncidenceCube.of(result)
             assert len(seq) <= 2 * (n - 1)
             assert after.symbol_at(i1, j1) == t
@@ -308,7 +313,7 @@ def test_criterion_7_uniformity(acceptance_record):
 def test_parallel_chains_pass_uniformity_order_four():
     # Same total count split across four chains also passes the exact test.
     cfg = ChainConfig(4, seed=CI_SEED + 1)
-    merged = run_parallel(cfg, 4, 14400)
+    merged = list(iter_chains(cfg, 4, 4 * 14400))
     report = chi_square_uniformity(merged, enumerate_latin_squares(4))
     assert report.samples == 57600
     assert report.passed
@@ -469,7 +474,7 @@ def test_criterion_9_determinism(acceptance_record, capsys):
     second = capsys.readouterr().out
 
     cfg = ChainConfig(4, seed=77, burn_in=100, thin=8)
-    merged = run_parallel(cfg, 3, 2)
+    merged = list(iter_chains(cfg, 3, 3 * 2))
     manual = []
     for stream in RngStream(77).spawn(3):
         manual.extend(sample(cfg, 2, stream))

@@ -8,7 +8,6 @@ from latinsq.chain import (
     _Walker,
     iter_chains,
     iter_samples,
-    run_parallel,
     sample,
     step,
 )
@@ -118,30 +117,35 @@ def test_order_one_sampling():
 
 
 def test_order_two_runs_normally():
+    both = {((0, 1), (1, 0)), ((1, 0), (0, 1))}
     out = sample(ChainConfig(2, seed=1, burn_in=10, thin=2), 6)
-    assert {sq.grid for sq in out} <= {((0, 1), (1, 0)), ((1, 0), (0, 1))}
+    assert {sq.grid for sq in out} <= both
+    # The order-2 walk has period 2, so even burn-in and thin (the defaults
+    # too) would pin every walked sample to the cyclic square.
+    for seed in range(3):
+        assert {sq.grid for sq in sample(ChainConfig(2, seed=seed), 20)} == both
 
 
 def test_run_parallel_single_chain_matches_sample():
     cfg = ChainConfig(3, seed=11, burn_in=100, thin=5)
-    assert run_parallel(cfg, 1, 30) == sample(cfg, 30)
+    assert list(iter_chains(cfg, 1, 30)) == sample(cfg, 30)
 
 
 def test_run_parallel_matches_manual_stream_assignment():
     cfg = ChainConfig(4, seed=17, burn_in=50, thin=4)
-    merged = run_parallel(cfg, 4, 10)
+    merged = list(iter_chains(cfg, 4, 40))
     streams = RngStream(17).spawn(4)
     manual = []
     for s in streams:
         manual.extend(sample(cfg, 10, s))
     assert merged == manual
-    assert merged == run_parallel(cfg, 4, 10)
+    assert merged == list(iter_chains(cfg, 4, 40))
 
 
 def test_iter_chains_splits_by_ceiling_and_stops_at_count():
     cfg = ChainConfig(3, seed=23, burn_in=20, thin=3)
     # Seven samples over three chains: 3 + 3 + 1, a prefix of three full chains.
-    assert list(iter_chains(cfg, 3, 7)) == run_parallel(cfg, 3, 3)[:7]
+    assert list(iter_chains(cfg, 3, 7)) == list(iter_chains(cfg, 3, 9))[:7]
     assert list(iter_chains(cfg, 1, 5)) == sample(cfg, 5)
 
 

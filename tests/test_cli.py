@@ -80,19 +80,6 @@ def test_parse_rejects_invalid_square(ex_improper):
             parse_square_json(json.dumps(obj))
 
 
-def test_move_sequence_round_trip(ex_improper):
-    from latinsq.cli import format_move_sequence, parse_move_sequence
-    from latinsq.connect import transform_path
-    from latinsq.core import cyclic_square
-
-    seq = transform_path(ex_improper, cyclic_square(4))
-    text = format_move_sequence(seq)
-    parsed = parse_move_sequence(text)
-    assert parsed.start == seq.start
-    assert parsed.moves == seq.moves
-    assert parsed.end == seq.end
-
-
 # ---------------------------------------------------------------------------
 # gen
 
@@ -326,6 +313,13 @@ def test_uniformity_cells_mode(capsys):
     )
     report = json.loads(out)
     assert report["categories"] == 6 and report["dof"] == 5
+
+
+def test_uniformity_orders_one_and_two_pass(capsys):
+    for argv in (("2",), ("1",), ("1", "--mode", "cells")):
+        code, out, _ = run_cli(capsys, "uniformity", *argv, "--seed", "0")
+        report = json.loads(out)
+        assert code == 0 and report["pass"] is True, out
 
 
 def test_uniformity_exact_mode_order_limit(capsys):

@@ -86,14 +86,16 @@ def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
 
 
 def test_normalize_fixture_single_move(ex_improper, ex_proper):
-    result, seq = normalize_to_proper(ex_improper)
+    seq = normalize_to_proper(ex_improper)
+    result = seq.end
     assert result == ex_proper
     assert seq.moves == (IntercalateMove.from_anchors(2, 1, 1, 0, 3, 0),)
     assert seq.replay(check=True) == ex_proper
 
 
 def test_normalize_proper_input_is_identity(ex_proper):
-    result, seq = normalize_to_proper(ex_proper)
+    seq = normalize_to_proper(ex_proper)
+    result = seq.end
     assert result == ex_proper
     assert len(seq) == 0
 
@@ -102,7 +104,8 @@ def test_normalize_exhaustive_order_three(graph3):
     for state in graph3.states:
         if state.is_proper:
             continue
-        result, seq = normalize_to_proper(state)
+        seq = normalize_to_proper(state)
+        result = seq.end
         assert result.is_proper
         assert validate(result) == []
         assert len(seq) <= 1  # floor((3-1)/2)
@@ -112,7 +115,8 @@ def test_normalize_exhaustive_order_three(graph3):
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_normalize_sampled_larger_orders(n):
     for state in _improper_states_from_chain(n, seed=n, count=60):
-        result, seq = normalize_to_proper(state)
+        seq = normalize_to_proper(state)
+        result = seq.end
         assert result.is_proper
         assert len(seq) <= (n - 1) // 2
         assert len(_touched_rows(seq.moves)) <= 2
@@ -126,7 +130,8 @@ def test_normalize_sampled_larger_orders(n):
 def test_cycle_swap_full_cycle_order_three():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
-    result, seq = cycle_swap(state, cycle)
+    seq = cycle_swap(state, cycle)
+    result = seq.end
     assert len(seq) == 2
     assert result.grid[0] == (1, 2, 0) and result.grid[1] == (0, 1, 2)
 
@@ -136,7 +141,8 @@ def test_cycle_swap_exchanges_rows_and_counts(graph3):
         if not state.is_proper:
             continue
         for cycle in proper_row_cycles(state, 0, 2):
-            result, seq = cycle_swap(state, cycle)
+            seq = cycle_swap(state, cycle)
+            result = seq.end
             assert len(seq) == cycle.length - 1
             cube = IncidenceCube.of(result)
             for k, c in enumerate(cycle.columns):
@@ -152,7 +158,8 @@ def test_cycle_swap_off_cycle_cells_untouched():
         state = _random_square(6, seed)
         for rows in ((0, 1), (2, 4), (3, 5)):
             for cycle in proper_row_cycles(state, *rows):
-                result, seq = cycle_swap(state, cycle)
+                seq = cycle_swap(state, cycle)
+                result = seq.end
                 assert len(seq) == cycle.length - 1
                 diff = np.argwhere(IncidenceCube.of(result).data != IncidenceCube.of(state).data)
                 touched_cells = {(int(r), int(c)) for r, c, _ in diff}
@@ -185,7 +192,8 @@ def test_cycle_swap_requires_proper(ex_improper):
 
 def test_swap_row_entries_single_move_fixture():
     state = cube_from_grid([[1, 0, 2], [0, 1, 0], [2, 0, 1]], ImproperCell(1, 1, (1, 2), 0))
-    result, seq = swap_row_entries(state, 0, 1, 0)
+    seq = swap_row_entries(state, 0, 1, 0)
+    result = seq.end
     assert seq.moves == (IntercalateMove.from_anchors(0, 1, 1, 1, 0, 0),)
     assert result.is_proper
     assert result.grid == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -231,7 +239,8 @@ def test_swap_row_entries_contract_randomized(n):
         t = before.symbol_at(i1, j2)
         i2 = state.improper.row
         i3 = before.rows_with(j2, s)[0]
-        result, seq = swap_row_entries(state, i1, j1, j2)
+        seq = swap_row_entries(state, i1, j1, j2)
+        result = seq.end
         after = IncidenceCube.of(result)
         assert len(seq) <= 2 * (n - 1)
         assert validate(result) == []
@@ -295,9 +304,10 @@ def test_transform_path_randomized(n):
         state = a
         total = 0
         for row in range(n - 1):
-            state, moves = fix_row(state, b, row)
-            assert len(moves) <= row_budget
-            total += len(moves)
+            row_seq = fix_row(state, b, row)
+            state = row_seq.end
+            assert len(row_seq) <= row_budget
+            total += len(row_seq)
         assert state == b
         assert total == len(seq)
 
@@ -309,6 +319,30 @@ def test_transform_path_improper_endpoints(ex_improper):
     back = transform_path(b, ex_improper)
     assert back.replay(check=True) == ex_improper
     assert len(seq) <= 54 and len(back) <= 54
+
+
+# One call of each path primitive on the fixtures: (start, call).
+PRIMITIVE_CALLS = {
+    "normalize_to_proper": lambda imp, pro: (imp, normalize_to_proper(imp)),
+    "cycle_swap": lambda imp, pro: (
+        pro, cycle_swap(pro, max(proper_row_cycles(pro, 0, 2), key=lambda c: c.length))
+    ),
+    "swap_row_entries": lambda imp, pro: (imp, swap_row_entries(imp, 0, 1, 0)),
+    "fix_row": lambda imp, pro: (pro, fix_row(pro, cyclic_square(4), 0)),
+    "transform_path": lambda imp, pro: (imp, transform_path(imp, cyclic_square(4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CALLS))
+def test_primitive_returns_one_move_sequence(name, ex_improper, ex_proper):
+    start, seq = PRIMITIVE_CALLS[name](ex_improper, ex_proper)
+    assert isinstance(seq, MoveSequence)
+    assert seq.start == start
+    assert len(seq) == len(seq.moves) > 0
+    assert seq.replay(check=True) == seq.end
+    back = seq.inverted()
+    assert (back.start, back.end, len(back)) == (seq.end, seq.start, len(seq))
+    assert back.replay(check=True) == start
 
 
 def test_move_sequence_replay_checks_prefixes(ex_improper, ex_proper):

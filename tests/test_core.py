@@ -240,7 +240,6 @@ def test_public_surface_is_pinned():
         "is_valid_move",
         "normalize_to_proper",
         "proper_row_cycles",
-        "run_parallel",
         "sample",
         "step",
         "swap_row_entries",

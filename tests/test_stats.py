@@ -96,6 +96,13 @@ def test_reports_deterministic():
     assert a == b
 
 
+def test_one_category_passes():
+    assert acceptance_band(0) == (0.0, 0.0)
+    universe = enumerate_latin_squares(1)
+    assert chi_square_uniformity(universe * 10, universe).passed
+    assert cell_symbol_frequency_test(universe * 10, 1).passed
+
+
 def test_acceptance_band_monotone_in_dof():
     lo11, hi11 = acceptance_band(11)
     lo575, hi575 = acceptance_band(575)
