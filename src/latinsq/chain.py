@@ -53,8 +53,9 @@ class ChainConfig:
 class RngStream:
     """Deterministic seedable stream with spawnable independent children.
 
-    Thin wrapper over numpy's SeedSequence/PCG64 pair; integer draws are
-    buffered in blocks per bound so the per-step cost stays small.
+    Thin wrapper over numpy's SeedSequence/PCG64 pair.  The draws for one
+    bound come in blocks from one shared iterator, `draws(bound)`, so the
+    per-step cost stays small; a block is drawn when the last one runs out.
     """
 
     _BLOCK = 4096
@@ -65,24 +66,24 @@ class RngStream:
         else:
             self.seed_seq = np.random.SeedSequence(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed_seq))
-        self._buffers: dict[int, list] = {}
+        self._draws: dict[int, Iterator[int]] = {}
 
     def spawn(self, k: int) -> list["RngStream"]:
         """k independent child streams; deterministic in the parent seed."""
         return [RngStream(ss) for ss in self.seed_seq.spawn(k)]
 
+    def draws(self, bound: int) -> Iterator[int]:
+        """The endless stream of uniform draws from range(bound)."""
+        it = self._draws.get(bound)
+        if it is None:
+            gen, size = self._gen, self._BLOCK  # no reference to self: a dropped stream frees at once
+            blocks = iter(lambda: gen.integers(0, bound, size, dtype=np.int64).tolist(), None)
+            it = self._draws[bound] = itertools.chain.from_iterable(blocks)
+        return it
+
     def integers(self, bound: int) -> int:
         """One uniform draw from range(bound)."""
-        buf = self._buffers.get(bound)
-        if buf is None:
-            buf = [[], self._BLOCK]
-            self._buffers[bound] = buf
-        if buf[1] >= self._BLOCK:
-            buf[0] = self._gen.integers(0, bound, size=self._BLOCK, dtype=np.int64).tolist()
-            buf[1] = 0
-        value = buf[0][buf[1]]
-        buf[1] += 1
-        return value
+        return next(self.draws(bound))
 
 
 class _Walker:
@@ -135,10 +136,10 @@ class _Walker:
         """
         if count < 1:
             return None
-        n, sym, col, row, draw = self.n, self.sym, self.col, self.row, self.rng.integers
+        n, sym, col, row = self.n, self.sym, self.col, self.row
         nm1 = n - 1
         per_row = n * nm1
-        bound = n * per_row
+        pick8, pick_zero = self.rng.draws(8).__next__, self.rng.draws(n * per_row).__next__
         raw = 0 if proper else 1
         improper = self.neg is not None
         if improper:
@@ -150,7 +151,7 @@ class _Walker:
                 # The -1 sits at (r, c, s); one pick bit per line chooses
                 # which of its two +1s the flip takes, the other one stays.
                 r, c, s, rn, cn = r2, c2, s2, r2n, c2n
-                pick = draw(8)
+                pick = pick8()
                 r2, ro = ra, rb
                 if pick & 1:
                     r2, ro = rb, ra
@@ -162,7 +163,7 @@ class _Walker:
                     s2, so = sb, sa
                 sym[rn + c], col[rn + s], row[cn + s] = so, co, ro
             else:
-                r, t = divmod(draw(bound), per_row)
+                r, t = divmod(pick_zero(), per_row)
                 c, k = divmod(t, nm1)
                 rn, cn = r * n, c * n
                 s2 = sym[rn + c]

@@ -9,8 +9,8 @@ as ((i,j;a),(i2,j2;b)), the flip adds
 
 to the incidence cube, so line sums are conserved by construction.  A move is
 valid on a state when every touched entry stays inside {-1, 0, 1} and the
-result has at most one negative entry.  Moves read their eight cube entries
-from the state's grid and record and write a new grid; no cube is built.
+result has at most one negative entry.  A move reads its four cells from
+the state's grid and record and writes a new grid; no cube is built.
 A move's inverse, `IntercalateMove.inverted`, exchanges a and b.
 """
 
@@ -93,41 +93,66 @@ class IntercalateMove:
         return f"{self.i} {self.j} {self.a} {self.i2} {self.j2} {self.b}"
 
 
-def _flip_outcome(
-    plus_entries: list[int], minus_entries: list[int], negatives_before: int
-) -> tuple[bool, str]:
-    """Shared validity logic on the eight touched entry values: (ok, reason)."""
-    for k, e in enumerate(plus_entries):
-        if e > 0:
-            return False, f"entry already 1 at +1 position {k}"
-    negatives = negatives_before
-    for e in plus_entries:
-        if e == -1:
-            negatives -= 1
-    for k, e in enumerate(minus_entries):
-        if e < 0:
-            return False, f"entry already -1 at -1 position {k}"
-        if e == 0:
-            negatives += 1
-    if negatives > 1:
-        return False, "result would have more than one negative cell"
-    return True, ""
+def _flip(state: SquareState, m: IntercalateMove) -> SquareState | str:
+    """The state plus the move's intercalate, or the reason the move is invalid.
 
-
-def _check_move(state: SquareState, m: IntercalateMove) -> tuple[bool, str]:
+    One pass over the four touched cells.  Cell k gains +1 at symbol x and
+    -1 at symbol y, so a proper cell must hold y (it then holds x) or
+    neither (it becomes improper with the -1 at y), and the improper cell
+    must not hold x as a positive or y as its negative.  The count of -1s is
+    checked once, at the end.
+    """
     n = state.n
-    if max(m.i2, m.j2, m.a, m.b) >= n:
-        return False, f"move indices exceed order {n}"
-    e = state.entry
     i, j, a, i2, j2, b = m.i, m.j, m.a, m.i2, m.j2, m.b
-    plus = [e(i, j, a), e(i, j2, b), e(i2, j, b), e(i2, j2, a)]
-    minus = [e(i, j, b), e(i, j2, a), e(i2, j, a), e(i2, j2, b)]
-    return _flip_outcome(plus, minus, 0 if state.improper is None else 1)
+    if max(i2, j2, a, b) >= n:
+        return f"move indices exceed order {n}"
+    rec = state.improper
+    at_r, at_c = (-1, -1) if rec is None else (rec.row, rec.col)
+    negatives = 0 if rec is None else 1
+    # The record survives unless its cell is touched.
+    new = None if at_r in (i, i2) and at_c in (j, j2) else rec
+    top, bottom = list(state.grid[i]), list(state.grid[i2])
+    for k, (line, r, c, x, y) in enumerate(
+        ((top, i, j, a, b), (top, i, j2, b, a), (bottom, i2, j, b, a), (bottom, i2, j2, a, b))
+    ):
+        if r == at_r and c == at_c:
+            pair, neg = rec.positive_pair, rec.negative
+            if x in pair:
+                return f"entry already 1 at +1 position {k}"
+            if y == neg:
+                return f"entry already -1 at -1 position {k}"
+            p, q = pair
+            if x == neg and y in pair:
+                line[c] = q if y == p else p  # the -1 cancels: a proper cell again
+                negatives -= 1
+                continue
+            if x == neg:
+                neg = y  # the -1 cancels and reappears at y
+            elif y in pair:
+                pair = (x, q if y == p else p)  # x takes y's place beside the other positive
+            else:
+                negatives += 1  # y was absent: a second -1 in the cell
+                continue
+        elif line[c] == y:
+            line[c] = x
+            continue
+        elif line[c] == x:
+            return f"entry already 1 at +1 position {k}"
+        else:
+            pair, neg = (line[c], x), y  # y was absent: the cell keeps its symbol and gains x
+            negatives += 1
+        new = ImproperCell(r, c, pair, neg)
+        line[c] = new.positive_pair[0]
+    if negatives > 1:
+        return "result would have more than one negative cell"
+    grid = list(state.grid)
+    grid[i], grid[i2] = tuple(top), tuple(bottom)
+    return SquareState(tuple(grid), new)
 
 
 def is_valid_move(state: SquareState, m: IntercalateMove) -> bool:
     """True iff apply_move would succeed; pure predicate."""
-    return _check_move(state, m)[0]
+    return not isinstance(_flip(state, m), str)
 
 
 def apply_move(state: SquareState, m: IntercalateMove) -> SquareState:
@@ -136,38 +161,10 @@ def apply_move(state: SquareState, m: IntercalateMove) -> SquareState:
     Fails atomically with InvalidMove when any entry would leave {-1,0,1} or
     a second negative cell would arise; the input state is never modified.
     """
-    ok, reason = _check_move(state, m)
-    if not ok:
-        raise InvalidMove(f"move ({m.text()}) invalid: {reason}")
-    i, j, i2, j2 = m.i, m.j, m.i2, m.j2
-    rows = {i: list(state.grid[i]), i2: list(state.grid[i2])}
-    rec = state.improper
-    at_rec = None if rec is None else (rec.row, rec.col)
-    touched = rec is not None and rec.row in (i, i2) and rec.col in (j, j2)
-    new = None if touched else rec  # the record survives unless its cell is touched
-    # Each touched cell gains +1 at symbol x and loses 1 at symbol y.
-    for r, c, x, y in ((i, j, m.a, m.b), (i, j2, m.b, m.a), (i2, j, m.b, m.a), (i2, j2, m.a, m.b)):
-        line = rows[r]
-        if (r, c) == at_rec:
-            p, q = rec.positive_pair
-            if x != rec.negative:
-                # x is new here, so y is one of the two positives.
-                pair, neg = ((x, q) if y == p else (p, x)), rec.negative
-            elif y in (p, q):
-                line[c] = q if y == p else p  # the -1 cancels: a proper cell again
-                continue
-            else:
-                pair, neg = (p, q), y  # the -1 cancels and reappears at y
-        elif line[c] == y:
-            line[c] = x
-            continue
-        else:
-            pair, neg = (line[c], x), y  # y was absent: the cell keeps its symbol and gains x
-        new = ImproperCell(r, c, pair, neg)
-        line[c] = new.positive_pair[0]
-    grid = list(state.grid)
-    grid[i], grid[i2] = tuple(rows[i]), tuple(rows[i2])
-    return SquareState(tuple(grid), new)
+    out = _flip(state, m)
+    if isinstance(out, str):
+        raise InvalidMove(f"move ({m.text()}) invalid: {out}")
+    return out
 
 
 def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
@@ -178,36 +175,49 @@ def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
     most the one -1 that exists, so at least three of a valid move's four -1
     positions sit on a +1.  Naming the move from the one whose row and column
     neighbours are both +1s, every valid move is found from a +1 (i, j, b), a
-    symbol a != b, a +1 of a in row i and a +1 of a in column j.  Those
-    candidates are brought to canonical form, deduplicated, sorted and kept
-    when the same predicate as `is_valid_move` accepts them.
+    symbol a != b, a +1 of a in row i and a +1 of a in column j.  Those three
+    -1 positions are +1s by construction, so each candidate is checked on
+    its four +1 positions and its fourth -1 position, (i2, j2, b), by the
+    rule of `is_valid_move`; the valid ones are brought to canonical form,
+    deduplicated and sorted.
     """
     n = state.n
     rec = state.improper
     plus = [(i, j, b) for i, line in enumerate(state.grid) for j, b in enumerate(line)]
-    # The nonzero entries by triple: a lookup here is cheaper than state.entry
-    # over the eight reads of every candidate.
-    value = dict.fromkeys(plus, 1)
+    value = [0] * n**3  # value[(i*n + j)*n + s]: the cube entry at (i, j, s)
     if rec is not None:
         plus.append((rec.row, rec.col, rec.positive_pair[1]))
-        value[plus[-1]] = 1
-        value[rec.row, rec.col, rec.negative] = -1
+        value[(rec.row * n + rec.col) * n + rec.negative] = -1
     in_row = [[[] for _ in range(n)] for _ in range(n)]  # in_row[i][a]: columns of a's +1s in row i
     in_col = [[[] for _ in range(n)] for _ in range(n)]  # in_col[j][a]: rows of a's +1s in column j
     for i, j, b in plus:
+        value[(i * n + j) * n + b] = 1
         in_row[i][b].append(j)
         in_col[j][b].append(i)
+    negatives = 0 if rec is None else 1
     found = set()
     for i, j, b in plus:
         row_i, col_j = in_row[i], in_col[j]
+        at_ij = (i * n + j) * n
         for a in range(n):
-            if a == b:
+            e = value[at_ij + a]  # +1 position (i, j, a)
+            if a == b or e == 1:
                 continue
+            cancels_ij = e == -1
             for j2 in row_i[a]:
-                if j2 == j:
+                e = value[(i * n + j2) * n + b]  # +1 position (i, j2, b)
+                if j2 == j or e == 1:
                     continue
+                cancels = cancels_ij + (e == -1)
                 for i2 in col_j[a]:
                     if i2 == i:
+                        continue
+                    at_i2j = (i2 * n + j) * n + b  # +1 position (i2, j, b)
+                    at_i2j2 = (i2 * n + j2) * n  # +1 at a, fourth -1 position at b
+                    e2, e3, e4 = value[at_i2j], value[at_i2j2 + a], value[at_i2j2 + b]
+                    if e2 == 1 or e3 == 1 or e4 == -1:
+                        continue
+                    if negatives + (e4 == 0) - cancels - (e2 == -1) - (e3 == -1) > 1:
                         continue
                     # Canonical naming, as IntercalateMove.from_anchors.
                     r, r2, c, c2, x, y = i, i2, j, j2, a, b
@@ -216,15 +226,4 @@ def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
                     if c > c2:
                         c, c2, x, y = c2, c, y, x
                     found.add((r, r2, c, c2, x, y))
-    e = value.get
-    negatives = 0 if rec is None else 1
-    out: list[IntercalateMove] = []
-    for i, i2, j, j2, a, b in sorted(found):
-        ok, _ = _flip_outcome(
-            [e((i, j, a), 0), e((i, j2, b), 0), e((i2, j, b), 0), e((i2, j2, a), 0)],
-            [e((i, j, b), 0), e((i, j2, a), 0), e((i2, j, a), 0), e((i2, j2, b), 0)],
-            negatives,
-        )
-        if ok:
-            out.append(IntercalateMove(i, j, a, i2, j2, b))
-    return out
+    return [IntercalateMove(i, j, a, i2, j2, b) for i, i2, j, j2, a, b in sorted(found)]

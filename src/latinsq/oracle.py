@@ -211,15 +211,16 @@ class StateGraph:
 def build_state_graph(n: int) -> StateGraph:
     """Breadth-first closure of the move graph from the cyclic square.
 
-    Vertices are normalized into canonical-key order before return so the
-    result is independent of discovery order.
+    The search keys its vertices on the states themselves, which hash and
+    compare by grid and record.  Vertices are then normalized into
+    canonical-key order before return, so the result is independent of
+    discovery order.
     """
     if not 2 <= n <= GRAPH_LIMIT:
         raise TooLarge(f"state graph is limited to 2 <= n <= {GRAPH_LIMIT}")
     start = cyclic_square(n)
-    keys = [canonical_key(start)]
     states = [start]
-    index = {keys[0]: 0}
+    found = {start: 0}
     edges: set[tuple[int, int]] = set()
     queue = deque([0])
     while queue:
@@ -227,16 +228,14 @@ def build_state_graph(n: int) -> StateGraph:
         state = states[idx]
         for m in enumerate_valid_moves(state):
             nxt = apply_move(state, m)
-            key = canonical_key(nxt)
-            j = index.get(key)
+            j = found.get(nxt)
             if j is None:
-                j = len(states)
-                index[key] = j
-                keys.append(key)
+                j = found[nxt] = len(states)
                 states.append(nxt)
                 queue.append(j)
             edges.add((min(idx, j), max(idx, j)))
 
+    keys = [canonical_key(s) for s in states]
     order = sorted(range(len(states)), key=keys.__getitem__)
     relabel = {old: new for new, old in enumerate(order)}
     adjacency: list[list[int]] = [[] for _ in order]

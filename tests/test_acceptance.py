@@ -389,9 +389,10 @@ def test_criterion_8_chain_steps_cancel_negative(acceptance_record, graph3):
         def __init__(self, v):
             self.v = v
 
-        def integers(self, bound):
-            assert bound == 8
-            return self.v
+        def draws(self, bound):
+            while True:
+                assert bound == 8
+                yield self.v
 
     checked = 0
     for state in graph3.states:
@@ -420,9 +421,10 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
         def __init__(self, v, bound):
             self.v, self.bound = v, bound
 
-        def integers(self, bound):
-            assert bound == self.bound
-            return self.v
+        def draws(self, bound):
+            while True:
+                assert bound == self.bound
+                yield self.v
 
     n = 3
     index = {canonical_key(s): k for k, s in enumerate(graph3.states)}

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cube_reference import IncidenceCube
@@ -22,10 +23,11 @@ class _FixedRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def integers(self, bound):
-        v = self.values.pop(0)
-        assert 0 <= v < bound
-        return v
+    def draws(self, bound):
+        while True:
+            v = self.values.pop(0)
+            assert 0 <= v < bound
+            yield v
 
 
 def test_config_defaults_and_validation():
@@ -169,6 +171,27 @@ def test_rng_stream_spawn_children_differ_and_reproduce():
     assert seq1 == seq2
     other = [a1[1].integers(1000) for _ in range(20)]
     assert other != seq1
+
+
+def test_rng_stream_draws_blocks_per_bound_in_request_order():
+    # Each bound takes a 4096-value block from the one generator when its
+    # last block runs out, whether read through draws() or integers().
+    r = RngStream(3)
+    eights = r.draws(8)
+    assert r.draws(8) is eights
+    got8 = [next(eights) for _ in range(10)]
+    got_wide = [r.integers(1000) for _ in range(5000)]
+    got8 += [next(eights) for _ in range(4100)]
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+
+    def block(bound):
+        return gen.integers(0, bound, size=4096, dtype=np.int64).tolist()
+
+    want8, want_wide = block(8), block(1000)
+    want_wide += block(1000)
+    want8 += block(8)
+    assert got8 == want8[:4110]
+    assert got_wide == want_wide[:5000]
 
 
 def test_public_step_matches_walker():

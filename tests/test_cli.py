@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import latinsq
 from latinsq.cli import (
     format_square_json,
     format_square_text,
@@ -15,6 +18,14 @@ from latinsq.cli import (
 )
 from latinsq.core import InvalidSquare, cube_from_grid, cyclic_square, validate
 from latinsq.oracle import enumerate_improper_squares
+
+# Child processes import the same latinsq as this test, however it was found.
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(latinsq.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")])
+    ),
+)
 
 
 def run_cli(capsys, *argv):
@@ -148,7 +159,7 @@ def test_golden_stdout_bytes(capsys, tmp_path, monkeypatch, ex_improper, argv, d
 def test_gen_into_closed_pipe_exits_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "latinsq", "gen", "3", "--samples", "20000", "--burn-in", "0", "--thin", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
     )
     # 20000 records are far more than a pipe buffers, so the writer is still
     # running when the reader goes away.
@@ -331,13 +342,13 @@ def test_uniformity_exact_mode_order_limit(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "latinsq", "enumerate", "3", "--count-only"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12"
     proc = subprocess.run(
         [sys.executable, "-m", "latinsq", "uniformity", "5", "--samples", "10"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert_one_line_error((proc.returncode, proc.stdout, proc.stderr), 2)
 

@@ -159,6 +159,50 @@ def test_enumerate_matches_predicate_on_sampled_states(n):
         assert enumerate_valid_moves(state) == _scan_valid_moves(state)
 
 
+def _check_apply_against_cube(state):
+    """apply_move on every canonical move against the reference cube plus the
+    move's +/-1 delta: InvalidMove exactly when that sum leaves {-1, 0, 1} or
+    holds two -1s, the sum's cube otherwise."""
+    import numpy as np
+    from itertools import combinations, permutations
+
+    n = state.n
+    cube = IncidenceCube.of(state).data.astype(int)
+    for i, i2 in combinations(range(n), 2):
+        for j, j2 in combinations(range(n), 2):
+            for a, b in permutations(range(n), 2):
+                m = IntercalateMove(i, j, a, i2, j2, b)
+                expect = cube.copy()
+                for t in m.plus_triples():
+                    expect[t] += 1
+                for t in m.minus_triples():
+                    expect[t] -= 1
+                if expect.max() > 1 or expect.min() < -1 or (expect == -1).sum() > 1:
+                    with pytest.raises(InvalidMove):
+                        apply_move(state, m)
+                else:
+                    assert np.array_equal(IncidenceCube.of(apply_move(state, m)).data, expect)
+
+
+def test_apply_matches_cube_arithmetic_on_every_order_three_state(graph3):
+    for state in graph3.states:
+        _check_apply_against_cube(state)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_apply_matches_cube_arithmetic_on_walk_states(n):
+    from latinsq.chain import RngStream, step
+
+    rng = RngStream(70 + n)
+    state = cyclic_square(n)
+    kinds = set()
+    for _ in range(12):
+        state, _ = step(state, rng)
+        kinds.add(state.kind)
+        _check_apply_against_cube(state)
+    assert kinds == {"proper", "improper"}
+
+
 def test_improper_moves_either_cancel_or_flip_clean_intercalates(graph3):
     # A valid move on an improper state either adds at the negative triple or
     # flips an intercalate whose eight entries sit entirely on proper cells
