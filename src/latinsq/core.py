@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class LatinSquareError(Exception):
@@ -92,7 +93,9 @@ class SquareState:
 
     def rows_with(self, c: int, s: int) -> list[int]:
         """Rows holding +1 at (., c, s), ascending."""
-        rows = [r for r, line in enumerate(self.grid) if line[c] == s]
+        col = [line[c] for line in self.grid]
+        # In a valid state s occurs once in all but the improper lines; count and index find it in C.
+        rows = [col.index(s)] if col.count(s) == 1 else [r for r, x in enumerate(col) if x == s]
         rec = self.improper
         if rec is not None and c == rec.col and s == rec.positive_pair[1]:
             insort(rows, rec.row)  # the grid shows only the smaller positive there
@@ -100,7 +103,8 @@ class SquareState:
 
     def cols_with(self, r: int, s: int) -> list[int]:
         """Columns holding +1 at (r, ., s), ascending."""
-        cols = [c for c, x in enumerate(self.grid[r]) if x == s]
+        line = self.grid[r]
+        cols = [line.index(s)] if line.count(s) == 1 else [c for c, x in enumerate(line) if x == s]
         rec = self.improper
         if rec is not None and r == rec.row and s == rec.positive_pair[1]:
             insort(cols, rec.col)
@@ -137,10 +141,10 @@ def cube_from_grid(
         if not all(0 <= s < n for s in (p, q, improper.negative)):
             raise InvalidSquare("improper record names symbols outside 0..n-1")
         rows[r][c] = p
-    for r, row in enumerate(rows):
-        for c, s in enumerate(row):
-            if not 0 <= s < n:
-                raise InvalidSquare(f"symbol {s} at ({r},{c}) outside 0..{n - 1}")
+    symbols = set(range(n))
+    if not all(map(symbols.issuperset, rows)):
+        r, c, s = next((r, c, s) for r, row in enumerate(rows) for c, s in enumerate(row) if s not in symbols)
+        raise InvalidSquare(f"symbol {s} at ({r},{c}) outside 0..{n - 1}")
     state = SquareState(tuple(map(tuple, rows)), improper)
     violations = validate(state)
     if violations:
@@ -148,16 +152,22 @@ def cube_from_grid(
     return state
 
 
-def validate(state: SquareState) -> list[str]:
-    """Check every line of the state's incidence cube; one message per violation.
+def validate(
+    state: SquareState, *, rows: Iterable[int] | None = None, cols: Iterable[int] | None = None
+) -> list[str]:
+    """Check the lines of the state's incidence cube; one message per violation.
 
     An empty list means the state is a valid proper or improper square.  The
-    state may be any grid with symbols in 0..n-1 plus any record inside it:
-    a bad one is examined rather than rejected up front.  One pass counts
-    the symbols of each row and column; the improper cell counts with its
-    cube entries instead of its grid symbol.  Messages come in the cube's
-    order: the cell, then rows by (row, symbol), then columns by (column,
-    symbol), then the record.
+    state may be any n x n grid with symbols in 0..n-1 plus any record
+    inside it: a bad one is examined rather than rejected up front.  One
+    pass counts the symbols of each row and column; the improper cell counts
+    with its cube entries instead of its grid symbol.  Messages come in the
+    cube's order: the cell, then rows by (row, symbol), then columns by
+    (column, symbol), then the record.
+
+    ``rows`` and ``cols`` name the row and column lines to check (default:
+    all of them); the cell and the record are always checked.  The result
+    is then the full list less the messages of the other rows and columns.
     """
     grid, rec = state.grid, state.improper
     n = len(grid)
@@ -167,19 +177,30 @@ def validate(state: SquareState) -> list[str]:
     at = (-1, -1)
     if rec is not None:
         at = rec.row, rec.col
+        (p, q), neg = rec.positive_pair, rec.negative
         x = grid[rec.row][rec.col]
         # The cube at the improper cell, written as the record writes it:
         # the grid symbol, then the larger positive, then the negative.
         cell = {x: 1}
-        cell[rec.positive_pair[1]] = 1
-        cell[rec.negative] = -1
+        cell[q] = 1
+        cell[neg] = -1
         total = sum(cell.values())
         if total != 1:
             violations.append(f"line row={rec.row} col={rec.col} (over symbols) sums to {total}")
-    for axis, over, lines, k in (("row", "columns", grid, at[0]), ("col", "rows", zip(*grid), at[1])):
-        for i, line in enumerate(lines):
-            if i != k and len(set(line)) == n:
-                continue  # a permutation of 0..n-1: every sum is 1
+    row_lines = enumerate(grid) if rows is None else [(i, grid[i]) for i in sorted(set(rows))]
+    col_lines = (
+        enumerate(zip(*grid)) if cols is None else [(j, [line[j] for line in grid]) for j in sorted(set(cols))]
+    )
+    for axis, over, lines, k, kc in (
+        ("row", "columns", row_lines, at[0], at[1]),
+        ("col", "rows", col_lines, at[1], at[0]),
+    ):
+        for i, line in lines:
+            if i != k:
+                if len(set(line)) == n:
+                    continue  # a permutation of 0..n-1: every sum is 1
+            elif line[kc] == p and q not in line and line.count(neg) == 2 and len(set(line)) == n - 1:
+                continue  # p at the cell, q hidden there, neg twice, every other symbol once
             sums = [0] * n
             for s in line:
                 sums[s] += 1
@@ -190,14 +211,14 @@ def validate(state: SquareState) -> list[str]:
             violations.extend(
                 f"line {axis}={i} sym={s} (over {over}) sums to {v}" for s, v in enumerate(sums) if v != 1
             )
-    if rec is not None:
-        r, c, s = rec.row, rec.col, rec.negative
+    if rec is not None and x != p:  # with p at the cell, the cell holds exactly p, q and -neg
+        r, c = rec.row, rec.col
         pos = sorted(t for t, v in cell.items() if v == 1)
         if len(pos) != 2:
             violations.append(f"improper cell ({r},{c}) carries {len(pos)} positive symbols, expected 2")
         if list(rec.positive_pair) != pos:
             violations.append(
-                f"improper record {rec.positive_pair}-{s} does not match cell content {tuple(pos)}-{s}"
+                f"improper record {rec.positive_pair}-{neg} does not match cell content {tuple(pos)}-{neg}"
             )
     return violations
 

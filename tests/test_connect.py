@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from cube_reference import IncidenceCube
+from latinsq import connect
 from latinsq.chain import ChainConfig, RngStream, sample, step
 from latinsq.connect import (
     CyclePattern,
@@ -18,8 +21,8 @@ from latinsq.connect import (
     swap_row_entries,
     transform_path,
 )
-from latinsq.core import ImproperCell, cube_from_grid, cyclic_square, validate
-from latinsq.moves import IntercalateMove
+from latinsq.core import ImproperCell, LatinSquareError, SquareState, cube_from_grid, cyclic_square, validate
+from latinsq.moves import IntercalateMove, apply_move
 from latinsq.oracle import enumerate_latin_squares
 
 
@@ -386,3 +389,63 @@ def test_transform_path_move_text_pinned(n):
         assert seq.replay(check=True) == b
         text += "".join(m.text() + "\n" for m in seq.moves) + "--\n"
     assert hashlib.sha256(text.encode()).hexdigest() == PATH_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(PATH_DIGESTS))
+def test_restricted_validate_matches_full_on_pinned_paths(n):
+    (p0, p1, p2, p3), (i0, i1, i2, i3) = _path_endpoints(n, 500 + n)
+    for a, b in ((p0, p1), (i0, p2), (p3, i1), (i2, i3)):
+        state = a
+        for m in transform_path(a, b).moves:
+            state = apply_move(state, m)
+            assert validate(state, rows=(m.i, m.i2), cols=(m.j, m.j2)) == validate(state) == []
+
+
+def _with_cell(state, r, c):
+    """The state with cell (r, c) holding the next symbol mod n."""
+    grid = list(state.grid)
+    grid[r] = (*grid[r][:c], (grid[r][c] + 1) % state.n, *grid[r][c + 1:])
+    return SquareState(tuple(grid), state.improper)
+
+
+def _fault(kind, state, m):
+    """One extra change to the true result of move ``m``; a check of the
+    move's two rows and two columns alone would not report all of it."""
+    r = next(x for x in range(state.n) if x not in (m.i, m.i2))
+    c = next(x for x in range(state.n) if x not in (m.j, m.j2))
+    if kind == "cell outside rows i, i2":
+        return _with_cell(state, r, c)
+    if kind == "cell in row i outside columns j, j2":
+        return _with_cell(state, m.i, c)
+    assert kind == "record off the four cells"
+    return SquareState(state.grid, dataclasses.replace(state.improper, row=r, col=c))
+
+
+@pytest.mark.parametrize(
+    "kind", ["cell outside rows i, i2", "cell in row i outside columns j, j2", "record off the four cells"]
+)
+def test_checked_replay_catches_faulty_apply_move(kind, monkeypatch):
+    """The local prefix check raises exactly what a full check of the bad state reports."""
+    (p0, *_), (i0, *_) = _path_endpoints(6, 506)
+    seq = transform_path(p0, i0)
+    # A later move (so the local check applies) whose true result is improper.
+    state = seq.start
+    for k, m in enumerate(seq.moves):
+        state = apply_move(state, m)
+        if k and state.improper is not None:
+            break
+    bad = _fault(kind, state, m)
+    expected = validate(bad)
+    assert expected and expected != validate(bad, rows=(m.i, m.i2), cols=(m.j, m.j2))
+    calls = []
+
+    def faulty(state, move):
+        calls.append(move)
+        out = apply_move(state, move)
+        return _fault(kind, out, move) if len(calls) == k + 1 else out
+
+    monkeypatch.setattr(connect, "apply_move", faulty)
+    with pytest.raises(LatinSquareError) as err:
+        seq.replay(check=True)
+    assert str(err.value) == f"invalid intermediate state: {expected}"
+    assert len(calls) == k + 1

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import latinsq
 from cube_reference import IncidenceCube, from_cube, validate_cube
+from latinsq.chain import RngStream, step
 from latinsq.core import (
     ImproperCell,
     InvalidSquare,
@@ -45,6 +47,14 @@ def test_improper_fixture_encodes_and_validates(ex_improper):
 def test_duplicate_column_rejected():
     with pytest.raises(InvalidSquare):
         cube_from_grid([[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", [3, -1, 1.5])
+def test_first_symbol_outside_range_is_named(bad):
+    grid = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    grid[1][2] = grid[2][0] = bad
+    with pytest.raises(InvalidSquare, match=rf"^symbol {bad} at \(1,2\) outside 0\.\.2$"):
+        cube_from_grid(grid)
 
 
 def test_order_zero_rejected_order_one_admitted():
@@ -209,6 +219,41 @@ def _candidate_states(draw):
 @given(_candidate_states())
 def test_validate_matches_cube_checker_on_fuzzed_candidates(state):
     assert validate(state) == validate_cube(IncidenceCube.of(state), state.improper)
+
+
+@st.composite
+def _near_miss_improper_states(draw):
+    # A valid improper state one walk step from a row-permuted cyclic
+    # square, with one cell of its improper row or column overwritten: the
+    # cell itself, q, a second copy of a symbol or the negative.
+    n = draw(st.integers(min_value=3, max_value=7))
+    rows = draw(st.permutations(range(n)))
+    state = cube_from_grid([[(i + j) % n for j in range(n)] for i in rows])
+    rng = RngStream(draw(st.integers(0, 2**32 - 1)))
+    while state.improper is None:
+        state, _ = step(state, rng)
+    rec = state.improper
+    k = draw(st.integers(0, n - 1))
+    r, c = (rec.row, k) if draw(st.booleans()) else (k, rec.col)
+    grid = [list(line) for line in state.grid]
+    grid[r][c] = draw(st.sampled_from([*rec.positive_pair, rec.negative, draw(st.integers(0, n - 1))]))
+    lines = st.lists(st.integers(0, n - 1))  # any order, repeats allowed
+    return SquareState(tuple(map(tuple, grid)), rec), draw(lines), draw(lines)
+
+
+def _on_lines(message, rows, cols):
+    """False for a row or column message outside ``rows`` or ``cols``."""
+    m = re.match(r"line (row|col)=(\d+) sym=", message)
+    return m is None or int(m[2]) in (rows if m[1] == "row" else cols)
+
+
+@settings(max_examples=300)
+@given(_near_miss_improper_states())
+def test_validate_restricted_lines_on_near_miss_improper_states(case):
+    state, rows, cols = case
+    full = validate(state)
+    assert full == validate_cube(IncidenceCube.of(state), state.improper)
+    assert validate(state, rows=rows, cols=cols) == [v for v in full if _on_lines(v, rows, cols)]
 
 
 def test_public_surface_is_pinned():
