@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from operator import is_not, ne
 
 
 class LatinSquareError(Exception):
@@ -123,56 +124,78 @@ def cube_from_grid(
     The name is historical; no cube is built.  The grid value at the
     improper cell, if any, is ignored: the state holds min(positive_pair)
     there, and the record gives the cell's content.  Raises InvalidSquare
-    when the shape or a symbol is out of range, or when `validate` reports
-    any violation.
+    with the messages of `validate`.
     """
-    n = len(grid)
-    if n < 1:
-        raise InvalidSquare("order must be at least 1")
-    rows = [list(row) for row in grid]
-    for r, row in enumerate(rows):
-        if len(row) != n:
-            raise InvalidSquare(f"row {r} has length {len(row)}, expected {n}")
-    if improper is not None:
-        r, c = improper.row, improper.col
-        if not (0 <= r < n and 0 <= c < n):
-            raise InvalidSquare(f"improper cell ({r},{c}) outside the grid")
-        p, q = improper.positive_pair
-        if not all(0 <= s < n for s in (p, q, improper.negative)):
-            raise InvalidSquare("improper record names symbols outside 0..n-1")
-        rows[r][c] = p
-    symbols = set(range(n))
-    if not all(map(symbols.issuperset, rows)):
-        r, c, s = next((r, c, s) for r, row in enumerate(rows) for c, s in enumerate(row) if s not in symbols)
-        raise InvalidSquare(f"symbol {s} at ({r},{c}) outside 0..{n - 1}")
-    state = SquareState(tuple(map(tuple, rows)), improper)
+    rows = list(map(tuple, grid))
+    rec = improper
+    if rec is not None and 0 <= rec.row < len(rows) and 0 <= rec.col < len(rows[rec.row]):
+        line = rows[rec.row]
+        rows[rec.row] = (*line[: rec.col], rec.positive_pair[0], *line[rec.col + 1 :])
+    state = SquareState(tuple(rows), improper)
     violations = validate(state)
     if violations:
         raise InvalidSquare("; ".join(violations))
     return state
 
 
-def validate(
-    state: SquareState, *, rows: Iterable[int] | None = None, cols: Iterable[int] | None = None
-) -> list[str]:
+def validate(state: SquareState, *, since: SquareState | None = None) -> list[str]:
     """Check the lines of the state's incidence cube; one message per violation.
 
-    An empty list means the state is a valid proper or improper square.  The
-    state may be any n x n grid with symbols in 0..n-1 plus any record
-    inside it: a bad one is examined rather than rejected up front.  One
-    pass counts the symbols of each row and column; the improper cell counts
-    with its cube entries instead of its grid symbol.  Messages come in the
-    cube's order: the cell, then rows by (row, symbol), then columns by
-    (column, symbol), then the record.
+    An empty list means the state is a valid proper or improper square.  A
+    state that is not an n x n grid over 0..n-1 with its record inside gets
+    one message, the first of: a row of the wrong length, a record cell
+    outside the grid, a record symbol or a grid symbol outside 0..n-1.
+    Otherwise one pass counts the symbols of each row and column; the
+    improper cell counts with its cube entries instead of its grid symbol.
+    Messages come in the cube's order: the cell, then rows by (row, symbol),
+    then columns by (column, symbol), then the record.
 
-    ``rows`` and ``cols`` name the row and column lines to check (default:
-    all of them); the cell and the record are always checked.  The result
-    is then the full list less the messages of the other rows and columns.
+    ``since`` is a state that passed `validate`, say the one before a move
+    (one of another order is ignored).  Then only the lines that can have
+    changed status are read: the rows whose tuples differ from ``since``'s,
+    the columns where those rows differ and, when the record is another
+    object, the rows and columns of the old and the new improper cell.  Only
+    those rows' lengths are checked, and no range: a symbol or record
+    outside 0..n-1 is the caller's to rule out.  The cell and the record are
+    always checked, and the result is the full list.
     """
     grid, rec = state.grid, state.improper
     n = len(grid)
     if n < 1:
         return [f"order {n} is not positive"]
+    if since is None or len(since.grid) != n:
+        if set(map(len, grid)) != {n}:
+            r = next(r for r, line in enumerate(grid) if len(line) != n)
+            return [f"row {r} has length {len(grid[r])}, expected {n}"]
+        if rec is not None:
+            if not (0 <= rec.row < n and 0 <= rec.col < n):
+                return [f"improper cell ({rec.row},{rec.col}) outside the grid"]
+            if not all(0 <= s < n for s in (*rec.positive_pair, rec.negative)):
+                return ["improper record names symbols outside 0..n-1"]
+        symbols = set(range(n))
+        if not all(map(symbols.issuperset, grid)):
+            r, c, s = next((r, c, s) for r, line in enumerate(grid) for c, s in enumerate(line) if s not in symbols)
+            return [f"symbol {s} at ({r},{c}) outside 0..{n - 1}"]
+        row_lines, col_lines = enumerate(grid), enumerate(zip(*grid))
+    else:
+        old = since.grid
+        idx = range(n)
+        changed, cols = {}, set()
+        # Identity first, then equality, both at C level: a move leaves all but two rows the same object.
+        for i in compress(idx, map(is_not, old, grid)):
+            a, b = old[i], grid[i]
+            if a != b:
+                if len(b) != n:
+                    return [f"row {i} has length {len(b)}, expected {n}"]
+                changed[i] = b
+                cols.update(compress(idx, map(ne, a, b)))
+        if rec is not since.improper:
+            for moved in (since.improper, rec):
+                if moved is not None:
+                    changed[moved.row] = grid[moved.row]
+                    cols.add(moved.col)
+        row_lines = sorted(changed.items())
+        col_lines = [(j, [line[j] for line in grid]) for j in sorted(cols)]
     violations: list[str] = []
     at = (-1, -1)
     if rec is not None:
@@ -187,10 +210,6 @@ def validate(
         total = sum(cell.values())
         if total != 1:
             violations.append(f"line row={rec.row} col={rec.col} (over symbols) sums to {total}")
-    row_lines = enumerate(grid) if rows is None else [(i, grid[i]) for i in sorted(set(rows))]
-    col_lines = (
-        enumerate(zip(*grid)) if cols is None else [(j, [line[j] for line in grid]) for j in sorted(set(cols))]
-    )
     for axis, over, lines, k, kc in (
         ("row", "columns", row_lines, at[0], at[1]),
         ("col", "rows", col_lines, at[1], at[0]),

@@ -262,14 +262,12 @@ def _bfs_distances(g: StateGraph, source: int) -> list[int]:
     return dist
 
 
-def check_connectivity_and_diameter(
-    g: StateGraph, probe_seeds: int = 32
-) -> dict[str, int | bool]:
+def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
     """Connectivity plus the exact diameter (n <= 3) or a probed bound (n = 4).
 
-    The probe runs full BFS from ``probe_seeds`` vertices spread evenly over
-    the canonical vertex order; every reported eccentricity is a lower bound
-    on the diameter and each must respect the 2(n-1)^3 ceiling.
+    The probe runs full BFS from 32 vertices spread evenly over the
+    canonical vertex order; every reported eccentricity is a lower bound on
+    the diameter and each must respect the 2(n-1)^3 ceiling.
     """
     v = g.vertex_count
     first = _bfs_distances(g, 0)
@@ -278,8 +276,7 @@ def check_connectivity_and_diameter(
     if exact:
         seeds = range(v)
     else:
-        step = max(1, v // probe_seeds)
-        seeds = list(range(0, v, step))[:probe_seeds]
+        seeds = list(range(0, v, max(1, v // 32)))[:32]
     diameter = 0
     for s in seeds:
         dist = _bfs_distances(g, s)

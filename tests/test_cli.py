@@ -320,22 +320,20 @@ def test_uniformity_stdin_mode(tmp_path, capsys, monkeypatch):
 def test_uniformity_cells_mode(capsys):
     code, out, _ = run_cli(
         capsys, "uniformity", "6", "--samples", "400", "--seed", "5",
-        "--burn-in", "200", "--thin", "8", "--mode", "cells",
+        "--burn-in", "200", "--thin", "8",
     )
     report = json.loads(out)
     assert report["categories"] == 6 and report["dof"] == 5
 
 
 def test_uniformity_orders_one_and_two_pass(capsys):
-    for argv in (("2",), ("1",), ("1", "--mode", "cells")):
+    for argv in (("2",), ("1",)):
         code, out, _ = run_cli(capsys, "uniformity", *argv, "--seed", "0")
         report = json.loads(out)
         assert code == 0 and report["pass"] is True, out
 
 
-def test_uniformity_exact_mode_order_limit(capsys):
-    assert_one_line_error(run_cli(capsys, "uniformity", "5", "--mode", "exact"), 2)
-    # Too few samples for the per-cell test is a usage error of the same kind.
+def test_uniformity_too_few_samples_is_usage_error(capsys):
     assert_one_line_error(run_cli(capsys, "uniformity", "5", "--samples", "10"), 2)
 
 

@@ -397,8 +397,8 @@ def test_restricted_validate_matches_full_on_pinned_paths(n):
     for a, b in ((p0, p1), (i0, p2), (p3, i1), (i2, i3)):
         state = a
         for m in transform_path(a, b).moves:
-            state = apply_move(state, m)
-            assert validate(state, rows=(m.i, m.i2), cols=(m.j, m.j2)) == validate(state) == []
+            before, state = state, apply_move(state, m)
+            assert validate(state, since=before) == validate(state) == []
 
 
 def _with_cell(state, r, c):
@@ -409,34 +409,44 @@ def _with_cell(state, r, c):
 
 
 def _fault(kind, state, m):
-    """One extra change to the true result of move ``m``; a check of the
-    move's two rows and two columns alone would not report all of it."""
+    """One extra change to the true result of move ``m``, off the move's
+    four cells or to the length of one of its rows."""
     r = next(x for x in range(state.n) if x not in (m.i, m.i2))
     c = next(x for x in range(state.n) if x not in (m.j, m.j2))
     if kind == "cell outside rows i, i2":
         return _with_cell(state, r, c)
     if kind == "cell in row i outside columns j, j2":
         return _with_cell(state, m.i, c)
+    if kind == "row i gains an entry":
+        grid = list(state.grid)
+        grid[m.i] = (*grid[m.i], grid[m.i][0])
+        return SquareState(tuple(grid), state.improper)
     assert kind == "record off the four cells"
     return SquareState(state.grid, dataclasses.replace(state.improper, row=r, col=c))
 
 
 @pytest.mark.parametrize(
-    "kind", ["cell outside rows i, i2", "cell in row i outside columns j, j2", "record off the four cells"]
+    "kind",
+    [
+        "cell outside rows i, i2",
+        "cell in row i outside columns j, j2",
+        "record off the four cells",
+        "row i gains an entry",
+    ],
 )
 def test_checked_replay_catches_faulty_apply_move(kind, monkeypatch):
-    """The local prefix check raises exactly what a full check of the bad state reports."""
+    """The prefix check since the prefix before raises what a full check of the bad state reports."""
     (p0, *_), (i0, *_) = _path_endpoints(6, 506)
     seq = transform_path(p0, i0)
-    # A later move (so the local check applies) whose true result is improper.
+    # A later move (so the check runs since the prefix before) whose true result is improper.
     state = seq.start
     for k, m in enumerate(seq.moves):
-        state = apply_move(state, m)
+        before, state = state, apply_move(state, m)
         if k and state.improper is not None:
             break
     bad = _fault(kind, state, m)
     expected = validate(bad)
-    assert expected and expected != validate(bad, rows=(m.i, m.i2), cols=(m.j, m.j2))
+    assert expected and validate(bad, since=before) == expected
     calls = []
 
     def faulty(state, move):

@@ -1,5 +1,4 @@
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -225,7 +224,8 @@ def test_validate_matches_cube_checker_on_fuzzed_candidates(state):
 def _near_miss_improper_states(draw):
     # A valid improper state one walk step from a row-permuted cyclic
     # square, with one cell of its improper row or column overwritten: the
-    # cell itself, q, a second copy of a symbol or the negative.
+    # cell itself, q, a second copy of a symbol or the negative.  Returns
+    # the overwritten state and the valid one.
     n = draw(st.integers(min_value=3, max_value=7))
     rows = draw(st.permutations(range(n)))
     state = cube_from_grid([[(i + j) % n for j in range(n)] for i in rows])
@@ -237,23 +237,27 @@ def _near_miss_improper_states(draw):
     r, c = (rec.row, k) if draw(st.booleans()) else (k, rec.col)
     grid = [list(line) for line in state.grid]
     grid[r][c] = draw(st.sampled_from([*rec.positive_pair, rec.negative, draw(st.integers(0, n - 1))]))
-    lines = st.lists(st.integers(0, n - 1))  # any order, repeats allowed
-    return SquareState(tuple(map(tuple, grid)), rec), draw(lines), draw(lines)
-
-
-def _on_lines(message, rows, cols):
-    """False for a row or column message outside ``rows`` or ``cols``."""
-    m = re.match(r"line (row|col)=(\d+) sym=", message)
-    return m is None or int(m[2]) in (rows if m[1] == "row" else cols)
+    return SquareState(tuple(map(tuple, grid)), rec), state
 
 
 @settings(max_examples=300)
 @given(_near_miss_improper_states())
 def test_validate_restricted_lines_on_near_miss_improper_states(case):
-    state, rows, cols = case
+    state, since = case
     full = validate(state)
     assert full == validate_cube(IncidenceCube.of(state), state.improper)
-    assert validate(state, rows=rows, cols=cols) == [v for v in full if _on_lines(v, rows, cols)]
+    assert validate(state, since=since) == full
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (((0, 1, 2, 0), (1, 2, 0), (2, 0, 1)), "row 0 has length 4, expected 3"),
+        (((0, 1, 9), (1, 9, 0), (9, 0, 1)), "symbol 9 at (0,2) outside 0..2"),
+    ],
+)
+def test_validate_reports_grids_that_are_not_squares(grid, message):
+    assert validate(SquareState(grid)) == [message]
 
 
 def test_public_surface_is_pinned():
