@@ -3,7 +3,6 @@ paths between any two squares, and exhaustive/statistical verification."""
 
 from .chain import ChainConfig, RngStream, sample, step
 from .connect import (
-    CyclePattern,
     MoveSequence,
     cycle_swap,
     find_row_cycles,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainConfig",
-    "CyclePattern",
     "ImproperCell",
     "IntercalateMove",
     "InvalidMove",

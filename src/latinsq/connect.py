@@ -4,15 +4,17 @@ Everything here is built from three primitives and one driver:
 
 * ``normalize_to_proper`` resolves an improper square with moves confined to
   two rows (at most floor((n-1)/2) of them).
-* ``cycle_swap`` exchanges two rows of a proper square along one of their
-  symbol cycles using exactly r-1 moves.
+* ``cycle_swap`` exchanges two rows of a proper square along their symbol
+  cycle through one column, using exactly r-1 moves.
 * ``swap_row_entries`` exchanges two entries of one row of an improper
   square (at most 2(n-1) moves), carrying the negative cell along its column.
 * ``transform_path`` composes the above to turn any square into any other,
   fixing rows top-down; the emitted sequence never exceeds 2(n-1)^3 moves and
   every intermediate state is a valid proper or improper square.
 
-Each returns one `MoveSequence` whose ``end`` is the resulting square.
+Each returns one `MoveSequence` whose ``end`` is the resulting square.  A
+two-row chain or cycle is the tuple of its columns in walk order; its
+symbols are read from the state.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class MismatchedRows(LatinSquareError):
 
 
 class InvalidCycle(LatinSquareError):
-    """Cycle pattern does not match the state it is applied to."""
+    """A row cycle was asked of an improper state, equal rows or an index outside 0..n-1."""
 
 
 class PreconditionViolated(LatinSquareError):
@@ -42,26 +44,6 @@ class PreconditionViolated(LatinSquareError):
 
 class OrderMismatch(LatinSquareError):
     """The two endpoint squares have different orders."""
-
-
-@dataclass(frozen=True)
-class CyclePattern:
-    """A two-row symbol cycle (or chain) on an ordered list of columns.
-
-    For a closed cycle in a proper square, ``bottom_symbols`` is
-    ``top_symbols`` rotated left by one: bottom[k] = top[k+1 mod r].  The
-    chains produced by `find_row_cycles` on an improper square use the same
-    container but terminate on the negative symbol instead of closing.
-    """
-
-    rows: tuple[int, int]
-    columns: tuple[int, ...]
-    top_symbols: tuple[int, ...]
-    bottom_symbols: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.columns)
 
 
 @dataclass(frozen=True)
@@ -119,47 +101,34 @@ def _extend(
 
 def _two_row_chain(
     state: SquareState, top: int, bottom: int, col: int, ends: tuple[int, ...]
-) -> tuple[list[int], list[int]]:
+) -> tuple[int, ...]:
     """Walk the chain of rows (``top``, ``bottom``) from column ``col``.
 
     At each column read the bottom row's symbol; stop when it is in ``ends``,
     else jump to the column where the top row holds it.  Returns the columns
-    and the bottom symbols, in walk order.  A valid state ends the walk
-    within n columns.
+    in walk order.  A valid state ends the walk within n columns.
     """
     cols: list[int] = []
-    bottoms: list[int] = []
     for _ in range(state.n):
-        sym = state.symbol_at(bottom, col)
         cols.append(col)
-        bottoms.append(sym)
+        sym = state.symbol_at(bottom, col)
         if sym in ends:
-            return cols, bottoms
+            return tuple(cols)
         col = _unique_col(state, top, sym)
     raise LatinSquareError("chain did not terminate; state is corrupt")
 
 
-def _chase(state: SquareState, improper_row: int, helper_row: int, chased: int) -> CyclePattern:
-    """The two-row chain that starts at ``chased``.
-
-    From the improper cell, repeatedly jump to the column where the helper
-    row holds the current symbol and read the improper row's symbol there;
-    the walk ends on the column where the improper row yields the negative
-    symbol.  Columns listed in walk order; top = improper row, bottom =
-    helper row.
-    """
-    start = _unique_col(state, helper_row, chased)
-    cols, tops = _two_row_chain(state, helper_row, improper_row, start, (state.improper.negative,))
-    return CyclePattern((improper_row, helper_row), tuple(cols), tuple(tops), (chased, *tops[:-1]))
-
-
 def find_row_cycles(
     state: SquareState, improper_row: int, source_row: int, column: int
-) -> tuple[CyclePattern, CyclePattern]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two chains rooted at the improper cell, chased from each positive.
 
-    Returns (chain through the larger positive, chain through the smaller);
-    the two share no column and the shorter has length <= floor((n-1)/2).
+    Each chain starts at the column where ``source_row`` holds the positive,
+    then jumps, at each column, to the column where ``source_row`` holds the
+    improper row's symbol there; it ends on the column where the improper
+    row holds the negative.  Returns the columns of (the chain through the
+    larger positive, the chain through the smaller); the two share no column
+    and the shorter has length <= floor((n-1)/2).
     """
     rec = state.improper
     if rec is None or (rec.row, rec.col) != (improper_row, column):
@@ -171,9 +140,10 @@ def find_row_cycles(
             f"row {source_row} does not hold symbol {rec.negative} at column {column}"
         )
     lo, hi = rec.positive_pair
+    ends = (rec.negative,)
     return (
-        _chase(state, improper_row, source_row, hi),
-        _chase(state, improper_row, source_row, lo),
+        _two_row_chain(state, source_row, improper_row, _unique_col(state, source_row, hi), ends),
+        _two_row_chain(state, source_row, improper_row, _unique_col(state, source_row, lo), ends),
     )
 
 
@@ -190,11 +160,9 @@ def _resolve_improper(state: SquareState, helper_row: int) -> MoveSequence:
     while state.improper is not None:
         rec = state.improper
         chain_hi, chain_lo = find_row_cycles(state, rec.row, helper_row, rec.col)
-        chain = chain_lo if chain_lo.length < chain_hi.length else chain_hi
-        m = IntercalateMove.from_anchors(
-            rec.row, rec.col, rec.negative,
-            helper_row, chain.columns[-1], chain.bottom_symbols[0],
-        )
+        lo, hi = rec.positive_pair
+        chain, chased = (chain_lo, lo) if len(chain_lo) < len(chain_hi) else (chain_hi, hi)
+        m = IntercalateMove.from_anchors(rec.row, rec.col, rec.negative, helper_row, chain[-1], chased)
         state = _extend(state, (m,), moves)
         helper_row = rec.row
     return MoveSequence(start, tuple(moves), state)
@@ -219,66 +187,52 @@ def normalize_to_proper(state: SquareState) -> MoveSequence:
     return _resolve_improper(state, candidates[0])
 
 
-def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[CyclePattern]:
+def _row_cycle(state: SquareState, i1: int, i2: int, column: int) -> tuple[int, ...]:
+    """The columns of the cycle of rows (``i1``, ``i2``) through ``column``, in walk order.
+
+    The walk closes when row ``i2`` shows the symbol row ``i1`` holds at
+    ``column``; in a proper square with two distinct rows it spans at least
+    two columns.
+    """
+    if state.improper is not None:
+        raise InvalidCycle("row cycles need a proper state")
+    if i1 == i2:
+        raise InvalidCycle("cycle rows must differ")
+    if not all(0 <= x < state.n for x in (i1, i2, column)):
+        raise InvalidCycle(f"row {i1}, row {i2} or column {column} outside 0..{state.n - 1}")
+    return _two_row_chain(state, i1, i2, column, (state.symbol_at(i1, column),))
+
+
+def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[tuple[int, ...]]:
     """Decompose the columns of a proper square into the cycles of two rows.
 
-    Cycles are reported with rows (row_a, row_b), each starting at its
-    smallest column, ordered by that column.  Every cycle has length >= 2.
+    Each cycle is its columns in `cycle_swap`'s walk order for rows
+    (row_a, row_b), starting at its smallest column; the cycles are ordered
+    by that column.  Every cycle has length >= 2.
     """
-    if state.improper is not None or row_a == row_b:
-        raise InvalidCycle("cycle decomposition needs a proper state and two distinct rows")
+    cycles: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    cycles: list[CyclePattern] = []
     for c0 in range(state.n):
-        if c0 in seen:
-            continue
-        # The cycle closes when row b shows the symbol row a holds at c0.
-        cols, bottoms = _two_row_chain(state, row_a, row_b, c0, (state.symbol_at(row_a, c0),))
-        seen.update(cols)
-        tops = (bottoms[-1], *bottoms[:-1])
-        cycles.append(CyclePattern((row_a, row_b), tuple(cols), tops, tuple(bottoms)))
+        if c0 not in seen:
+            cycles.append(_row_cycle(state, row_a, row_b, c0))
+            seen.update(cycles[-1])
     return cycles
 
 
-def _check_cycle(state: SquareState, cycle: CyclePattern) -> None:
-    i1, i2 = cycle.rows
-    r = cycle.length
-    if i1 == i2:
-        raise InvalidCycle("cycle rows must differ")
-    if r < 2:
-        raise InvalidCycle("a genuine cycle spans at least two columns")
-    if len(set(cycle.columns)) != r:
-        raise InvalidCycle("cycle columns must be distinct")
-    if len(cycle.top_symbols) != r or len(cycle.bottom_symbols) != r:
-        raise InvalidCycle("symbol lists must match the column count")
-    for k, c in enumerate(cycle.columns):
-        if state.entry(i1, c, cycle.top_symbols[k]) != 1:
-            raise InvalidCycle(f"row {i1} does not hold {cycle.top_symbols[k]} at column {c}")
-        if state.entry(i2, c, cycle.bottom_symbols[k]) != 1:
-            raise InvalidCycle(f"row {i2} does not hold {cycle.bottom_symbols[k]} at column {c}")
-        if cycle.bottom_symbols[k] != cycle.top_symbols[(k + 1) % r]:
-            raise InvalidCycle("bottom symbols are not the top symbols rotated by one")
+def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSequence:
+    """Exchange two rows of a proper square along their cycle through ``column``.
 
-
-def cycle_swap(state: SquareState, cycle: CyclePattern) -> MoveSequence:
-    """Exchange the two rows of a proper square along a closed cycle.
-
-    Emits exactly r-1 moves: the first opens the cycle (making the state
-    improper for r >= 3), and each later move walks the negative cell one
-    column further until it closes.  No cell outside the cycle changes.
+    Emits exactly r-1 moves for a cycle of r columns: the first opens the
+    cycle (making the state improper for r >= 3), and each later move walks
+    the negative cell one column further until it closes.  No cell outside
+    the cycle changes.
     """
-    if state.improper is not None:
-        raise InvalidCycle("cycle swap requires a proper state")
-    _check_cycle(state, cycle)
-    i1, i2 = cycle.rows
-    cols = cycle.columns
-    top = cycle.top_symbols
-    r = cycle.length
-    ms = [IntercalateMove.from_anchors(i1, cols[0], top[1], i2, cols[1], top[0])]
-    for k in range(1, r - 1):
-        ms.append(
-            IntercalateMove.from_anchors(i2, cols[k], top[0], i1, cols[k + 1], top[k + 1])
-        )
+    i1, i2 = rows
+    cols = _row_cycle(state, i1, i2, column)
+    top = state.grid[i1]
+    first = top[column]
+    ms = [IntercalateMove.from_anchors(i1, column, top[cols[1]], i2, cols[1], first)]
+    ms += (IntercalateMove.from_anchors(i2, c, first, i1, d, top[d]) for c, d in zip(cols[1:-1], cols[2:]))
     return MoveSequence(state, tuple(ms), _extend(state, ms, []))
 
 
@@ -327,15 +281,13 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
     # columns where row i2 holds s; a usable chain ends on a column where
     # row i3 yields one of the improper cell's positives and never touches
     # j2 (row i3 holding s there would derail the closing steps).
-    chains: list[tuple[list[int], int]] = []
-    for c_start in state.cols_with(i2, s):
-        cols, bottoms = _two_row_chain(state, i2, i3, c_start, (*rec.positive_pair, s))
-        if bottoms[-1] != s:
-            chains.append((cols, bottoms[-1]))
+    ends = (*rec.positive_pair, s)
+    chains = [_two_row_chain(state, i2, i3, c, ends) for c in state.cols_with(i2, s)]
+    chains = [chain for chain in chains if state.symbol_at(i3, chain[-1]) != s]
     if not chains:
         raise LatinSquareError("no usable chain found; state is corrupt")
-    chain, b_sym = min(chains, key=lambda cb: (len(cb[0]), cb[0][0]))
-    c1 = chain[0]
+    chain = min(chains, key=lambda chain: (len(chain), chain[0]))
+    c1, b_sym = chain[0], state.symbol_at(i3, chain[-1])
 
     start, moves = state, []
     state = _extend(state, (IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym),), moves)
@@ -354,9 +306,7 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
         moves.extend(detour.moves)
 
     if len(chain) >= 2:
-        tops = tuple(state.symbol_at(i2, c) for c in chain)
-        bottoms = tuple(state.symbol_at(i3, c) for c in chain)
-        swap = cycle_swap(state, CyclePattern((i2, i3), tuple(chain), tops, bottoms))
+        swap = cycle_swap(state, (i2, i3), c1)
         state = swap.end
         moves.extend(swap.moves)
 

@@ -155,9 +155,9 @@ def validate(state: SquareState, *, since: SquareState | None = None) -> list[st
     changed status are read: the rows whose tuples differ from ``since``'s,
     the columns where those rows differ and, when the record is another
     object, the rows and columns of the old and the new improper cell.  Only
-    those rows' lengths are checked, and no range: a symbol or record
-    outside 0..n-1 is the caller's to rule out.  The cell and the record are
-    always checked, and the result is the full list.
+    those rows' lengths, the changed cells' symbols and a new record are
+    range-checked; one out of range gets the full check's message.  The cell
+    and the record are always checked, and the result is the full list.
     """
     grid, rec = state.grid, state.improper
     n = len(grid)
@@ -188,8 +188,16 @@ def validate(state: SquareState, *, since: SquareState | None = None) -> list[st
                 if len(b) != n:
                     return [f"row {i} has length {len(b)}, expected {n}"]
                 changed[i] = b
-                cols.update(compress(idx, map(ne, a, b)))
+                for j in compress(idx, map(ne, a, b)):
+                    if b[j] not in idx:
+                        return validate(state)
+                    cols.add(j)
         if rec is not since.improper:
+            if rec is not None and not (
+                0 <= rec.row < n and 0 <= rec.col < n and 0 <= rec.negative < n
+                and 0 <= rec.positive_pair[0] and rec.positive_pair[1] < n  # the pair is sorted
+            ):
+                return validate(state)  # the full check names what is out of range
             for moved in (since.improper, rec):
                 if moved is not None:
                     changed[moved.row] = grid[moved.row]

@@ -45,6 +45,7 @@ from latinsq.oracle import (
     enumerate_latin_squares,
 )
 from latinsq.stats import cell_symbol_frequency_test, chi_square_uniformity
+from scripted_draws import ScriptedDraws
 
 from conftest import EX_PROPER_GRID
 
@@ -197,12 +198,12 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
             (a,) = _random_states(n, seed=CI_SEED + 31 * n + k, count=1)
             for rows in ((0, 1), (1, n - 1)):
                 for cycle in proper_row_cycles(a, *rows):
-                    seq = cycle_swap(a, cycle)
+                    seq = cycle_swap(a, rows, cycle[0])
                     result = seq.end
-                    assert len(seq) == cycle.length - 1
+                    assert len(seq) == len(cycle) - 1
                     diff = np.argwhere(IncidenceCube.of(result).data != IncidenceCube.of(a).data)
                     cells = {(int(r), int(c)) for r, c, _ in diff}
-                    assert cells <= {(r, c) for r in cycle.rows for c in cycle.columns}
+                    assert cells <= {(r, c) for r in rows for c in cycle}
                     cycles_checked += 1
             if cycles_checked >= 100:
                 break
@@ -261,9 +262,9 @@ def test_graph4_states_valid_and_row_cycles_bounded(graph4):
         sources = [r for r in IncidenceCube.of(state).rows_with(rec.col, rec.negative) if r != rec.row]
         assert len(sources) == 2
         a, b = find_row_cycles(state, rec.row, sources[0], rec.col)
-        assert not (set(a.columns) & set(b.columns))
-        assert a.length + b.length <= 3
-        assert min(a.length, b.length) <= 1
+        assert not (set(a) & set(b))
+        assert len(a) + len(b) <= 3
+        assert min(len(a), len(b)) <= 1
 
 
 def test_criterion_6_enumeration_oracle(acceptance_record):
@@ -385,15 +386,6 @@ def test_criterion_8_chain_steps_cancel_negative(acceptance_record, graph3):
     # The true variant of the clause above: every step the walk can take
     # from an improper state cancels the negative triple (all 8 picks,
     # exhaustively over the n=3 improper states).
-    class _Pick:
-        def __init__(self, v):
-            self.v = v
-
-        def draws(self, bound):
-            while True:
-                assert bound == 8
-                yield self.v
-
     checked = 0
     for state in graph3.states:
         if state.is_proper:
@@ -401,7 +393,7 @@ def test_criterion_8_chain_steps_cancel_negative(acceptance_record, graph3):
         rec = state.improper
         neg = (rec.row, rec.col, rec.negative)
         for pick in range(8):
-            result, move = step(state, _Pick(pick))
+            result, move = step(state, ScriptedDraws([pick], bound=8))
             assert neg in move.plus_triples()
             assert validate(result) == []
             checked += 1
@@ -417,15 +409,6 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
     # The walk's own transition matrix, built from the public step with every
     # pick scripted in turn: n^2 (n-1) equally likely picks from a proper
     # state, 8 from an improper one.
-    class _Pick:
-        def __init__(self, v, bound):
-            self.v, self.bound = v, bound
-
-        def draws(self, bound):
-            while True:
-                assert bound == self.bound
-                yield self.v
-
     n = 3
     index = {canonical_key(s): k for k, s in enumerate(graph3.states)}
     size = len(index)
@@ -433,7 +416,7 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
     for k, state in enumerate(graph3.states):
         picks = n * n * (n - 1) if state.is_proper else 8
         for v in range(picks):
-            result, _ = step(state, _Pick(v, picks))
+            result, _ = step(state, ScriptedDraws([v], bound=picks))
             P[k, index[canonical_key(result)]] += 1.0 / picks
     assert np.allclose(P.sum(axis=1), 1.0)
 

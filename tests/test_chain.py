@@ -15,19 +15,7 @@ from latinsq.chain import (
 from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, validate
 from latinsq.moves import apply_move, enumerate_valid_moves, is_valid_move
 from latinsq.oracle import canonical_key
-
-
-class _FixedRng:
-    """Stub stream feeding a scripted list of draws."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def draws(self, bound):
-        while True:
-            v = self.values.pop(0)
-            assert 0 <= v < bound
-            yield v
+from scripted_draws import ScriptedDraws
 
 
 def test_config_defaults_and_validation():
@@ -50,7 +38,7 @@ def test_every_selectable_triple_flips_the_two_by_two():
     start = cube_from_grid([[0, 1], [1, 0]])
     other = cube_from_grid([[1, 0], [0, 1]])
     for t in range(4):
-        result, move = step(start, _FixedRng([t]))
+        result, move = step(start, ScriptedDraws([t]))
         assert result == other
         assert move.text() == "0 0 1 1 1 0"
 
@@ -59,11 +47,11 @@ def test_proper_state_has_n_squared_times_n_minus_one_choices():
     # The draw bound is exactly n^2 (n-1); every value yields a valid move.
     state = cyclic_square(3)
     for t in range(9 * 2):
-        result, move = step(state, _FixedRng([t]))
+        result, move = step(state, ScriptedDraws([t]))
         assert is_valid_move(state, move)
         assert validate(result) == []
     with pytest.raises(AssertionError):
-        step(state, _FixedRng([18]))
+        step(state, ScriptedDraws([18]))
 
 
 def test_improper_state_has_eight_equally_likely_flips(graph3):
@@ -72,7 +60,7 @@ def test_improper_state_has_eight_equally_likely_flips(graph3):
     neg_triple = (neg.row, neg.col, neg.negative)
     results = set()
     for pick in range(8):
-        result, move = step(improper, _FixedRng([pick]))
+        result, move = step(improper, ScriptedDraws([pick]))
         assert validate(result) == []
         assert neg_triple in move.plus_triples()
         results.add(canonical_key(result))

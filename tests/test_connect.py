@@ -6,7 +6,6 @@ from cube_reference import IncidenceCube
 from latinsq import connect
 from latinsq.chain import ChainConfig, RngStream, sample, step
 from latinsq.connect import (
-    CyclePattern,
     InvalidCycle,
     MismatchedRows,
     MoveSequence,
@@ -53,13 +52,13 @@ def _improper_states_from_chain(n, seed, count):
 
 def test_find_row_cycles_fixture(ex_improper):
     through_larger, through_smaller = find_row_cycles(ex_improper, 2, 0, 1)
-    assert through_larger.columns == (0, 2)
-    assert through_larger.bottom_symbols[0] == 2
-    assert through_smaller.columns == (3,)
-    assert through_smaller.bottom_symbols[0] == 0
+    assert through_larger == (0, 2)
+    assert ex_improper.symbol_at(0, through_larger[0]) == 2
+    assert through_smaller == (3,)
+    assert ex_improper.symbol_at(0, through_smaller[0]) == 0
     # chains terminate on the negative symbol in the improper row
-    assert through_larger.top_symbols[-1] == 1
-    assert through_smaller.top_symbols[-1] == 1
+    assert ex_improper.symbol_at(2, through_larger[-1]) == 1
+    assert ex_improper.symbol_at(2, through_smaller[-1]) == 1
 
 
 def test_find_row_cycles_preconditions(ex_improper, ex_proper):
@@ -79,9 +78,9 @@ def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
         sources = [r for r in IncidenceCube.of(state).rows_with(rec.col, rec.negative) if r != rec.row]
         for src in sources:
             a, b = find_row_cycles(state, rec.row, src, rec.col)
-            assert not (set(a.columns) & set(b.columns))
-            assert a.length + b.length <= state.n - 1
-            assert min(a.length, b.length) <= (state.n - 1) // 2
+            assert not (set(a) & set(b))
+            assert len(a) + len(b) <= state.n - 1
+            assert min(len(a), len(b)) <= (state.n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,7 @@ def test_normalize_sampled_larger_orders(n):
 def test_cycle_swap_full_cycle_order_three():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
-    seq = cycle_swap(state, cycle)
+    seq = cycle_swap(state, (0, 1), cycle[0])
     result = seq.end
     assert len(seq) == 2
     assert result.grid[0] == (1, 2, 0) and result.grid[1] == (0, 1, 2)
@@ -144,13 +143,13 @@ def test_cycle_swap_exchanges_rows_and_counts(graph3):
         if not state.is_proper:
             continue
         for cycle in proper_row_cycles(state, 0, 2):
-            seq = cycle_swap(state, cycle)
+            seq = cycle_swap(state, (0, 2), cycle[0])
             result = seq.end
-            assert len(seq) == cycle.length - 1
+            assert len(seq) == len(cycle) - 1
             cube = IncidenceCube.of(result)
-            for k, c in enumerate(cycle.columns):
-                assert cube.symbol_at(0, c) == cycle.bottom_symbols[k]
-                assert cube.symbol_at(2, c) == cycle.top_symbols[k]
+            for c in cycle:
+                assert cube.symbol_at(0, c) == state.symbol_at(2, c)
+                assert cube.symbol_at(2, c) == state.symbol_at(0, c)
 
 
 def test_cycle_swap_off_cycle_cells_untouched():
@@ -161,12 +160,12 @@ def test_cycle_swap_off_cycle_cells_untouched():
         state = _random_square(6, seed)
         for rows in ((0, 1), (2, 4), (3, 5)):
             for cycle in proper_row_cycles(state, *rows):
-                seq = cycle_swap(state, cycle)
+                seq = cycle_swap(state, rows, cycle[0])
                 result = seq.end
-                assert len(seq) == cycle.length - 1
+                assert len(seq) == len(cycle) - 1
                 diff = np.argwhere(IncidenceCube.of(result).data != IncidenceCube.of(state).data)
                 touched_cells = {(int(r), int(c)) for r, c, _ in diff}
-                expected = {(r, c) for r in cycle.rows for c in cycle.columns}
+                expected = {(r, c) for r in rows for c in cycle}
                 assert touched_cells <= expected
                 hits += 1
         if hits >= 100:
@@ -175,18 +174,32 @@ def test_cycle_swap_off_cycle_cells_untouched():
 
 
 def test_cycle_swap_rejects_bad_patterns(ex_proper):
-    with pytest.raises(InvalidCycle):
-        cycle_swap(ex_proper, CyclePattern((0, 0), (0, 1), (2, 0), (0, 2)))
-    with pytest.raises(InvalidCycle):
-        cycle_swap(ex_proper, CyclePattern((0, 1), (0,), (2,), (1,)))
-    # mismatched symbols
-    with pytest.raises(InvalidCycle):
-        cycle_swap(ex_proper, CyclePattern((0, 1), (0, 1), (2, 0), (0, 3)))
+    # equal rows, then a row or a column of -1 or n
+    for rows, column in (((0, 0), 0), ((-1, 1), 0), ((0, 4), 0), ((0, 1), -1), ((0, 1), 4)):
+        with pytest.raises(InvalidCycle):
+            cycle_swap(ex_proper, rows, column)
 
 
 def test_cycle_swap_requires_proper(ex_improper):
     with pytest.raises(InvalidCycle):
-        cycle_swap(ex_improper, CyclePattern((0, 1), (0, 1), (2, 1), (1, 2)))
+        cycle_swap(ex_improper, (0, 1), 0)
+
+
+def test_cycle_swap_from_every_column_of_every_cycle_order_four():
+    # Any column of a cycle names the same cycle: r-1 moves from each, and
+    # the same end square, the two rows exchanged on the cycle's columns.
+    for state in enumerate_latin_squares(4):
+        for rows in ((0, 1), (1, 3)):
+            i1, i2 = rows
+            for cycle in proper_row_cycles(state, *rows):
+                grid = [list(line) for line in state.grid]
+                for c in cycle:
+                    grid[i1][c], grid[i2][c] = grid[i2][c], grid[i1][c]
+                expected = tuple(map(tuple, grid))
+                for c in cycle:
+                    seq = cycle_swap(state, rows, c)
+                    assert len(seq) == len(cycle) - 1
+                    assert seq.end.grid == expected and seq.end.is_proper
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +340,7 @@ def test_transform_path_improper_endpoints(ex_improper):
 # One call of each path primitive on the fixtures: (start, call).
 PRIMITIVE_CALLS = {
     "normalize_to_proper": lambda imp, pro: (imp, normalize_to_proper(imp)),
-    "cycle_swap": lambda imp, pro: (
-        pro, cycle_swap(pro, max(proper_row_cycles(pro, 0, 2), key=lambda c: c.length))
-    ),
+    "cycle_swap": lambda imp, pro: (pro, cycle_swap(pro, (0, 2), max(proper_row_cycles(pro, 0, 2), key=len)[0])),
     "swap_row_entries": lambda imp, pro: (imp, swap_row_entries(imp, 0, 1, 0)),
     "fix_row": lambda imp, pro: (pro, fix_row(pro, cyclic_square(4), 0)),
     "transform_path": lambda imp, pro: (imp, transform_path(imp, cyclic_square(4))),

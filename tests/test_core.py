@@ -260,10 +260,25 @@ def test_validate_reports_grids_that_are_not_squares(grid, message):
     assert validate(SquareState(grid)) == [message]
 
 
+def _out_of_range(case):
+    """cyclic_square(4) with cell (1,2) set to 4 or -1, or a record at (4,0) or (-1,0)."""
+    grid = cyclic_square(4).grid
+    if case.startswith("cell"):
+        row = list(grid[1])
+        row[2] = int(case.split()[1])
+        return SquareState((grid[0], tuple(row), *grid[2:]))
+    return SquareState(grid, ImproperCell(int(case.split()[1]), 0, (0, 1), 2))
+
+
+@pytest.mark.parametrize("case", ["cell 4", "cell -1", "record 4", "record -1"])
+def test_validate_since_names_what_is_out_of_range(case):
+    state = _out_of_range(case)
+    assert validate(state, since=cyclic_square(4)) == validate(state) != []
+
+
 def test_public_surface_is_pinned():
     assert sorted(latinsq.__all__) == [
         "ChainConfig",
-        "CyclePattern",
         "ImproperCell",
         "IntercalateMove",
         "InvalidMove",

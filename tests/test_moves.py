@@ -277,8 +277,8 @@ def test_surviving_negative_keeps_record():
 def test_two_rowed_proper_move_full_cycle():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
-    assert cycle.length == 3
-    seq = cycle_swap(state, cycle)
+    assert len(cycle) == 3
+    seq = cycle_swap(state, (0, 1), cycle[0])
     result = seq.end
     assert len(seq) == 2
     assert result.grid[0] == (1, 2, 0)
@@ -289,9 +289,9 @@ def test_two_rowed_proper_move_full_cycle():
 def test_two_rowed_proper_move_intercalate_is_single_move():
     state = cube_from_grid([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
     cycles = proper_row_cycles(state, 0, 1)
-    two = [c for c in cycles if c.length == 2]
+    two = [c for c in cycles if len(c) == 2]
     assert two
-    seq = cycle_swap(state, two[0])
+    seq = cycle_swap(state, (0, 1), two[0][0])
     result = seq.end
     assert len(seq) == 1
     assert result.is_proper
@@ -300,9 +300,9 @@ def test_two_rowed_proper_move_intercalate_is_single_move():
 def test_two_rowed_proper_move_is_involution():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
-    once = cycle_swap(state, cycle).end
+    once = cycle_swap(state, (0, 1), cycle[0]).end
     again_cycle = proper_row_cycles(once, 0, 1)[0]
-    twice = cycle_swap(once, again_cycle).end
+    twice = cycle_swap(once, (0, 1), again_cycle[0]).end
     assert twice == state
 
 
