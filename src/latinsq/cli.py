@@ -219,6 +219,13 @@ def cmd_uniformity(args: argparse.Namespace) -> int:
 # parser
 
 
+def _add_walk_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--burn-in", dest="burn_in", type=int, default=None,
+                   help="raw walk steps discarded first (default 10 n^3)")
+    p.add_argument("--thin", type=int, default=None,
+                   help="proper visits between samples (default 2 n^2)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latinsq",
@@ -230,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
+    _add_walk_options(p)
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_gen)
@@ -259,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
+    _add_walk_options(p)
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--stdin", action="store_true", help="read squares from stdin instead of sampling")
     p.set_defaults(func=cmd_uniformity)

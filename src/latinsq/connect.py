@@ -27,7 +27,7 @@ from .moves import IntercalateMove, apply_move
 
 
 class NotImproper(LatinSquareError):
-    """Operation requires an improper state (or one at a specific cell)."""
+    """Operation requires an improper state."""
 
 
 class MismatchedRows(LatinSquareError):
@@ -118,11 +118,10 @@ def _two_row_chain(
     raise LatinSquareError("chain did not terminate; state is corrupt")
 
 
-def find_row_cycles(
-    state: SquareState, improper_row: int, source_row: int, column: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two chains rooted at the improper cell, chased from each positive.
 
+    ``source_row`` must hold the negative symbol in the improper column.
     Each chain starts at the column where ``source_row`` holds the positive,
     then jumps, at each column, to the column where ``source_row`` holds the
     improper row's symbol there; it ends on the column where the improper
@@ -131,19 +130,17 @@ def find_row_cycles(
     and the shorter has length <= floor((n-1)/2).
     """
     rec = state.improper
-    if rec is None or (rec.row, rec.col) != (improper_row, column):
-        raise NotImproper(
-            f"state has no improper cell at ({improper_row},{column})"
-        )
-    if state.entry(source_row, column, rec.negative) != 1:
+    if rec is None:
+        raise NotImproper("state is proper; it has no improper cell")
+    if state.entry(source_row, rec.col, rec.negative) != 1:
         raise MismatchedRows(
-            f"row {source_row} does not hold symbol {rec.negative} at column {column}"
+            f"row {source_row} does not hold symbol {rec.negative} at column {rec.col}"
         )
     lo, hi = rec.positive_pair
     ends = (rec.negative,)
     return (
-        _two_row_chain(state, source_row, improper_row, _unique_col(state, source_row, hi), ends),
-        _two_row_chain(state, source_row, improper_row, _unique_col(state, source_row, lo), ends),
+        _two_row_chain(state, source_row, rec.row, _unique_col(state, source_row, hi), ends),
+        _two_row_chain(state, source_row, rec.row, _unique_col(state, source_row, lo), ends),
     )
 
 
@@ -159,7 +156,7 @@ def _resolve_improper(state: SquareState, helper_row: int) -> MoveSequence:
     start, moves = state, []
     while state.improper is not None:
         rec = state.improper
-        chain_hi, chain_lo = find_row_cycles(state, rec.row, helper_row, rec.col)
+        chain_hi, chain_lo = find_row_cycles(state, helper_row)
         lo, hi = rec.positive_pair
         chain, chased = (chain_lo, lo) if len(chain_lo) < len(chain_hi) else (chain_hi, hi)
         m = IntercalateMove.from_anchors(rec.row, rec.col, rec.negative, helper_row, chain[-1], chased)

@@ -72,22 +72,6 @@ class IntercalateMove:
         """The move undoing this one: symbols a and b exchanged."""
         return IntercalateMove(self.i, self.j, self.b, self.i2, self.j2, self.a)
 
-    def plus_triples(self) -> tuple[tuple[int, int, int], ...]:
-        return (
-            (self.i, self.j, self.a),
-            (self.i, self.j2, self.b),
-            (self.i2, self.j, self.b),
-            (self.i2, self.j2, self.a),
-        )
-
-    def minus_triples(self) -> tuple[tuple[int, int, int], ...]:
-        return (
-            (self.i, self.j, self.b),
-            (self.i, self.j2, self.a),
-            (self.i2, self.j, self.a),
-            (self.i2, self.j2, self.b),
-        )
-
     def text(self) -> str:
         """Wire form: six space-separated integers "i j a i2 j2 b"."""
         return f"{self.i} {self.j} {self.a} {self.i2} {self.j2} {self.b}"

@@ -1,10 +1,9 @@
 """Ground-truth engines: exhaustive enumeration and full state-graph search.
 
 These are deliberately independent of the constructive machinery so they can
-verify it: squares are enumerated by backtracking (two unrelated strategies
-that must agree), improper squares by direct completion search, and the move
-graph by breadth-first closure whose vertex set is checked against the
-enumerations.
+verify it: squares are enumerated by cell-wise backtracking and the move
+graph by breadth-first closure.  The tests check both against independent
+reference enumerations (symbol-wise placement, improper-square completion).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import ImproperCell, LatinSquareError, SquareState, cube_from_grid, cyclic_square
+from .core import LatinSquareError, SquareState, cyclic_square
 from .moves import apply_move, enumerate_valid_moves
 
 ENUMERATION_LIMIT = 5
@@ -71,41 +70,6 @@ def _enumerate_grids(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _enumerate_grids_by_symbol(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Independent strategy: place each symbol as a full rook placement.
-
-    Symbol s is assigned a column for every row (a permutation avoiding the
-    cells already taken by smaller symbols).  Output is sorted into the same
-    lexicographic order as the cell-wise strategy.
-    """
-    full = (1 << n) - 1
-    grid = [[-1] * n for _ in range(n)]
-    taken_rows = [0] * n  # per row: bitmask of occupied columns
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def place(sym: int, r: int, cols_used: int) -> None:
-        if r == n:
-            if sym == n - 1:
-                out.append(tuple(tuple(row) for row in grid))
-            else:
-                place(sym + 1, 0, 0)
-            return
-        avail = ~(cols_used | taken_rows[r]) & full
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            c = bit.bit_length() - 1
-            grid[r][c] = sym
-            taken_rows[r] |= bit
-            place(sym, r + 1, cols_used | bit)
-            taken_rows[r] ^= bit
-            grid[r][c] = -1
-
-    place(0, 0, 0)
-    out.sort()
-    return out
-
-
 def enumerate_latin_squares(n: int) -> list[SquareState]:
     """All Latin squares of order n <= 5, each once, lexicographic order."""
     if n < 1:
@@ -121,65 +85,6 @@ def count_latin_squares(n: int) -> int:
     if n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration is limited to n <= {ENUMERATION_LIMIT}")
     return len(_enumerate_grids(n))
-
-
-def enumerate_improper_squares(n: int) -> list[SquareState]:
-    """All improper squares of order n, by direct completion search.
-
-    For every choice of cell, positive pair and negative symbol, the rest of
-    the grid is completed so that each row and column carries every symbol
-    once, except that the negative symbol appears twice in the improper row
-    and column.  Independent of the move machinery and of the graph search.
-    """
-    if n > GRAPH_LIMIT:
-        raise TooLarge(f"improper enumeration is limited to n <= {GRAPH_LIMIT}")
-    results: list[SquareState] = []
-    if n < 3:
-        return results  # an improper cell needs three distinct symbols
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    for r0, c0 in cells:
-        for neg in range(n):
-            others = [s for s in range(n) if s != neg]
-            for a_idx in range(len(others)):
-                for b_idx in range(a_idx + 1, len(others)):
-                    pair = (others[a_idx], others[b_idx])
-                    results.extend(_complete_improper(n, r0, c0, pair, neg))
-    return results
-
-
-def _complete_improper(
-    n: int, r0: int, c0: int, pair: tuple[int, int], neg: int
-) -> list[SquareState]:
-    # Remaining multiset per line: every symbol once, the negative twice in
-    # the improper row and column; the improper cell consumes its pair.
-    row_need = [[1] * n for _ in range(n)]
-    col_need = [[1] * n for _ in range(n)]
-    row_need[r0][neg] = 2
-    col_need[c0][neg] = 2
-    for s in pair:
-        row_need[r0][s] -= 1
-        col_need[c0][s] -= 1
-    cells = [(r, c) for r in range(n) for c in range(n) if (r, c) != (r0, c0)]
-    grid = [[0] * n for _ in range(n)]
-    found: list[SquareState] = []
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
-            state = cube_from_grid(grid, ImproperCell(r0, c0, pair, neg))
-            found.append(state)
-            return
-        r, c = cells[idx]
-        for s in range(n):
-            if row_need[r][s] > 0 and col_need[c][s] > 0:
-                row_need[r][s] -= 1
-                col_need[c][s] -= 1
-                grid[r][c] = s
-                fill(idx + 1)
-                row_need[r][s] += 1
-                col_need[c][s] += 1
-
-    fill(0)
-    return found
 
 
 @dataclass

@@ -4,7 +4,10 @@ Small orders are tested exactly: one chi-square category per Latin square of
 that order.  Larger orders fall back to a necessary condition, per-cell
 symbol frequencies, which uniformity over squares forces to be flat by
 symmetry.  Acceptance bands are central and two-sided, so both gross bias
-and suspiciously-perfect regularity fail.
+and suspiciously-perfect regularity fail; at two categories, where the
+statistic is a lattice, an exact binomial test judges instead.  The
+integrated autocorrelation time measures how far apart a chain's samples
+must be to count as independent.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from scipy.stats import chi2
+import numpy as np
+from scipy.stats import binomtest, chi2
 
 from .core import LatinSquareError, SquareState
 
 ALPHA = 0.001  # total two-sided mass outside the acceptance band
+SOKAL_WINDOW = 5  # autocorrelation sums stop at the first lag M >= 5 tau_int(M)
 
 
 class UnknownSquare(LatinSquareError):
@@ -82,8 +87,14 @@ def chi_square_uniformity(
     expected = len(samples) / categories
     statistic = pearson_statistic(counts, expected)
     dof = categories - 1
-    lo, hi = acceptance_band(dof)
-    return UniformityReport(categories, len(samples), statistic, dof, lo <= statistic <= hi)
+    if dof == 1:
+        # An exact 50/50 split reads 0, below the band: the statistic is a
+        # lattice here, so the exact two-sided binomial test judges.
+        passed = bool(binomtest(counts[0], len(samples)).pvalue >= ALPHA)
+    else:
+        lo, hi = acceptance_band(dof)
+        passed = lo <= statistic <= hi
+    return UniformityReport(categories, len(samples), statistic, dof, passed)
 
 
 def cell_symbol_frequency_test(samples: list[SquareState], n: int) -> UniformityReport:
@@ -115,3 +126,25 @@ def cell_symbol_frequency_test(samples: list[SquareState], n: int) -> Uniformity
             if not lo <= stat <= hi:
                 all_ok = False
     return UniformityReport(n, len(samples), worst, dof, all_ok)
+
+
+def autocorrelation_time(series) -> tuple[float, float]:
+    """Integrated autocorrelation time and effective sample size of a series.
+
+    tau_int = 1 + 2 (rho(1) + ... + rho(M)), summed up to Sokal's
+    self-consistent window, the first lag M with M >= 5 tau_int(M); an
+    independent series reads about 1.  The effective sample size is
+    N / tau_int.  Autocorrelations come from one FFT, O(N log N).
+    """
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1 or len(x) < 2:
+        raise InsufficientSamples(f"need a series of at least 2 values, got shape {x.shape}")
+    x = x - x.mean()
+    f = np.fft.rfft(x, 2 * len(x))
+    acov = np.fft.irfft(f * f.conjugate())[: len(x)]
+    if acov[0] <= 0:
+        raise InsufficientSamples("a constant series has no autocorrelation time")
+    taus = 2 * np.cumsum(acov / acov[0]) - 1  # taus[M] = tau_int summed to lag M
+    window = np.arange(len(x)) >= SOKAL_WINDOW * taus
+    tau = float(taus[np.argmax(window)] if window.any() else taus[-1])
+    return tau, len(x) / tau

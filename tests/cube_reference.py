@@ -3,7 +3,8 @@
 The paper defines a proper or improper square as an n x n x n array over
 {-1, 0, 1} indexed by (row, column, symbol).  The library keeps only the
 grid and the improper record; tests build the cube here, with numpy, and
-compare the library's grid-native readers and `validate` against it.  The
+compare the library's grid-native readers and `validate` against it, and
+read a move as the cube entries it adds 1 to and subtracts 1 from.  The
 cube checker also examines candidate data that no grid plus record can
 express (several negatives, a record that disagrees with its cell).
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from latinsq.core import ImproperCell, InvalidSquare, SquareState
+from latinsq.moves import IntercalateMove
 
 
 class IncidenceCube:
@@ -70,6 +72,16 @@ class IncidenceCube:
 
     def __repr__(self) -> str:
         return f"IncidenceCube(n={self.n})"
+
+
+def plus_triples(m: IntercalateMove) -> tuple[tuple[int, int, int], ...]:
+    """The four cube entries the move adds 1 to."""
+    return ((m.i, m.j, m.a), (m.i, m.j2, m.b), (m.i2, m.j, m.b), (m.i2, m.j2, m.a))
+
+
+def minus_triples(m: IntercalateMove) -> tuple[tuple[int, int, int], ...]:
+    """The four cube entries the move subtracts 1 from."""
+    return ((m.i, m.j, m.b), (m.i, m.j2, m.a), (m.i2, m.j, m.a), (m.i2, m.j2, m.b))
 
 
 def from_cube(cube: IncidenceCube) -> SquareState:

@@ -14,9 +14,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from cube_reference import IncidenceCube
-from latinsq.chain import ChainConfig, RngStream, iter_chains, sample, step
+from cube_reference import IncidenceCube, plus_triples
+from enumeration_reference import enumerate_grids_by_symbol, enumerate_improper_squares
+from latinsq.chain import ChainConfig, RngStream, _Walker, iter_chains, iter_samples, sample, step
 from latinsq.cli import main as cli_main
 from latinsq.connect import (
     cycle_swap,
@@ -36,15 +38,13 @@ from latinsq.moves import (
 )
 from latinsq.oracle import (
     _enumerate_grids,
-    _enumerate_grids_by_symbol,
     build_state_graph,
     canonical_key,
     check_connectivity_and_diameter,
     count_latin_squares,
-    enumerate_improper_squares,
     enumerate_latin_squares,
 )
-from latinsq.stats import cell_symbol_frequency_test, chi_square_uniformity
+from latinsq.stats import autocorrelation_time, cell_symbol_frequency_test, chi_square_uniformity
 from scripted_draws import ScriptedDraws
 
 from conftest import EX_PROPER_GRID
@@ -261,7 +261,7 @@ def test_graph4_states_valid_and_row_cycles_bounded(graph4):
         assert len({*rec.positive_pair, rec.negative}) == 3
         sources = [r for r in IncidenceCube.of(state).rows_with(rec.col, rec.negative) if r != rec.row]
         assert len(sources) == 2
-        a, b = find_row_cycles(state, rec.row, sources[0], rec.col)
+        a, b = find_row_cycles(state, sources[0])
         assert not (set(a) & set(b))
         assert len(a) + len(b) <= 3
         assert min(len(a), len(b)) <= 1
@@ -271,11 +271,11 @@ def test_criterion_6_enumeration_oracle(acceptance_record):
     expected = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
     for n in (1, 2, 3, 4):
         cellwise = list(_enumerate_grids(n))
-        symbolwise = _enumerate_grids_by_symbol(n)
+        symbolwise = enumerate_grids_by_symbol(n)
         assert len(cellwise) == expected[n]
         assert cellwise == symbolwise
     count_cellwise = count_latin_squares(5)
-    count_symbolwise = len(_enumerate_grids_by_symbol(5))
+    count_symbolwise = len(enumerate_grids_by_symbol(5))
     assert count_cellwise == count_symbolwise == expected[5]
     acceptance_record(
         "criterion 6: enumeration counts 1, 2, 12, 576, 161280 with agreeing strategies",
@@ -365,7 +365,7 @@ def test_criterion_8_improper_moves_cancel_negative(acceptance_record, graph3):
         rec = state.improper
         neg = (rec.row, rec.col, rec.negative)
         for m in enumerate_valid_moves(state):
-            if neg not in m.plus_triples():
+            if neg not in plus_triples(m):
                 counterexample = (state.grid, rec, m.text())
                 break
         if counterexample:
@@ -394,7 +394,7 @@ def test_criterion_8_chain_steps_cancel_negative(acceptance_record, graph3):
         neg = (rec.row, rec.col, rec.negative)
         for pick in range(8):
             result, move = step(state, ScriptedDraws([pick], bound=8))
-            assert neg in move.plus_triples()
+            assert neg in plus_triples(move)
             assert validate(result) == []
             checked += 1
     acceptance_record(
@@ -448,6 +448,84 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
         f"{size} states, proper mass {proper_mass:.15f}, relative spread {spread:.1e}, "
         f"second-largest |eigenvalue| {slem:.4f}",
     )
+
+
+def _proper_visit_chain(graph):
+    """Q: the walk read at proper visits only, over the graph's proper states.
+
+    P comes from every scripted pick of the sampler's walker.  A sample is
+    the state at the thin-th proper visit, so samples form a Q^thin chain,
+    with Q = P_pp + P_pi (I + P_ii + P_ii^2 + ...) P_ip; the excursion sum
+    stops once the mass still improper is below 1e-15.
+    """
+    n = graph.n
+    index = {s: k for k, s in enumerate(graph.states)}
+    rows, cols, vals = [], [], []
+    for k, state in enumerate(graph.states):
+        picks = n * n * (n - 1) if state.is_proper else 8
+        for v in range(picks):
+            w = _Walker(state, ScriptedDraws([v], bound=picks))
+            w.advance(1)
+            rows.append(k)
+            cols.append(index[w.view()])
+            vals.append(1.0 / picks)
+    P = sparse.csr_matrix((vals, (rows, cols)), shape=(len(index), len(index)))
+    proper = np.array([s.is_proper for s in graph.states])
+    pp, ii = np.flatnonzero(proper), np.flatnonzero(~proper)
+    P_ii, P_ip = P[ii][:, ii], P[ii][:, pp].toarray()
+    entered = P_ip.any(axis=0)  # proper states some improper state steps to
+    X = P_ip[:, entered]
+    excursion, improper_mass = X.copy(), X.sum(axis=1)
+    while improper_mass.max() > 1e-15:
+        X = P_ii @ X
+        excursion += X
+        improper_mass = P_ii @ improper_mass
+    Q = P[pp][:, pp].toarray()
+    Q[:, entered] += P[pp][:, ii] @ excursion
+    return Q
+
+
+def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, graph4):
+    # The default thin, measured exactly: after ChainConfig(n).thin proper
+    # visits every start is within 1e-6 of uniform in total variation.
+    details = []
+    for graph in (graph3, graph4):
+        n = graph.n
+        Q = _proper_visit_chain(graph)
+        assert np.abs(Q.sum(axis=1) - 1).max() < 1e-12
+        assert np.abs(Q.sum(axis=0) - 1).max() < 1e-12  # doubly stochastic: uniform is stationary
+        assert np.abs(Q - Q.T).max() < 1e-12  # reversible, so its spectrum is real
+        tv = {}
+        for t in (n * n, 2 * n * n, n**3):
+            Qt = np.linalg.matrix_power(Q, t)
+            tv[t] = 0.5 * np.abs(Qt - 1 / len(Q)).sum(axis=1).max()
+        thin = ChainConfig(n).thin
+        assert thin == 2 * n * n and tv[thin] <= 1e-6
+        slem = np.sort(np.abs(np.linalg.eigvalsh(Q)))[-2]
+        details.append(
+            f"n={n}: TV " + ", ".join(f"{tv[t]:.1e} at {t}" for t in tv)
+            + f"; second-largest |eigenvalue| {slem:.3f}"
+        )
+    acceptance_record(
+        "proper-visit chain at n=3,4: doubly stochastic, within 1e-6 of uniform at thin 2n^2",
+        True,
+        "; ".join(details),
+    )
+
+
+def test_default_thin_exceeds_five_autocorrelation_times_order_eight(acceptance_record):
+    # tau_int of the slowest observable known, "cell (0,0) holds 0", over
+    # every proper visit after the default burn-in.
+    visits = iter_samples(ChainConfig(8, seed=CI_SEED, thin=1), 20000)
+    series = np.fromiter((sq.grid[0][0] == 0 for sq in visits), dtype=float, count=20000)
+    tau, ess = autocorrelation_time(series)
+    thin = ChainConfig(8).thin
+    acceptance_record(
+        "default thin at n=8: at least 5 integrated autocorrelation times",
+        thin >= 5 * tau,
+        f"thin {thin}, tau_int {tau:.1f} (cell (0,0) holds 0, 20000 proper visits, ESS {ess:.0f})",
+    )
+    assert thin >= 5 * tau
 
 
 def test_criterion_9_determinism(acceptance_record, capsys):

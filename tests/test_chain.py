@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cube_reference import IncidenceCube
+from cube_reference import IncidenceCube, plus_triples
 from latinsq.chain import (
     ChainConfig,
     DegenerateOrder,
@@ -20,7 +20,7 @@ from scripted_draws import ScriptedDraws
 
 def test_config_defaults_and_validation():
     cfg = ChainConfig(4, seed=1)
-    assert cfg.burn_in == 10 * 64 and cfg.thin == 64
+    assert cfg.burn_in == 10 * 64 and cfg.thin == 2 * 4**2
     with pytest.raises(DegenerateOrder):
         ChainConfig(0)
     with pytest.raises(Exception):
@@ -62,7 +62,7 @@ def test_improper_state_has_eight_equally_likely_flips(graph3):
     for pick in range(8):
         result, move = step(improper, ScriptedDraws([pick]))
         assert validate(result) == []
-        assert neg_triple in move.plus_triples()
+        assert neg_triple in plus_triples(move)
         results.add(canonical_key(result))
     assert len(results) == 8  # every pick bit names a different +1
 

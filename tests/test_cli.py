@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import latinsq
+from enumeration_reference import enumerate_improper_squares
 from latinsq.cli import (
     format_square_json,
     format_square_text,
@@ -17,7 +18,6 @@ from latinsq.cli import (
     parse_square_text,
 )
 from latinsq.core import InvalidSquare, cube_from_grid, cyclic_square, validate
-from latinsq.oracle import enumerate_improper_squares
 
 # Child processes import the same latinsq as this test, however it was found.
 CHILD_ENV = dict(
@@ -130,16 +130,24 @@ def test_gen_flag_errors(capsys):
 
 # sha256 of stdout for fixed seeds: a change to the walk, to its use of the
 # random stream or to the output formats shows here.  (`uniformity 4` needs at
-# least 5760 samples for its 576 categories.)
+# least 5760 samples for its 576 categories.)  Each sampling argv is pinned
+# twice: with the default thin, and with an explicit --thin n^3, which pins
+# the walk's bytes independently of the default.
 GOLDEN_STDOUT = [
     (("gen", "4", "--seed", "77", "--samples", "6", "--chains", "3", "--burn-in", "100", "--thin", "8"),
      "edcfef2ba6ddc56eade222f9a44f95340925485bd815e598927c63bcff054b49"),
-    (("gen", "16", "--seed", "1", "--samples", "2"),
+    (("gen", "16", "--seed", "1", "--samples", "2", "--thin", "4096"),
      "9a40fb4d921db9491dcc871a8932308ded59c58fe89efa1b2228e70778726dfe"),
-    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json"),
+    (("gen", "16", "--seed", "1", "--samples", "2"),
+     "940923b285983f3eaf170de35ae63e02c42dc0cca5ae93f118520881a25c6051"),
+    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json", "--thin", "343"),
      "fc4346579978ee1ad7b81270211d52c2a76adc7681dad06b59d32ce642ed7ae2"),
-    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3"),
+    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json"),
+     "74e5e9605e506500cccaaeba3332589f102d5698c7211685229aed00b439eaf7"),
+    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3", "--thin", "64"),
      "7bbdc004d044a8672a47471a5ea4e29f2c422accc986edb66e7e64a82c08d036"),
+    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3"),
+     "26e15c61fcee8e73159089290c3639485ad0a8d26522c20daa94bac560054c0f"),
     (("path", "improper4.txt", "cyclic4.txt", "--verify"),
      "38d0173da538136cc0cdce7b9e2e44517598cf3e6203a45669ac78878200604b"),
 ]
@@ -331,6 +339,22 @@ def test_uniformity_orders_one_and_two_pass(capsys):
         code, out, _ = run_cli(capsys, "uniformity", *argv, "--seed", "0")
         report = json.loads(out)
         assert code == 0 and report["pass"] is True, out
+
+
+def test_uniformity_order_two_verdicts_hold_alpha(capsys, monkeypatch):
+    # Two categories: Pearson's statistic is a lattice, so an exact 50/50
+    # split reads 0.0; the exact binomial test must not fail it.
+    for samples in ("40", "400"):
+        failed = sum(
+            run_cli(capsys, "uniformity", "2", "--samples", samples, "--seed", str(seed))[0] != 0
+            for seed in range(200)
+        )
+        assert failed <= 2, (samples, failed)
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("n 2\n0 1\n1 0\n" * 40))
+    code, out, _ = run_cli(capsys, "uniformity", "2", "--stdin")
+    assert code == 1 and json.loads(out)["pass"] is False
 
 
 def test_uniformity_too_few_samples_is_usage_error(capsys):

@@ -51,7 +51,7 @@ def _improper_states_from_chain(n, seed, count):
 
 
 def test_find_row_cycles_fixture(ex_improper):
-    through_larger, through_smaller = find_row_cycles(ex_improper, 2, 0, 1)
+    through_larger, through_smaller = find_row_cycles(ex_improper, 0)
     assert through_larger == (0, 2)
     assert ex_improper.symbol_at(0, through_larger[0]) == 2
     assert through_smaller == (3,)
@@ -63,11 +63,11 @@ def test_find_row_cycles_fixture(ex_improper):
 
 def test_find_row_cycles_preconditions(ex_improper, ex_proper):
     with pytest.raises(NotImproper):
-        find_row_cycles(ex_proper, 0, 1, 0)
-    with pytest.raises(NotImproper):
-        find_row_cycles(ex_improper, 0, 2, 1)  # wrong improper row
+        find_row_cycles(ex_proper, 1)
     with pytest.raises(MismatchedRows):
-        find_row_cycles(ex_improper, 2, 1, 1)  # row 1 has no symbol 1 at col 1
+        find_row_cycles(ex_improper, 1)  # row 1 has no symbol 1 at col 1
+    with pytest.raises(MismatchedRows):
+        find_row_cycles(ex_improper, 2)  # the improper row holds the -1 there
 
 
 def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
@@ -77,7 +77,7 @@ def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
         rec = state.improper
         sources = [r for r in IncidenceCube.of(state).rows_with(rec.col, rec.negative) if r != rec.row]
         for src in sources:
-            a, b = find_row_cycles(state, rec.row, src, rec.col)
+            a, b = find_row_cycles(state, src)
             assert not (set(a) & set(b))
             assert len(a) + len(b) <= state.n - 1
             assert min(len(a), len(b)) <= (state.n - 1) // 2

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from latinsq.core import SquareState
 from latinsq.oracle import enumerate_latin_squares
@@ -8,6 +10,7 @@ from latinsq.stats import (
     InsufficientSamples,
     UnknownSquare,
     acceptance_band,
+    autocorrelation_time,
     cell_symbol_frequency_test,
     chi_square_uniformity,
 )
@@ -108,3 +111,21 @@ def test_acceptance_band_monotone_in_dof():
     lo575, hi575 = acceptance_band(575)
     assert 0 < lo11 < hi11
     assert lo11 < lo575 < hi575
+
+
+@pytest.mark.parametrize("phi", [0.5, 0.9])
+def test_autocorrelation_time_of_ar1(phi):
+    # An AR(1) series x_t = phi x_{t-1} + e_t has rho(t) = phi^t, so
+    # tau_int = 1 + 2 phi / (1 - phi) = (1 + phi) / (1 - phi).
+    noise = np.random.default_rng(20260810).standard_normal(1_000_000)
+    series = lfilter([1.0], [1.0, -phi], noise)
+    tau, ess = autocorrelation_time(series)
+    assert tau == pytest.approx((1 + phi) / (1 - phi), rel=0.1)
+    assert ess == len(series) / tau
+
+
+def test_autocorrelation_time_rejects_short_and_constant_series():
+    with pytest.raises(InsufficientSamples):
+        autocorrelation_time([1.0])
+    with pytest.raises(InsufficientSamples):
+        autocorrelation_time([2.0] * 10)
