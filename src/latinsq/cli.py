@@ -61,6 +61,8 @@ def parse_square_text(text: str) -> SquareState:
     if not lines or not lines[0].startswith("n "):
         raise InvalidSquare("expected header line 'n <order>'")
     n = int(lines[0].split()[1])
+    if n < 1:
+        raise InvalidSquare(f"order {n} is not positive")
     if len(lines) < 1 + n:
         raise InvalidSquare(f"expected {n} grid rows")
     grid = [[int(x) for x in lines[1 + r].split()] for r in range(n)]

@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binomtest, chi2
 
 from .core import LatinSquareError, SquareState
 
@@ -57,10 +56,14 @@ def acceptance_band(dof: int, alpha: float = ALPHA) -> tuple[float, float]:
     """Central (1 - alpha) band of the chi-square distribution.
 
     With no degree of freedom (one category) the statistic is always 0.
+    The quantiles are chi2.ppf's own expression, 2 gammaincinv(dof/2, q):
+    scipy.special, loaded only here, starts in a third of scipy.stats' time.
     """
     if dof == 0:
         return 0.0, 0.0
-    return float(chi2.ppf(alpha / 2, dof)), float(chi2.ppf(1 - alpha / 2, dof))
+    from scipy.special import gammaincinv
+
+    return tuple(float(2 * gammaincinv(dof / 2, q)) for q in (alpha / 2, 1 - alpha / 2))
 
 
 def pearson_statistic(observed: list[int], expected: float) -> float:
@@ -90,6 +93,8 @@ def chi_square_uniformity(
     if dof == 1:
         # An exact 50/50 split reads 0, below the band: the statistic is a
         # lattice here, so the exact two-sided binomial test judges.
+        from scipy.stats import binomtest
+
         passed = bool(binomtest(counts[0], len(samples)).pvalue >= ALPHA)
     else:
         lo, hi = acceptance_band(dof)

@@ -249,6 +249,15 @@ def test_verify_corrupted(tmp_path, capsys):
     assert_one_line_error(run_cli(capsys, "verify", str(tmp_path / "missing.txt")), 1)
 
 
+@pytest.mark.parametrize("order", [-2, 0])
+def test_verify_rejects_order_below_one_at_header(tmp_path, capsys, order):
+    f = tmp_path / "sq.txt"
+    f.write_text(f"n {order}\n0 1\n1 0\n")
+    result = run_cli(capsys, "verify", str(f))
+    assert_one_line_error(result, 1)
+    assert result[2] == f"parse failure: order {order} is not positive\n"
+
+
 def test_gen_output_verifies(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "gen", "4", "--seed", "5", "--samples", "1")
     f = tmp_path / "g.txt"
@@ -373,6 +382,48 @@ def test_module_entry_point():
         capture_output=True, text=True, env=CHILD_ENV,
     )
     assert_one_line_error((proc.returncode, proc.stdout, proc.stderr), 2)
+
+
+# Runs in a fresh interpreter: every command but a uniformity verdict starts
+# without scipy, and a verdict loads scipy.special but not scipy.stats.
+STARTUP_CHILD = """
+import json, sys
+import latinsq
+from latinsq import cli
+
+a, b = sys.argv[1:]
+codes = [cli.main(argv) for argv in (
+    ["gen", "3", "--seed", "1", "--samples", "2"],
+    ["verify", a],
+    ["path", a, b, "--verify"],
+    ["enumerate", "3", "--count-only"],
+    ["graph", "3"],
+)]
+scipy_after_commands = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+uniformity_code = cli.main(["uniformity", "4", "--samples", "5760", "--seed", "1"])
+print(json.dumps({
+    "codes": codes,
+    "scipy_after_commands": scipy_after_commands,
+    "uniformity_code": uniformity_code,
+    "loaded_after_verdict": [m for m in ("scipy.special", "scipy.stats") if m in sys.modules],
+}))
+"""
+
+
+def test_commands_start_without_scipy(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(format_square_text(cyclic_square(4)))
+    b.write_text(format_square_text(cube_from_grid(cyclic_square(4).grid[::-1])))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, str(a), str(b)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 5
+    assert report["scipy_after_commands"] == []
+    assert report["uniformity_code"] in (0, 1)
+    assert report["loaded_after_verdict"] == ["scipy.special"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 from scipy.signal import lfilter
+from scipy.stats import chi2
 
 from latinsq.core import SquareState
 from latinsq.oracle import enumerate_latin_squares
 from latinsq.stats import (
+    ALPHA,
     InsufficientSamples,
     UnknownSquare,
     acceptance_band,
@@ -111,6 +113,17 @@ def test_acceptance_band_monotone_in_dof():
     lo575, hi575 = acceptance_band(575)
     assert 0 < lo11 < hi11
     assert lo11 < lo575 < hi575
+
+
+def test_acceptance_band_equals_scipy_chi2_quantiles():
+    # The closed form must match chi2.ppf to the last bit, so no verdict moves.
+    def scipy_band(dof, alpha):
+        return float(chi2.ppf(alpha / 2, dof)), float(chi2.ppf(1 - alpha / 2, dof))
+
+    for dof in range(1, 2001):
+        assert acceptance_band(dof) == scipy_band(dof, ALPHA), dof
+    for n in range(5, 65):  # the per-cell test's Bonferroni-corrected levels
+        assert acceptance_band(n - 1, ALPHA / (n * n)) == scipy_band(n - 1, ALPHA / (n * n)), n
 
 
 @pytest.mark.parametrize("phi", [0.5, 0.9])
