@@ -85,10 +85,6 @@ class RngStream:
             it = self._draws[bound] = itertools.chain.from_iterable(blocks)
         return it
 
-    def integers(self, bound: int) -> int:
-        """One uniform draw from range(bound)."""
-        return next(self.draws(bound))
-
 
 class _Walker:
     """Mutable walk state: the symbol grid and its two conjugate maps, O(n^2).
@@ -223,8 +219,9 @@ def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) 
         # Order 2 has no improper squares, so every step flips to the other
         # square and the walk has period 2: draw the squares directly.
         squares = enumerate_latin_squares(n)
+        pick = rng.draws(len(squares))
         for _ in range(count):
-            yield squares[rng.integers(len(squares))]
+            yield squares[next(pick)]
         return
     w = _Walker(cyclic_square(n), rng)
     w.advance(config.burn_in)

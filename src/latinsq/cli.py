@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import IO, Iterator
 
@@ -58,9 +59,10 @@ def format_square_json(state: SquareState) -> str:
 
 def parse_square_text(text: str) -> SquareState:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
+    header = re.fullmatch(r"n +([+-]?\d+)", lines[0]) if lines else None
+    if header is None:
         raise InvalidSquare("expected header line 'n <order>'")
-    n = int(lines[0].split()[1])
+    n = int(header[1])
     if n < 1:
         raise InvalidSquare(f"order {n} is not positive")
     if len(lines) < 1 + n:

@@ -19,7 +19,7 @@ symbols are read from the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .core import LatinSquareError, SquareState, validate
@@ -51,12 +51,8 @@ class MoveSequence:
     """An ordered move list with its endpoint states."""
 
     start: SquareState
-    moves: tuple[IntercalateMove, ...] = field(default_factory=tuple)
-    end: SquareState = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.end is None:
-            object.__setattr__(self, "end", self.start)
+    moves: tuple[IntercalateMove, ...]
+    end: SquareState
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -144,16 +140,24 @@ def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...
     )
 
 
-def _resolve_improper(state: SquareState, helper_row: int) -> MoveSequence:
+def _resolve_improper(state: SquareState, avoid: Iterable[int] = ()) -> MoveSequence:
     """Drive an improper state proper with moves confined to two rows.
 
-    The working pair is (improper row, helper row); after each move the
-    negative cell hops to the other row of the pair, so the pair is fixed
-    while the roles alternate.  Each step picks the shorter of the two
-    current chains (ties go to the larger positive), which makes the total
-    number of moves at most the first minimum, i.e. floor((n-1)/2).
+    The helper row is the smallest row outside ``avoid`` that holds the
+    negative symbol in the improper column; a corrupt state without one
+    raises.  The working pair is (improper row, helper row); after each
+    move the negative cell hops to the other row of the pair, so the pair
+    is fixed while the roles alternate.  Each step picks the shorter of the
+    two current chains (ties go to the larger positive), which makes the
+    total number of moves at most the first minimum, i.e. floor((n-1)/2).
     """
-    start, moves = state, []
+    rec = state.improper
+    helpers = [r for r in state.rows_with(rec.col, rec.negative) if r not in avoid]
+    if not helpers:
+        raise LatinSquareError(
+            f"no helper row holds symbol {rec.negative} in column {rec.col}; state is corrupt"
+        )
+    start, moves, helper_row = state, [], helpers[0]
     while state.improper is not None:
         rec = state.improper
         chain_hi, chain_lo = find_row_cycles(state, helper_row)
@@ -168,20 +172,14 @@ def _resolve_improper(state: SquareState, helper_row: int) -> MoveSequence:
 def normalize_to_proper(state: SquareState) -> MoveSequence:
     """Resolve an improper square into a proper one (identity on proper input).
 
-    The helper row is the smallest row other than the improper one holding
-    the negative symbol in the improper column (a valid improper state always
-    has exactly two such rows).  The emitted sequence touches only those two
-    rows and has length at most floor((n-1)/2).
+    The helper row is the smaller of the two rows holding the negative
+    symbol in the improper column, as `_resolve_improper` picks it.  The
+    emitted sequence touches only the improper row and the helper row and
+    has length at most floor((n-1)/2).
     """
     if state.improper is None:
-        return MoveSequence(state)
-    rec = state.improper
-    candidates = [r for r in state.rows_with(rec.col, rec.negative) if r != rec.row]
-    if not candidates:
-        raise NotImproper(
-            f"no row holds symbol {rec.negative} in column {rec.col}; state is corrupt"
-        )
-    return _resolve_improper(state, candidates[0])
+        return MoveSequence(state, (), state)
+    return _resolve_improper(state)
 
 
 def _row_cycle(state: SquareState, i1: int, i2: int, column: int) -> tuple[int, ...]:
@@ -289,16 +287,11 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
     start, moves = state, []
     state = _extend(state, (IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym),), moves)
 
-    detour = MoveSequence(state)
+    detour = MoveSequence(state, (), state)
     if state.improper is not None and len(chain) >= 2:
         # Park the new negative cell (i1, c1) with moves on rows i1 and a
         # spare row, keeping rows i2 and i3 untouched for the cycle swap.
-        spare = [
-            r for r in state.rows_with(c1, b_sym) if r not in (i1, i2, i3)
-        ]
-        if not spare:
-            raise LatinSquareError("no spare row for the detour; state is corrupt")
-        detour = _resolve_improper(state, spare[0])
+        detour = _resolve_improper(state, (i1, i2, i3))
         state = detour.end
         moves.extend(detour.moves)
 
@@ -345,13 +338,8 @@ def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
             tau = rec.negative
             if target_row[rec.col] == tau:
                 # tau landed on its own target column: close out the round
-                # with a two-row resolution below row k.
-                helpers = [
-                    r for r in state.rows_with(rec.col, tau) if r != k
-                ]
-                if not helpers or min(helpers) <= k:
-                    raise LatinSquareError("no helper row below k; state is corrupt")
-                cleanup = _resolve_improper(state, helpers[0])
+                # with a two-row resolution on a helper row below row k.
+                cleanup = _resolve_improper(state, range(k + 1))
                 state = cleanup.end
                 moves.extend(cleanup.moves)
                 break

@@ -54,12 +54,9 @@ class IntercalateMove:
         """Normalize any of the four equivalent namings to canonical form.
 
         Swapping the two rows (or the two columns) of a naming exchanges the
-        roles of a and b; swapping both leaves the symbols in place.
+        roles of a and b; swapping both leaves the symbols in place.  Equal
+        rows, columns or symbols raise ValueError, as the constructor does.
         """
-        if i == i2 or j == j2 or a == b:
-            raise ValueError(
-                f"rows, columns and symbols must each differ: (({i},{j};{a}),({i2},{j2};{b}))"
-            )
         if i > i2:
             i, i2 = i2, i
             a, b = b, a

@@ -42,8 +42,12 @@ def canonical_key(state: SquareState) -> bytes:
 def _enumerate_grids(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All order-n Latin squares as grids, lexicographic row-major order.
 
-    Cell-by-cell backtracking with row/column bitmasks.
+    Cell-by-cell backtracking with row/column bitmasks, for 1 <= n <= ENUMERATION_LIMIT.
     """
+    if n < 1:
+        raise LatinSquareError("order must be at least 1")
+    if n > ENUMERATION_LIMIT:
+        raise TooLarge(f"enumeration is limited to n <= {ENUMERATION_LIMIT}")
     full = (1 << n) - 1
     grid = [[0] * n for _ in range(n)]
     col_used = [0] * n
@@ -72,18 +76,10 @@ def _enumerate_grids(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def enumerate_latin_squares(n: int) -> list[SquareState]:
     """All Latin squares of order n <= 5, each once, lexicographic order."""
-    if n < 1:
-        raise LatinSquareError("order must be at least 1")
-    if n > ENUMERATION_LIMIT:
-        raise TooLarge(f"enumeration is limited to n <= {ENUMERATION_LIMIT}")
     return [SquareState(g) for g in _enumerate_grids(n)]
 
 
 def count_latin_squares(n: int) -> int:
-    if n < 1:
-        raise LatinSquareError("order must be at least 1")
-    if n > ENUMERATION_LIMIT:
-        raise TooLarge(f"enumeration is limited to n <= {ENUMERATION_LIMIT}")
     return len(_enumerate_grids(n))
 
 
@@ -93,7 +89,6 @@ class StateGraph:
 
     n: int
     states: list[SquareState]
-    index: dict[bytes, int]
     adjacency: list[list[int]]
 
     @property
@@ -150,8 +145,7 @@ def build_state_graph(n: int) -> StateGraph:
         adjacency[rv].append(ru)
     for nbrs in adjacency:
         nbrs.sort()
-    new_index = {keys[old]: new for new, old in enumerate(order)}
-    return StateGraph(n, [states[i] for i in order], new_index, adjacency)
+    return StateGraph(n, [states[i] for i in order], adjacency)
 
 
 def _bfs_distances(g: StateGraph, source: int) -> list[int]:
@@ -175,16 +169,12 @@ def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
     the diameter and each must respect the 2(n-1)^3 ceiling.
     """
     v = g.vertex_count
-    first = _bfs_distances(g, 0)
-    connected = all(d >= 0 for d in first)
     exact = g.n <= 3
-    if exact:
-        seeds = range(v)
-    else:
-        seeds = list(range(0, v, max(1, v // 32)))[:32]
+    seeds = range(v) if exact else range(0, v, max(1, v // 32))[:32]
     diameter = 0
     for s in seeds:
         dist = _bfs_distances(g, s)
-        ecc = max(dist)
-        diameter = max(diameter, ecc)
+        if s == 0:  # the first probe decides connectivity
+            connected = -1 not in dist
+        diameter = max(diameter, max(dist))
     return {"connected": connected, "diameter": diameter, "exact": exact}

@@ -149,26 +149,28 @@ def test_iter_samples_streams_lazily():
     gen = iter_samples(ChainConfig(3, seed=5, burn_in=10, thin=2), 3)
     first = next(gen)
     assert first.n == 3
+    with pytest.raises(LatinSquareError, match="count must be at least 1"):
+        next(iter_samples(ChainConfig(3), 0))  # checked when the stream is first read
 
 
 def test_rng_stream_spawn_children_differ_and_reproduce():
     a1 = RngStream(7).spawn(2)
     a2 = RngStream(7).spawn(2)
-    seq1 = [a1[0].integers(1000) for _ in range(20)]
-    seq2 = [a2[0].integers(1000) for _ in range(20)]
+    seq1 = [next(a1[0].draws(1000)) for _ in range(20)]
+    seq2 = [next(a2[0].draws(1000)) for _ in range(20)]
     assert seq1 == seq2
-    other = [a1[1].integers(1000) for _ in range(20)]
+    other = [next(a1[1].draws(1000)) for _ in range(20)]
     assert other != seq1
 
 
 def test_rng_stream_draws_blocks_per_bound_in_request_order():
     # Each bound takes a 4096-value block from the one generator when its
-    # last block runs out, whether read through draws() or integers().
+    # last block runs out, whether read through a kept iterator or a fresh draws() call.
     r = RngStream(3)
     eights = r.draws(8)
     assert r.draws(8) is eights
     got8 = [next(eights) for _ in range(10)]
-    got_wide = [r.integers(1000) for _ in range(5000)]
+    got_wide = [next(r.draws(1000)) for _ in range(5000)]
     got8 += [next(eights) for _ in range(4100)]
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
 

@@ -224,6 +224,28 @@ def test_path_random_order_five(tmp_path, capsys):
     assert int(verdict[1]) <= 128 and verdict[2] == "128"
 
 
+@pytest.mark.parametrize("broken", ["invalid move", "no moves"])
+def test_path_verify_failure_exits_three(tmp_path, capsys, monkeypatch, broken):
+    from latinsq import cli
+    from latinsq.connect import MoveSequence
+    from latinsq.moves import IntercalateMove
+
+    a, b = cyclic_square(3), cube_from_grid([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    fa.write_text(format_square_text(a))
+    fb.write_text(format_square_text(b))
+    if broken == "invalid move":  # cell (0,0) already holds symbol 0
+        bad = IntercalateMove(0, 0, 0, 1, 1, 1)
+        monkeypatch.setattr(cli, "transform_path", lambda a, b: MoveSequence(a, (bad,), b))
+        message = "verification failed: move (0 0 0 1 1 1) invalid: entry already 1 at +1 position 0\n"
+    else:
+        monkeypatch.setattr(cli, "transform_path", lambda a, b: MoveSequence(a, (), a))
+        message = "verification failed: endpoint or bound\n"
+    result = run_cli(capsys, "path", str(fa), str(fb), "--verify")
+    assert_one_line_error(result, 3)
+    assert result[2] == message
+
+
 def test_verify_fixture(tmp_path, capsys, ex_improper):
     f = tmp_path / "sq.txt"
     f.write_text(format_square_text(ex_improper))
@@ -256,6 +278,23 @@ def test_verify_rejects_order_below_one_at_header(tmp_path, capsys, order):
     result = run_cli(capsys, "verify", str(f))
     assert_one_line_error(result, 1)
     assert result[2] == f"parse failure: order {order} is not positive\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 2 junk 7\n0 1\n1 0\n", "expected header line 'n <order>'"),
+        ("n x\n0 1\n1 0\n", "expected header line 'n <order>'"),
+        ("n 3\n0 1 2\n1 2 0\n", "expected 3 grid rows"),
+    ],
+    ids=["trailing-junk", "order-not-integer", "too-few-rows"],
+)
+def test_verify_rejects_malformed_header(tmp_path, capsys, text, message):
+    f = tmp_path / "sq.txt"
+    f.write_text(text)
+    result = run_cli(capsys, "verify", str(f))
+    assert_one_line_error(result, 1)
+    assert result[2] == f"parse failure: {message}\n"
 
 
 def test_gen_output_verifies(tmp_path, capsys):
@@ -332,6 +371,19 @@ def test_uniformity_stdin_mode(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(sys, "stdin", io.StringIO("n 3\n0 1 2\n1 2 0\n2 0 0\n"))
     assert_one_line_error(run_cli(capsys, "uniformity", "3", "--stdin"), 1)
+
+
+def test_uniformity_stdin_rejects_improper_or_other_order(capsys, monkeypatch, ex_improper):
+    import io
+
+    for square, message in (
+        (ex_improper, "uniformity input must be proper squares\n"),
+        (cyclic_square(3), "input squares must have order 4\n"),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(format_square_text(square)))
+        result = run_cli(capsys, "uniformity", "4", "--stdin")
+        assert_one_line_error(result, 2)
+        assert result[2] == message
 
 
 def test_uniformity_cells_mode(capsys):

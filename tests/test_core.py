@@ -59,6 +59,8 @@ def test_first_symbol_outside_range_is_named(bad):
 def test_order_zero_rejected_order_one_admitted():
     with pytest.raises(InvalidSquare):
         cube_from_grid([])
+    with pytest.raises(InvalidSquare, match="order must be at least 1"):
+        cyclic_square(0)
     one = cube_from_grid([[0]])
     assert one.is_proper and one.n == 1
 
@@ -118,6 +120,8 @@ def test_validate_catches_record_mismatch(ex_improper):
     cube = IncidenceCube.of(ex_improper)
     assert any("does not match" in p for p in validate_cube(cube, ImproperCell(2, 1, (0, 3), 1)))
     assert any("record missing" in p for p in validate_cube(cube, None))
+    out_of_range = SquareState(ex_improper.grid, ImproperCell(2, 1, (0, 2), 7))
+    assert validate(out_of_range) == ["improper record names symbols outside 0..n-1"]
 
 
 def test_improper_cell_distinctness_enforced():

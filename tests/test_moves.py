@@ -81,6 +81,8 @@ def test_malformed_moves_rejected():
         IntercalateMove.from_anchors(0, 0, 1, 1, 1, 1)  # equal symbols
     with pytest.raises(ValueError):
         IntercalateMove(1, 0, 0, 0, 1, 1)  # not canonical
+    with pytest.raises(ValueError):
+        IntercalateMove(-1, 0, 0, 1, 1, 1)  # negative row
 
 
 def test_move_text_round_trip():
@@ -108,6 +110,8 @@ def test_invalid_move_raises_and_is_pure():
     assert not is_valid_move(state, bad)
     with pytest.raises(InvalidMove):
         apply_move(state, bad)
+    with pytest.raises(InvalidMove, match="move indices exceed order 2"):
+        apply_move(state, IntercalateMove(0, 0, 0, 1, 2, 1))
     assert validate(state) == []
 
 
