@@ -236,10 +236,10 @@ def test_path_verify_failure_exits_three(tmp_path, capsys, monkeypatch, broken):
     fb.write_text(format_square_text(b))
     if broken == "invalid move":  # cell (0,0) already holds symbol 0
         bad = IntercalateMove(0, 0, 0, 1, 1, 1)
-        monkeypatch.setattr(cli, "transform_path", lambda a, b: MoveSequence(a, (bad,), b))
+        monkeypatch.setattr(cli, "transform_path", lambda start, end: MoveSequence(start, (bad,), end))
         message = "verification failed: move (0 0 0 1 1 1) invalid: entry already 1 at +1 position 0\n"
     else:
-        monkeypatch.setattr(cli, "transform_path", lambda a, b: MoveSequence(a, (), a))
+        monkeypatch.setattr(cli, "transform_path", lambda start, end: MoveSequence(start, (), start))
         message = "verification failed: endpoint or bound\n"
     result = run_cli(capsys, "path", str(fa), str(fb), "--verify")
     assert_one_line_error(result, 3)
