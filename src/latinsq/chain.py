@@ -12,6 +12,7 @@ the walk never rejects.  Samples are read off the proper visits only.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -44,14 +45,21 @@ class ChainConfig:
     thin: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed", "burn_in", "thin"):
+            value = getattr(self, name)
+            if value is not None or name in ("n", "seed"):  # a None burn_in or thin takes its default
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise LatinSquareError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 1:
             raise DegenerateOrder(f"order must be at least 1, got {self.n}")
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", 10 * self.n**3)
         if self.thin is None:
             object.__setattr__(self, "thin", 2 * self.n**2)
-        if self.burn_in < 0 or self.thin < 1:
-            raise LatinSquareError("burn_in must be >= 0 and thin >= 1")
+        if self.seed < 0 or self.burn_in < 0 or self.thin < 1:
+            raise LatinSquareError("seed and burn_in must be >= 0 and thin >= 1")
 
 
 class RngStream:

@@ -12,9 +12,10 @@ Everything here is built from three primitives and one driver:
   fixing rows top-down; the emitted sequence never exceeds 2(n-1)^3 moves and
   every intermediate state is a valid proper or improper square.
 
-Each returns one `MoveSequence` whose ``end`` is the resulting square.  A
-two-row chain or cycle is the tuple of its columns in walk order; its
-symbols are read from the state.
+Each returns one `MoveSequence` whose ``end`` is the resulting square, built
+by composition: ``seq + other`` joins a path that starts at ``seq.end``, and
+``seq.then(moves)`` applies moves there.  A two-row chain or cycle is the
+tuple of its columns in walk order; its symbols are read from the state.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class OrderMismatch(LatinSquareError):
     """The two endpoint squares have different orders."""
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a path composes hundreds of these, and a frozen __init__ costs twice as much
 class MoveSequence:
-    """An ordered move list with its endpoint states."""
+    """An ordered move list with its endpoint states; no method changes one."""
 
     start: SquareState
     moves: tuple[IntercalateMove, ...]
@@ -56,6 +57,19 @@ class MoveSequence:
 
     def __len__(self) -> int:
         return len(self.moves)
+
+    def __add__(self, other: "MoveSequence") -> "MoveSequence":
+        """This path followed by ``other``, which must start where this one ends."""
+        if other.start != self.end:
+            raise LatinSquareError("paths do not meet: the second does not start where the first ends")
+        return MoveSequence(self.start, self.moves + other.moves, other.end)
+
+    def then(self, moves: Iterable[IntercalateMove]) -> "MoveSequence":
+        """This path extended by ``moves``, each applied once and in order to ``end``."""
+        state, added = self.end, tuple(moves)
+        for m in added:
+            state = apply_move(state, m)
+        return MoveSequence(self.start, self.moves + added, state)
 
     def inverted(self) -> "MoveSequence":
         """The moves from ``end`` back to ``start``: each inverted, last first."""
@@ -83,16 +97,6 @@ def _unique_col(state: SquareState, row: int, sym: int) -> int:
             f"symbol {sym} appears {len(cols)} times positively in row {row}"
         )
     return cols[0]
-
-
-def _extend(
-    state: SquareState, moves: Iterable[IntercalateMove], out: list[IntercalateMove]
-) -> SquareState:
-    """Apply ``moves`` to ``state`` in order, appending each to ``out``."""
-    for m in moves:
-        state = apply_move(state, m)
-        out.append(m)
-    return state
 
 
 def _two_row_chain(
@@ -157,16 +161,14 @@ def _resolve_improper(state: SquareState, avoid: Iterable[int] = ()) -> MoveSequ
         raise LatinSquareError(
             f"no helper row holds symbol {rec.negative} in column {rec.col}; state is corrupt"
         )
-    start, moves, helper_row = state, [], helpers[0]
-    while state.improper is not None:
-        rec = state.improper
-        chain_hi, chain_lo = find_row_cycles(state, helper_row)
+    seq, helper_row = MoveSequence(state, (), state), helpers[0]
+    while (rec := seq.end.improper) is not None:
+        chain_hi, chain_lo = find_row_cycles(seq.end, helper_row)
         lo, hi = rec.positive_pair
         chain, chased = (chain_lo, lo) if len(chain_lo) < len(chain_hi) else (chain_hi, hi)
         m = IntercalateMove.from_anchors(rec.row, rec.col, rec.negative, helper_row, chain[-1], chased)
-        state = _extend(state, (m,), moves)
-        helper_row = rec.row
-    return MoveSequence(start, tuple(moves), state)
+        seq, helper_row = seq.then((m,)), rec.row
+    return seq
 
 
 def normalize_to_proper(state: SquareState) -> MoveSequence:
@@ -228,7 +230,7 @@ def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSe
     first = top[column]
     ms = [IntercalateMove.from_anchors(i1, column, top[cols[1]], i2, cols[1], first)]
     ms += (IntercalateMove.from_anchors(i2, c, first, i1, d, top[d]) for c, d in zip(cols[1:-1], cols[2:]))
-    return MoveSequence(state, tuple(ms), _extend(state, ms, []))
+    return MoveSequence(state, (), state).then(ms)
 
 
 def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSequence:
@@ -269,8 +271,7 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
 
     if i3 == i2:
         # The negative row itself holds s at j2: one move does it all.
-        m = IntercalateMove.from_anchors(i1, j1, t, i2, j2, s)
-        return MoveSequence(state, (m,), apply_move(state, m))
+        return MoveSequence(state, (), state).then((IntercalateMove.from_anchors(i1, j1, t, i2, j2, s),))
 
     # General case.  Chase the chain of rows (i2, i3) from each of the two
     # columns where row i2 holds s; a usable chain ends on a column where
@@ -284,30 +285,22 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
     chain = min(chains, key=lambda chain: (len(chain), chain[0]))
     c1, b_sym = chain[0], state.symbol_at(i3, chain[-1])
 
-    start, moves = state, []
-    state = _extend(state, (IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym),), moves)
-
-    detour = MoveSequence(state, (), state)
-    if state.improper is not None and len(chain) >= 2:
-        # Park the new negative cell (i1, c1) with moves on rows i1 and a
-        # spare row, keeping rows i2 and i3 untouched for the cycle swap.
-        detour = _resolve_improper(state, (i1, i2, i3))
-        state = detour.end
-        moves.extend(detour.moves)
-
+    seq = MoveSequence(state, (), state).then((IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym),))
+    detour = MoveSequence(seq.end, (), seq.end)
     if len(chain) >= 2:
-        swap = cycle_swap(state, (i2, i3), c1)
-        state = swap.end
-        moves.extend(swap.moves)
+        if seq.end.improper is not None:
+            # Park the new negative cell (i1, c1) with moves on rows i1 and a
+            # spare row, keeping rows i2 and i3 untouched for the cycle swap.
+            detour = _resolve_improper(seq.end, (i1, i2, i3))
+        seq = seq + detour + cycle_swap(detour.end, (i2, i3), c1)
 
     # The detour and the swap share no row, so the detour's inverse still
     # undoes it; two moves then close the swap.
-    state = _extend(state, (
+    return seq.then((
         *detour.inverted().moves,
         IntercalateMove.from_anchors(i3, j1, b_sym, i1, c1, s),
         IntercalateMove.from_anchors(i1, j1, t, i3, j2, s),
-    ), moves)
-    return MoveSequence(start, tuple(moves), state)
+    ))
 
 
 def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
@@ -321,31 +314,26 @@ def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
     """
     n = state.n
     target_row = [target.symbol_at(k, c) for c in range(n)]
-    start, moves = state, []
+    seq = MoveSequence(state, (), state)
     while True:
-        row = [state.symbol_at(k, c) for c in range(n)]
+        row = [seq.end.symbol_at(k, c) for c in range(n)]
         mismatched = [c for c in range(n) if row[c] != target_row[c]]
         if not mismatched:
-            return MoveSequence(start, tuple(moves), state)
+            return seq
         j2 = mismatched[0]
         s = target_row[j2]
         t = row[j2]
         j1 = row.index(s)
-        i1 = _unique_row_below(state, k, j2, s)
-        state = _extend(state, (IntercalateMove.from_anchors(k, j2, s, i1, j1, t),), moves)
-        while state.improper is not None:
-            rec = state.improper
+        i1 = _unique_row_below(seq.end, k, j2, s)
+        seq = seq.then((IntercalateMove.from_anchors(k, j2, s, i1, j1, t),))
+        while (rec := seq.end.improper) is not None:
             tau = rec.negative
             if target_row[rec.col] == tau:
                 # tau landed on its own target column: close out the round
                 # with a two-row resolution on a helper row below row k.
-                cleanup = _resolve_improper(state, range(k + 1))
-                state = cleanup.end
-                moves.extend(cleanup.moves)
+                seq += _resolve_improper(seq.end, range(k + 1))
                 break
-            swap = swap_row_entries(state, k, rec.col, target_row.index(tau))
-            state = swap.end
-            moves.extend(swap.moves)
+            seq += swap_row_entries(seq.end, k, rec.col, target_row.index(tau))
 
 
 def _unique_row_below(state: SquareState, k: int, col: int, sym: int) -> int:
@@ -369,16 +357,12 @@ def transform_path(a: SquareState, b: SquareState) -> MoveSequence:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if a == b:
         return MoveSequence(a, (), b)
-    seq_a = normalize_to_proper(a)
-    seq_b = normalize_to_proper(b)
-    state, moves = seq_a.end, list(seq_a.moves)
+    seq, seq_b = normalize_to_proper(a), normalize_to_proper(b)
     for k in range(a.n - 1):
-        row = fix_row(state, seq_b.end, k)
-        state = row.end
-        moves.extend(row.moves)
-    if state != seq_b.end:
+        seq += fix_row(seq.end, seq_b.end, k)
+    if seq.end != seq_b.end:
         raise LatinSquareError("row fixing did not converge; internal error")
-    state = _extend(state, seq_b.inverted().moves, moves)
-    if state != b:
+    seq = seq.then(seq_b.inverted().moves)
+    if seq.end != b:
         raise LatinSquareError("endpoint mismatch after replay; internal error")
-    return MoveSequence(a, tuple(moves), b)
+    return seq

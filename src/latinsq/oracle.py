@@ -8,7 +8,6 @@ reference enumerations (symbol-wise placement, improper-square completion).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,49 +110,39 @@ class StateGraph:
 def build_state_graph(n: int) -> StateGraph:
     """Breadth-first closure of the move graph from the cyclic square.
 
-    The search keys its vertices on the states themselves, which hash and
-    compare by grid and record.  Vertices are then normalized into
-    canonical-key order before return, so the result is independent of
-    discovery order.
+    The vertex list ``states`` is the queue: the search walks it while
+    appending each new state, keyed on the states themselves.  A vertex
+    lists the neighbours its own moves reach; a move is fixed by the change
+    it makes, so none is listed twice, and its inverse lists the edge from
+    the other end.  Vertices are then renumbered in canonical-key order.
     """
     if not 2 <= n <= GRAPH_LIMIT:
         raise TooLarge(f"state graph is limited to 2 <= n <= {GRAPH_LIMIT}")
     start = cyclic_square(n)
     states = [start]
     found = {start: 0}
-    edges: set[tuple[int, int]] = set()
-    queue = deque([0])
-    while queue:
-        idx = queue.popleft()
-        state = states[idx]
+    nbrs: list[list[int]] = []
+    for state in states:
+        nbrs.append([])
         for m in enumerate_valid_moves(state):
             nxt = apply_move(state, m)
             j = found.get(nxt)
             if j is None:
                 j = found[nxt] = len(states)
                 states.append(nxt)
-                queue.append(j)
-            edges.add((min(idx, j), max(idx, j)))
+            nbrs[-1].append(j)
 
-    keys = [canonical_key(s) for s in states]
-    order = sorted(range(len(states)), key=keys.__getitem__)
-    relabel = {old: new for new, old in enumerate(order)}
-    adjacency: list[list[int]] = [[] for _ in order]
-    for u, v in edges:
-        ru, rv = relabel[u], relabel[v]
-        adjacency[ru].append(rv)
-        adjacency[rv].append(ru)
-    for nbrs in adjacency:
-        nbrs.sort()
+    order = sorted(range(len(states)), key=lambda i: canonical_key(states[i]))
+    rank = sorted(range(len(order)), key=order.__getitem__)  # rank[order[i]] == i
+    adjacency = [sorted(rank[j] for j in nbrs[i]) for i in order]
     return StateGraph(n, [states[i] for i in order], adjacency)
 
 
 def _bfs_distances(g: StateGraph, source: int) -> list[int]:
     dist = [-1] * g.vertex_count
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    queue = [source]
+    for u in queue:  # grows as the search reaches vertices
         for v in g.adjacency[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1

@@ -25,6 +25,16 @@ def test_config_defaults_and_validation():
         ChainConfig(0)
     with pytest.raises(Exception):
         ChainConfig(3, thin=0)
+    # A fractional thin would never count down to zero, and a negative seed
+    # would fail only at the first draw.
+    for bad in ({"thin": 2.5}, {"burn_in": 1.0}, {"seed": "1"}, {"seed": -1}):
+        with pytest.raises(LatinSquareError):
+            ChainConfig(3, **bad)
+    with pytest.raises(LatinSquareError):
+        ChainConfig(3.0)
+    cfg = ChainConfig(np.int64(4), seed=np.uint32(1), thin=np.int16(32))
+    assert (cfg.n, cfg.seed, cfg.burn_in, cfg.thin) == (4, 1, 640, 32)
+    assert type(cfg.n) is int and type(cfg.thin) is int
 
 
 def test_step_requires_order_two():

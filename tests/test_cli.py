@@ -126,6 +126,7 @@ def test_gen_flag_errors(capsys):
     assert_one_line_error(run_cli(capsys, "gen", "3", "--samples", "0"), 2)
     assert_one_line_error(run_cli(capsys, "gen", "3", "--chains", "0"), 2)
     assert_one_line_error(run_cli(capsys, "gen", "3", "--burn-in", "-1"), 2)
+    assert_one_line_error(run_cli(capsys, "gen", "3", "--seed", "-1"), 2)
 
 
 # sha256 of stdout for fixed seeds: a change to the walk, to its use of the

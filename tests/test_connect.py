@@ -366,6 +366,30 @@ def test_move_sequence_replay_checks_prefixes(ex_improper, ex_proper):
     assert seq.replay(check=True) == ex_proper
 
 
+def test_move_sequences_compose_where_they_meet(ex_improper):
+    a = normalize_to_proper(ex_improper)
+    b = fix_row(a.end, cyclic_square(4), 0)
+    joined = a + b
+    assert (joined.start, joined.end) == (a.start, b.end)
+    assert len(joined) == len(a) + len(b) and joined.moves == a.moves + b.moves
+    assert joined.replay(check=True) == b.end
+    with pytest.raises(LatinSquareError, match="do not meet"):
+        b + a
+
+
+def test_move_sequence_then_ends_where_checked_replay_does():
+    start = _improper_states_from_chain(6, 5, 1)[0]
+    rng, state, moves = RngStream(8), start, []
+    for _ in range(40):
+        state, m = step(state, rng)
+        moves.append(m)
+    empty = MoveSequence(start, (), start)
+    seq = empty.then(moves[:15]).then(iter(moves[15:]))
+    assert seq.moves == tuple(moves) and seq.start == start
+    assert seq.end == MoveSequence(start, tuple(moves), state).replay(check=True) == state
+    assert empty.then(()) == empty
+
+
 def _path_endpoints(n, seed):
     """Four proper and four improper states, at least n^2 walk steps apart."""
     rng = RngStream(seed)

@@ -92,6 +92,18 @@ def test_graph_edges_symmetric_via_inverted_move(graph3):
             assert is_valid_move(target, m.inverted())
 
 
+@pytest.mark.parametrize("name", ["graph3", "graph4"])
+def test_graph_adjacency_lists_are_sets_and_symmetric(name, request):
+    # The search lists each vertex's neighbours as its own moves find them,
+    # with no edge set: no move may repeat a neighbour, and the inverse move
+    # must list every edge from its other end.
+    g = request.getfixturevalue(name)
+    nbr_sets = [set(nbrs) for nbrs in g.adjacency]
+    assert all(len(s) == len(nbrs) for s, nbrs in zip(nbr_sets, g.adjacency))
+    assert all(u in nbr_sets[v] for u, s in enumerate(nbr_sets) for v in s)
+    assert not any(u in s for u, s in enumerate(nbr_sets))
+
+
 def test_canonical_key_distinguishes_states(graph3):
     keys = {canonical_key(s) for s in graph3.states}
     assert len(keys) == graph3.vertex_count
