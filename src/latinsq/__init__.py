@@ -1,13 +1,12 @@
 """Latin squares via the +/-1-move random walk: sampling, explicit move
 paths between any two squares, and exhaustive/statistical verification."""
 
-from .chain import ChainConfig, RngStream, sample, step
+from .chain import ChainConfig, RngStream, sample
 from .connect import (
     MoveSequence,
     cycle_swap,
     find_row_cycles,
     normalize_to_proper,
-    proper_row_cycles,
     swap_row_entries,
     transform_path,
 )
@@ -25,7 +24,6 @@ from .moves import (
     InvalidMove,
     apply_move,
     enumerate_valid_moves,
-    is_valid_move,
 )
 from .oracle import (
     StateGraph,
@@ -62,11 +60,8 @@ __all__ = [
     "enumerate_latin_squares",
     "enumerate_valid_moves",
     "find_row_cycles",
-    "is_valid_move",
     "normalize_to_proper",
-    "proper_row_cycles",
     "sample",
-    "step",
     "swap_row_entries",
     "transform_path",
     "validate",

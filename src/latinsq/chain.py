@@ -18,8 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ImproperCell, LatinSquareError, SquareState, cube_from_grid, cyclic_square
-from .moves import IntercalateMove
+from .core import ImproperCell, LatinSquareError, SquareState, cyclic_square
 from .oracle import enumerate_latin_squares
 
 
@@ -131,11 +130,6 @@ class _Walker:
         rec = None if neg is None else ImproperCell(neg[0], neg[1], self.pairs[2], neg[2])
         return SquareState(tuple(tuple(sym[i : i + n]) for i in range(0, n * n, n)), rec)
 
-    def to_state(self) -> SquareState:
-        """The current square, checked."""
-        v = self.view()
-        return cube_from_grid(v.grid, v.improper)
-
     def advance(self, count: int, proper: bool = False) -> tuple[int, int, int, int, int, int] | None:
         """Take ``count`` flips, or with ``proper`` flip until ``count`` proper visits.
 
@@ -207,22 +201,16 @@ class _Walker:
         return r, c, s, r2, c2, s2
 
 
-def step(state: SquareState, rng: RngStream) -> tuple[SquareState, IntercalateMove]:
-    """One random +/-1-move; returns the new state and the move taken."""
-    if state.n < 2:
-        raise DegenerateOrder("the walk needs order at least 2")
-    w = _Walker(state, rng)
-    anchors = w.advance(1)
-    return w.to_state(), IntercalateMove.from_anchors(*anchors)
+def iter_samples(config: ChainConfig, count: int, rng: RngStream) -> Iterator[SquareState]:
+    """Stream ``count`` approximately uniform proper squares from one chain on ``rng``.
 
-
-def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) -> Iterator[SquareState]:
-    """Stream ``count`` proper squares from one chain; see `sample`."""
+    Starts from the cyclic square, discards ``burn_in`` raw steps, then
+    yields every ``thin``-th proper visit (at n <= 2, a uniform draw from
+    the enumerated squares instead).  Byte-reproducible for a fixed stream.
+    """
     if count < 1:
         raise LatinSquareError("count must be at least 1")
     n = config.n
-    if rng is None:
-        rng = RngStream(config.seed).spawn(1)[0]
     if n <= 2:
         # Order 2 has no improper squares, so every step flips to the other
         # square and the walk has period 2: draw the squares directly.
@@ -238,16 +226,10 @@ def iter_samples(config: ChainConfig, count: int, rng: RngStream | None = None) 
         yield w.view()
 
 
-def sample(config: ChainConfig, count: int, rng: RngStream | None = None) -> list[SquareState]:
-    """Draw ``count`` approximately uniform proper squares.
-
-    Starts from the cyclic square, discards ``burn_in`` raw steps, then
-    records every ``thin``-th proper visit (at n <= 2, a uniform draw from
-    the enumerated squares instead).  Byte-reproducible for a fixed seed;
-    when ``rng`` is omitted the stream is the first spawn of the config
-    seed so that a one-chain parallel run matches exactly.
-    """
-    return list(iter_samples(config, count, rng))
+def sample(config: ChainConfig, count: int) -> list[SquareState]:
+    """Draw ``count`` squares from one chain: `iter_samples` on the first
+    stream spawned from the config seed, as `iter_chains` runs one chain."""
+    return list(iter_chains(config, 1, count))
 
 
 def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[SquareState]:
@@ -255,13 +237,15 @@ def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[Square
 
     Each chain gets its own spawned child stream and ceil(count / chains)
     samples; the stream stops after ``count``.  The output depends only on
-    (seed, chains, count), never on scheduling.
+    (seed, chains, count), never on scheduling.  Only the streams read are
+    spawned; a child's seed depends on its index alone, so the k-th stream
+    is the same however many follow it.
     """
     if chains < 1:
         raise LatinSquareError("chains must be at least 1")
     if count < 1:
         raise LatinSquareError("sample count must be at least 1")
     per_chain = -(-count // chains)
-    streams = RngStream(config.seed).spawn(chains)
+    streams = RngStream(config.seed).spawn(-(-count // per_chain))
     samples = itertools.chain.from_iterable(iter_samples(config, per_chain, s) for s in streams)
     return itertools.islice(samples, count)

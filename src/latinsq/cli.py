@@ -88,7 +88,10 @@ def _json_int(value: object, what: str) -> int:
 
 
 def parse_square_json(text: str) -> SquareState:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise InvalidSquare("JSON nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "grid" not in obj:
         raise InvalidSquare("expected an object with keys 'n' and 'grid'")
     rows = obj["grid"]

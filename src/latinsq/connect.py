@@ -184,50 +184,25 @@ def normalize_to_proper(state: SquareState) -> MoveSequence:
     return _resolve_improper(state)
 
 
-def _row_cycle(state: SquareState, i1: int, i2: int, column: int) -> tuple[int, ...]:
-    """The columns of the cycle of rows (``i1``, ``i2``) through ``column``, in walk order.
-
-    The walk closes when row ``i2`` shows the symbol row ``i1`` holds at
-    ``column``; in a proper square with two distinct rows it spans at least
-    two columns.
-    """
-    if state.improper is not None:
-        raise InvalidCycle("row cycles need a proper state")
-    if i1 == i2:
-        raise InvalidCycle("cycle rows must differ")
-    if not all(0 <= x < state.n for x in (i1, i2, column)):
-        raise InvalidCycle(f"row {i1}, row {i2} or column {column} outside 0..{state.n - 1}")
-    return _two_row_chain(state, i1, i2, column, (state.symbol_at(i1, column),))
-
-
-def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[tuple[int, ...]]:
-    """Decompose the columns of a proper square into the cycles of two rows.
-
-    Each cycle is its columns in `cycle_swap`'s walk order for rows
-    (row_a, row_b), starting at its smallest column; the cycles are ordered
-    by that column.  Every cycle has length >= 2.
-    """
-    cycles: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for c0 in range(state.n):
-        if c0 not in seen:
-            cycles.append(_row_cycle(state, row_a, row_b, c0))
-            seen.update(cycles[-1])
-    return cycles
-
-
 def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSequence:
     """Exchange two rows of a proper square along their cycle through ``column``.
 
     Emits exactly r-1 moves for a cycle of r columns: the first opens the
     cycle (making the state improper for r >= 3), and each later move walks
     the negative cell one column further until it closes.  No cell outside
-    the cycle changes.
+    the cycle changes.  The cycle closes at the column where row i2 holds
+    the symbol row i1 holds at ``column``.
     """
     i1, i2 = rows
-    cols = _row_cycle(state, i1, i2, column)
+    if state.improper is not None:
+        raise InvalidCycle("row cycles need a proper state")
+    if i1 == i2:
+        raise InvalidCycle("cycle rows must differ")
+    if not all(0 <= x < state.n for x in (i1, i2, column)):
+        raise InvalidCycle(f"row {i1}, row {i2} or column {column} outside 0..{state.n - 1}")
     top = state.grid[i1]
     first = top[column]
+    cols = _two_row_chain(state, i1, i2, column, (first,))
     ms = [IntercalateMove.from_anchors(i1, column, top[cols[1]], i2, cols[1], first)]
     ms += (IntercalateMove.from_anchors(i2, c, first, i1, d, top[d]) for c, d in zip(cols[1:-1], cols[2:]))
     return MoveSequence(state, (), state).then(ms)

@@ -131,11 +131,6 @@ def _flip(state: SquareState, m: IntercalateMove) -> SquareState | str:
     return SquareState(tuple(grid), new)
 
 
-def is_valid_move(state: SquareState, m: IntercalateMove) -> bool:
-    """True iff apply_move would succeed; pure predicate."""
-    return not isinstance(_flip(state, m), str)
-
-
 def apply_move(state: SquareState, m: IntercalateMove) -> SquareState:
     """Add the move's intercalate to the state.
 
@@ -159,7 +154,7 @@ def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
     symbol a != b, a +1 of a in row i and a +1 of a in column j.  Those three
     -1 positions are +1s by construction, so each candidate is checked on
     its four +1 positions and its fourth -1 position, (i2, j2, b), by the
-    rule of `is_valid_move`; the valid ones are brought to canonical form,
+    rule of `apply_move`; the valid ones are brought to canonical form,
     deduplicated and sorted.
     """
     n = state.n

@@ -4,7 +4,8 @@ The paper defines a proper or improper square as an n x n x n array over
 {-1, 0, 1} indexed by (row, column, symbol).  The library keeps only the
 grid and the improper record; tests build the cube here, with numpy, and
 compare the library's grid-native readers and `validate` against it, and
-read a move as the cube entries it adds 1 to and subtracts 1 from.  The
+read a move as the cube entries it adds 1 to and subtracts 1 from, valid
+when that sum is a proper or improper square again.  The
 cube checker also examines candidate data that no grid plus record can
 express (several negatives, a record that disagrees with its cell).
 """
@@ -82,6 +83,20 @@ def plus_triples(m: IntercalateMove) -> tuple[tuple[int, int, int], ...]:
 def minus_triples(m: IntercalateMove) -> tuple[tuple[int, int, int], ...]:
     """The four cube entries the move subtracts 1 from."""
     return ((m.i, m.j, m.b), (m.i, m.j2, m.a), (m.i2, m.j, m.a), (m.i2, m.j2, m.b))
+
+
+def is_valid_move(state: SquareState, m: IntercalateMove) -> bool:
+    """True iff the move keeps the state a proper or improper square: its
+    cube plus the move's +/-1 entries stays inside {-1, 0, 1} with at most
+    one -1."""
+    if max(m.i2, m.j2, m.a, m.b) >= state.n:
+        return False
+    data = IncidenceCube.of(state).data.copy()
+    for t in plus_triples(m):
+        data[t] += 1
+    for t in minus_triples(m):
+        data[t] -= 1
+    return bool(data.max() <= 1 and data.min() >= -1 and (data == -1).sum() <= 1)
 
 
 def from_cube(cube: IncidenceCube) -> SquareState:

@@ -5,7 +5,9 @@ each symbol as a full rook placement, a strategy unrelated to the cell-wise
 backtracking of `latinsq.oracle`; `enumerate_improper_squares` lists the
 improper squares by direct completion search, independent of the move
 machinery and of the graph search.  The tests check the library's
-enumeration and state graph against both.
+enumeration and state graph against both.  `proper_row_cycles` splits the
+columns of a proper square into the cycles of two rows, for the tests of
+`cycle_swap`.
 """
 
 from __future__ import annotations
@@ -105,3 +107,26 @@ def _complete_improper(
 
     fill(0)
     return found
+
+
+def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[tuple[int, ...]]:
+    """The columns of a proper square split into the cycles of two rows.
+
+    Each cycle lists its columns in `cycle_swap`'s walk order for rows
+    (row_a, row_b), from its smallest column: from column c the walk goes to
+    the column where row_a holds row_b's symbol at c.  The cycles are ordered
+    by their smallest column; each has length >= 2.
+    """
+    top, bottom = state.grid[row_a], state.grid[row_b]
+    cycles: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for c0 in range(state.n):
+        if c0 in seen:
+            continue
+        cycle, c = [c0], top.index(bottom[c0])
+        while c != c0:
+            cycle.append(c)
+            c = top.index(bottom[c])
+        seen.update(cycle)
+        cycles.append(tuple(cycle))
+    return cycles

@@ -1,4 +1,8 @@
-"""A stand-in for `RngStream` that feeds the walk scripted draws."""
+"""Helpers that run the sampler's walker in tests: scripted draws and checked walks."""
+
+from latinsq.chain import _Walker
+from latinsq.core import validate
+from latinsq.moves import IntercalateMove
 
 
 class ScriptedDraws:
@@ -18,3 +22,17 @@ class ScriptedDraws:
             assert self.bound in (None, bound)
             assert 0 <= v < bound
             yield v
+
+
+def walk(start, rng):
+    """The endless walk of one `_Walker` from ``start`` on ``rng``.
+
+    Yields (state, move) after each raw step, the state checked by
+    `validate`, the move read from the step's anchors.
+    """
+    w = _Walker(start, rng)
+    while True:
+        move = IntercalateMove.from_anchors(*w.advance(1))
+        state = w.view()
+        assert validate(state) == []
+        yield state, move

@@ -16,15 +16,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from cube_reference import IncidenceCube, plus_triples
-from enumeration_reference import enumerate_grids_by_symbol, enumerate_improper_squares
-from latinsq.chain import ChainConfig, RngStream, _Walker, iter_chains, iter_samples, sample, step
+from cube_reference import IncidenceCube, is_valid_move, plus_triples
+from enumeration_reference import enumerate_grids_by_symbol, enumerate_improper_squares, proper_row_cycles
+from latinsq.chain import ChainConfig, RngStream, _Walker, iter_chains, iter_samples, sample
 from latinsq.cli import main as cli_main
 from latinsq.connect import (
     cycle_swap,
     fix_row,
     normalize_to_proper,
-    proper_row_cycles,
     swap_row_entries,
     transform_path,
 )
@@ -34,7 +33,6 @@ from latinsq.moves import (
     InvalidMove,
     apply_move,
     enumerate_valid_moves,
-    is_valid_move,
 )
 from latinsq.oracle import (
     _enumerate_grids,
@@ -45,7 +43,7 @@ from latinsq.oracle import (
     enumerate_latin_squares,
 )
 from latinsq.stats import autocorrelation_time, cell_symbol_frequency_test, chi_square_uniformity
-from scripted_draws import ScriptedDraws
+from scripted_draws import ScriptedDraws, walk
 
 from conftest import EX_PROPER_GRID
 
@@ -176,11 +174,10 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
         assert len({r for m in seq.moves for r in (m.i, m.i2)}) <= 2
     sampled = 0
     for n in (5, 6, 7, 8):
-        rng = RngStream(CI_SEED + n)
-        state = cyclic_square(n)
+        steps = walk(cyclic_square(n), RngStream(CI_SEED + n))
         seen = 0
         while seen < 500:
-            state, _ = step(state, rng)
+            state, _ = next(steps)
             if state.improper is None:
                 continue
             seen += 1
@@ -213,10 +210,9 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
     # swap_row_entries: move bound and the two-cell row contract
     instances = 0
     for n in (5, 6, 7):
-        rng = RngStream(CI_SEED + 7 * n)
-        state = cyclic_square(n)
+        steps = walk(cyclic_square(n), RngStream(CI_SEED + 7 * n))
         while instances < 70 * (n - 4):
-            state, _ = step(state, rng)
+            state, _ = next(steps)
             rec = state.improper
             if rec is None:
                 continue
@@ -393,9 +389,10 @@ def test_criterion_8_chain_steps_cancel_negative(acceptance_record, graph3):
         rec = state.improper
         neg = (rec.row, rec.col, rec.negative)
         for pick in range(8):
-            result, move = step(state, ScriptedDraws([pick], bound=8))
+            w = _Walker(state, ScriptedDraws([pick], bound=8))
+            move = IntercalateMove.from_anchors(*w.advance(1))
             assert neg in plus_triples(move)
-            assert validate(result) == []
+            assert validate(w.view()) == []
             checked += 1
     acceptance_record(
         "criterion 8 (chain variant): every possible walk step from an improper "
@@ -406,8 +403,8 @@ def test_criterion_8_chain_steps_cancel_negative(acceptance_record, graph3):
 
 
 def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
-    # The walk's own transition matrix, built from the public step with every
-    # pick scripted in turn: n^2 (n-1) equally likely picks from a proper
+    # The walk's own transition matrix, built from the sampler's walker with
+    # every pick scripted in turn: n^2 (n-1) equally likely picks from a proper
     # state, 8 from an improper one.
     n = 3
     index = {canonical_key(s): k for k, s in enumerate(graph3.states)}
@@ -416,7 +413,10 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
     for k, state in enumerate(graph3.states):
         picks = n * n * (n - 1) if state.is_proper else 8
         for v in range(picks):
-            result, _ = step(state, ScriptedDraws([v], bound=picks))
+            w = _Walker(state, ScriptedDraws([v], bound=picks))
+            w.advance(1)
+            result = w.view()
+            assert validate(result) == []
             P[k, index[canonical_key(result)]] += 1.0 / picks
     assert np.allclose(P.sum(axis=1), 1.0)
 
@@ -516,7 +516,7 @@ def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, gra
 def test_default_thin_exceeds_five_autocorrelation_times_order_eight(acceptance_record):
     # tau_int of the slowest observable known, "cell (0,0) holds 0", over
     # every proper visit after the default burn-in.
-    visits = iter_samples(ChainConfig(8, seed=CI_SEED, thin=1), 20000)
+    visits = iter_chains(ChainConfig(8, seed=CI_SEED, thin=1), 1, 20000)
     series = np.fromiter((sq.grid[0][0] == 0 for sq in visits), dtype=float, count=20000)
     tau, ess = autocorrelation_time(series)
     thin = ChainConfig(8).thin
@@ -540,7 +540,7 @@ def test_criterion_9_determinism(acceptance_record, capsys):
     merged = list(iter_chains(cfg, 3, 3 * 2))
     manual = []
     for stream in RngStream(77).spawn(3):
-        manual.extend(sample(cfg, 2, stream))
+        manual.extend(iter_samples(cfg, 2, stream))
     ok = first == second and merged == manual
     acceptance_record(
         "criterion 9: byte-identical generation and stream-assignment equivalence",

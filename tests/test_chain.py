@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from cube_reference import IncidenceCube, plus_triples
+from cube_reference import IncidenceCube, is_valid_move, plus_triples
 from latinsq.chain import (
     ChainConfig,
     DegenerateOrder,
@@ -10,12 +12,11 @@ from latinsq.chain import (
     iter_chains,
     iter_samples,
     sample,
-    step,
 )
 from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, validate
-from latinsq.moves import apply_move, enumerate_valid_moves, is_valid_move
+from latinsq.moves import IntercalateMove, apply_move, enumerate_valid_moves
 from latinsq.oracle import canonical_key
-from scripted_draws import ScriptedDraws
+from scripted_draws import ScriptedDraws, walk
 
 
 def test_config_defaults_and_validation():
@@ -37,19 +38,15 @@ def test_config_defaults_and_validation():
     assert type(cfg.n) is int and type(cfg.thin) is int
 
 
-def test_step_requires_order_two():
-    with pytest.raises(DegenerateOrder):
-        step(cyclic_square(1), RngStream(0))
-
-
 def test_every_selectable_triple_flips_the_two_by_two():
     # All 4 zero triples of [[0,1],[1,0]] lead to the same move and to the
     # other square.
     start = cube_from_grid([[0, 1], [1, 0]])
     other = cube_from_grid([[1, 0], [0, 1]])
     for t in range(4):
-        result, move = step(start, ScriptedDraws([t]))
-        assert result == other
+        w = _Walker(start, ScriptedDraws([t]))
+        move = IntercalateMove.from_anchors(*w.advance(1))
+        assert w.view() == other
         assert move.text() == "0 0 1 1 1 0"
 
 
@@ -57,11 +54,12 @@ def test_proper_state_has_n_squared_times_n_minus_one_choices():
     # The draw bound is exactly n^2 (n-1); every value yields a valid move.
     state = cyclic_square(3)
     for t in range(9 * 2):
-        result, move = step(state, ScriptedDraws([t]))
+        w = _Walker(state, ScriptedDraws([t]))
+        move = IntercalateMove.from_anchors(*w.advance(1))
         assert is_valid_move(state, move)
-        assert validate(result) == []
+        assert validate(w.view()) == []
     with pytest.raises(AssertionError):
-        step(state, ScriptedDraws([18]))
+        _Walker(state, ScriptedDraws([18])).advance(1)
 
 
 def test_improper_state_has_eight_equally_likely_flips(graph3):
@@ -70,7 +68,9 @@ def test_improper_state_has_eight_equally_likely_flips(graph3):
     neg_triple = (neg.row, neg.col, neg.negative)
     results = set()
     for pick in range(8):
-        result, move = step(improper, ScriptedDraws([pick]))
+        w = _Walker(improper, ScriptedDraws([pick]))
+        move = IntercalateMove.from_anchors(*w.advance(1))
+        result = w.view()
         assert validate(result) == []
         assert neg_triple in plus_triples(move)
         results.add(canonical_key(result))
@@ -78,10 +78,8 @@ def test_improper_state_has_eight_equally_likely_flips(graph3):
 
 
 def test_chain_steps_are_valid_moves_and_stay_in_space():
-    rng = RngStream(99)
     state = cyclic_square(5)
-    for _ in range(400):
-        nxt, move = step(state, rng)
+    for nxt, move in itertools.islice(walk(state, RngStream(99)), 400):
         assert is_valid_move(state, move)
         assert apply_move(state, move) == nxt
         state = nxt
@@ -137,7 +135,7 @@ def test_run_parallel_matches_manual_stream_assignment():
     streams = RngStream(17).spawn(4)
     manual = []
     for s in streams:
-        manual.extend(sample(cfg, 10, s))
+        manual.extend(iter_samples(cfg, 10, s))
     assert merged == manual
     assert merged == list(iter_chains(cfg, 4, 40))
 
@@ -156,11 +154,11 @@ def test_iter_chains_rejects_empty_splits(chains, count):
 
 
 def test_iter_samples_streams_lazily():
-    gen = iter_samples(ChainConfig(3, seed=5, burn_in=10, thin=2), 3)
+    gen = iter_samples(ChainConfig(3, seed=5, burn_in=10, thin=2), 3, RngStream(5))
     first = next(gen)
     assert first.n == 3
     with pytest.raises(LatinSquareError, match="count must be at least 1"):
-        next(iter_samples(ChainConfig(3), 0))  # checked when the stream is first read
+        next(iter_samples(ChainConfig(3), 0, RngStream(0)))  # checked when the stream is first read
 
 
 def test_rng_stream_spawn_children_differ_and_reproduce():
@@ -194,23 +192,25 @@ def test_rng_stream_draws_blocks_per_bound_in_request_order():
     assert got_wide == want_wide[:5000]
 
 
-def test_public_step_matches_walker():
-    rng1 = RngStream(123)
-    rng2 = RngStream(123)
-    state = cyclic_square(4)
-    w = _Walker(state, rng2)
-    for _ in range(50):
-        state, _ = step(state, rng1)
-    w.advance(50)
-    assert w.to_state() == state
+def test_fresh_walkers_sharing_a_stream_match_one_walker():
+    # Each walker binds the stream's shared draw iterators, so a walk that
+    # starts a fresh walker from its own square at every step draws what one
+    # walker advanced step by step draws, and takes the same steps.
+    for n, seed in ((3, 0), (4, 123), (5, 1), (8, 2), (12, 3)):
+        shared, one = RngStream(seed), _Walker(cyclic_square(n), RngStream(seed))
+        state = cyclic_square(n)
+        for _ in range(100):
+            fresh = _Walker(state, shared)
+            assert fresh.advance(1) == one.advance(1)
+            state = fresh.view()
+            assert state == one.view()
 
 
 def _check_walker_state(w):
     """The walker's grid, conjugate maps and improper pairs agree with its cube."""
     n = w.n
-    state = w.to_state()
+    state = w.view()
     assert validate(state) == []
-    assert w.view() == state
     cube = IncidenceCube.of(state)
     bad_cell = bad_row_line = bad_col_line = None
     if w.neg is None:
@@ -243,7 +243,7 @@ def _improper_prefix_state(n, seed):
     w = _Walker(cyclic_square(n), RngStream(seed))
     while w.neg is None:
         w.advance(1)
-    return w.to_state()
+    return w.view()
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -256,7 +256,7 @@ def test_walker_state_consistent_after_every_step(n, graph3):
     for seed in range(3):
         for start in starts:
             w = _Walker(start, RngStream(seed))
-            assert w.to_state() == start
+            assert w.view() == start
             _check_walker_state(w)
             for _ in range(60):
                 w.advance(1)
@@ -274,4 +274,4 @@ def test_walker_advance_counts_raw_steps_or_proper_visits():
             if b.neg is None:
                 break
     assert a.advance(7, proper=True) == last
-    assert a.to_state() == b.to_state()
+    assert a.view() == b.view()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import latinsq
 from enumeration_reference import enumerate_improper_squares
+from latinsq.chain import ChainConfig, RngStream, iter_samples
 from latinsq.cli import (
     format_square_json,
     format_square_text,
@@ -119,6 +121,24 @@ def test_gen_chains_deterministic(capsys):
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
     assert out1.count("n 3") == 8
+
+
+@pytest.mark.parametrize("samples,chains", [(1, 1000), (5, 7), (5, 4), (10, 4), (12, 30)])
+def test_gen_spawns_only_the_streams_it_reads(capsys, monkeypatch, samples, chains):
+    # A spawned child's seed depends on its index alone, so spawning only the
+    # streams read writes the bytes of spawning one per chain up front.
+    config = ChainConfig(3, seed=9, burn_in=30, thin=3)
+    per_chain = -(-samples // chains)
+    every = (iter_samples(config, per_chain, s) for s in RngStream(9).spawn(chains))
+    squares = itertools.islice(itertools.chain.from_iterable(every), samples)
+    expected = "".join(format_square_text(sq) for sq in squares)
+    spawned = []
+    spawn = RngStream.spawn
+    monkeypatch.setattr(RngStream, "spawn", lambda self, k: spawned.append(k) or spawn(self, k))
+    argv = ["gen", "3", "--seed", "9", "--burn-in", "30", "--thin", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--samples", str(samples), "--chains", str(chains))
+    assert code == 0 and out == expected
+    assert spawned == [-(-samples // per_chain)]
 
 
 def test_gen_flag_errors(capsys):
@@ -270,6 +290,16 @@ def test_verify_corrupted(tmp_path, capsys):
         if k == 0:
             assert "line row=2 sym=0 (over columns) sums to 2" in result[2]
     assert_one_line_error(run_cli(capsys, "verify", str(tmp_path / "missing.txt")), 1)
+
+
+def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
+    # json.loads recurses once per bracket; past the interpreter's limit it
+    # raises RecursionError, which must end as a parse failure.
+    f = tmp_path / "deep.json"
+    f.write_text('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    result = run_cli(capsys, "verify", str(f))
+    assert_one_line_error(result, 1)
+    assert result[2] == "parse failure: JSON nested too deeply\n"
 
 
 @pytest.mark.parametrize("order", [-2, 0])

@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 
 import pytest
 
 from cube_reference import IncidenceCube
+from enumeration_reference import proper_row_cycles
 from latinsq import connect
-from latinsq.chain import ChainConfig, RngStream, sample, step
+from latinsq.chain import ChainConfig, RngStream, sample
 from latinsq.connect import (
     InvalidCycle,
     MismatchedRows,
@@ -16,13 +18,13 @@ from latinsq.connect import (
     find_row_cycles,
     fix_row,
     normalize_to_proper,
-    proper_row_cycles,
     swap_row_entries,
     transform_path,
 )
 from latinsq.core import ImproperCell, LatinSquareError, SquareState, cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, apply_move
 from latinsq.oracle import enumerate_latin_squares
+from scripted_draws import walk
 
 
 def _touched_rows(moves):
@@ -36,14 +38,8 @@ def _random_square(n, seed):
 
 
 def _improper_states_from_chain(n, seed, count):
-    rng = RngStream(seed)
-    state = cyclic_square(n)
-    out = []
-    while len(out) < count:
-        state, _ = step(state, rng)
-        if state.improper is not None:
-            out.append(state)
-    return out
+    states = (state for state, _ in walk(cyclic_square(n), RngStream(seed)))
+    return list(itertools.islice((s for s in states if s.improper is not None), count))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +375,8 @@ def test_move_sequences_compose_where_they_meet(ex_improper):
 
 def test_move_sequence_then_ends_where_checked_replay_does():
     start = _improper_states_from_chain(6, 5, 1)[0]
-    rng, state, moves = RngStream(8), start, []
-    for _ in range(40):
-        state, m = step(state, rng)
-        moves.append(m)
+    steps = list(itertools.islice(walk(start, RngStream(8)), 40))
+    state, moves = steps[-1][0], [m for _, m in steps]
     empty = MoveSequence(start, (), start)
     seq = empty.then(moves[:15]).then(iter(moves[15:]))
     assert seq.moves == tuple(moves) and seq.start == start
@@ -392,12 +386,11 @@ def test_move_sequence_then_ends_where_checked_replay_does():
 
 def _path_endpoints(n, seed):
     """Four proper and four improper states, at least n^2 walk steps apart."""
-    rng = RngStream(seed)
-    state = cyclic_square(n)
+    steps = walk(cyclic_square(n), RngStream(seed))
     proper, improper = [], []
     while len(proper) < 4 or len(improper) < 4:
         for _ in range(n * n):
-            state, _ = step(state, rng)
+            state, _ = next(steps)
         kind = proper if state.is_proper else improper
         if len(kind) < 4:
             kind.append(state)

@@ -1,15 +1,14 @@
+import itertools
+
 import pytest
 
-from cube_reference import IncidenceCube, minus_triples, plus_triples
+from cube_reference import IncidenceCube, is_valid_move, minus_triples, plus_triples
+from enumeration_reference import proper_row_cycles
+from latinsq.chain import RngStream
 from latinsq.core import cube_from_grid, cyclic_square, validate
-from latinsq.moves import (
-    IntercalateMove,
-    InvalidMove,
-    apply_move,
-    enumerate_valid_moves,
-    is_valid_move,
-)
-from latinsq.connect import cycle_swap, proper_row_cycles
+from latinsq.moves import IntercalateMove, InvalidMove, apply_move, enumerate_valid_moves
+from latinsq.connect import cycle_swap
+from scripted_draws import walk
 
 EX_MOVE = IntercalateMove.from_anchors(0, 1, 0, 2, 3, 1)
 
@@ -125,8 +124,8 @@ def test_enumerate_order_one_empty():
 
 
 def _scan_valid_moves(state):
-    """The reference enumerator: every canonical move through the public
-    predicate, in (i, i2, j, j2, a, b) order."""
+    """The reference enumerator: every canonical move through the cube's
+    validity predicate, in (i, i2, j, j2, a, b) order."""
     from itertools import combinations, permutations
 
     n = state.n
@@ -151,15 +150,10 @@ def test_enumerate_is_sorted_and_cross_validates(graph3):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_enumerate_matches_predicate_on_sampled_states(n):
-    # The enumerator's candidate search and the public predicate are separate
+    # The enumerator's candidate search and the cube's predicate are separate
     # code paths; cross-validate them over every canonical move on chain states.
-    from latinsq.chain import RngStream, step
-
-    rng = RngStream(50 + n)
-    state = cyclic_square(n)
-    for _ in range(6):
-        for _ in range(25):
-            state, _ = step(state, rng)
+    # The state after every 25th of 150 walk steps.
+    for state, _ in itertools.islice(walk(cyclic_square(n), RngStream(50 + n)), 24, 150, 25):
         assert enumerate_valid_moves(state) == _scan_valid_moves(state)
 
 
@@ -195,13 +189,8 @@ def test_apply_matches_cube_arithmetic_on_every_order_three_state(graph3):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_apply_matches_cube_arithmetic_on_walk_states(n):
-    from latinsq.chain import RngStream, step
-
-    rng = RngStream(70 + n)
-    state = cyclic_square(n)
     kinds = set()
-    for _ in range(12):
-        state, _ = step(state, rng)
+    for state, _ in itertools.islice(walk(cyclic_square(n), RngStream(70 + n)), 12):
         kinds.add(state.kind)
         _check_apply_against_cube(state)
     assert kinds == {"proper", "improper"}
@@ -257,12 +246,7 @@ def test_apply_invert_identity_across_graph(graph3):
 def test_surviving_negative_keeps_record():
     # At n >= 4 an improper state can admit a clean intercalate flip away
     # from its negative cell; the record must survive such a move.
-    from latinsq.chain import RngStream, step
-
-    rng = RngStream(11)
-    state = cyclic_square(5)
-    for _ in range(300):
-        state, _ = step(state, rng)
+    for state, _ in itertools.islice(walk(cyclic_square(5), RngStream(11)), 300):
         if state.improper is None:
             continue
         rec = state.improper

@@ -1,8 +1,9 @@
 import pytest
 
+from cube_reference import is_valid_move
 from enumeration_reference import enumerate_grids_by_symbol, enumerate_improper_squares
 from latinsq.core import validate
-from latinsq.moves import enumerate_valid_moves, is_valid_move
+from latinsq.moves import enumerate_valid_moves
 from latinsq.oracle import (
     TooLarge,
     _enumerate_grids,
