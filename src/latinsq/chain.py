@@ -30,12 +30,15 @@ class DegenerateOrder(LatinSquareError):
 class ChainConfig:
     """Sampler configuration.  burn_in counts raw steps, thin proper visits.
 
-    The defaults are 10 n^3 raw steps and 2 n^2 proper visits, the thin
-    chosen by measured mixing: at n = 3 and 4 the exact chain on proper
-    visits is within 1e-6 of uniform in total variation after 2 n^2 of
-    them, and at n = 8, 16 and 32 it is at least 5 times the integrated
-    autocorrelation time of the slowest observable known ("cell (0, 0)
-    holds 0").
+    Both defaults are measured.  The thin, 2 n^2 proper visits: at n = 3
+    and 4 the exact proper-visit chain is within 1e-6 of uniform in total
+    variation after 2 n^2 visits from any start, and at n = 8, 16 and 32 it
+    is at least 5 times the integrated autocorrelation time of "cell (0, 0)
+    holds 0".  The burn-in, n^3 raw steps, only carries the walk off its
+    cyclic start; the first thin makes the sample uniform.  The exact first
+    sample at n = 3 and 4 is within 1.1e-13 of uniform (4.1e-8 at n = 4
+    with no burn-in), and at n = 8, 16 and 32 the cells agreeing with the
+    start reach their uniform mean, about n, by 0.45 n^3 raw steps.
     """
 
     n: int
@@ -54,7 +57,7 @@ class ChainConfig:
         if self.n < 1:
             raise DegenerateOrder(f"order must be at least 1, got {self.n}")
         if self.burn_in is None:
-            object.__setattr__(self, "burn_in", 10 * self.n**3)
+            object.__setattr__(self, "burn_in", self.n**3)
         if self.thin is None:
             object.__setattr__(self, "thin", 2 * self.n**2)
         if self.seed < 0 or self.burn_in < 0 or self.thin < 1:
@@ -208,8 +211,6 @@ def iter_samples(config: ChainConfig, count: int, rng: RngStream) -> Iterator[Sq
     yields every ``thin``-th proper visit (at n <= 2, a uniform draw from
     the enumerated squares instead).  Byte-reproducible for a fixed stream.
     """
-    if count < 1:
-        raise LatinSquareError("count must be at least 1")
     n = config.n
     if n <= 2:
         # Order 2 has no improper squares, so every step flips to the other

@@ -228,7 +228,7 @@ def cmd_uniformity(args: argparse.Namespace) -> int:
 
 def _add_walk_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None,
-                   help="raw walk steps discarded first (default 10 n^3)")
+                   help="raw walk steps discarded first (default n^3)")
     p.add_argument("--thin", type=int, default=None,
                    help="proper visits between samples (default 2 n^2)")
 

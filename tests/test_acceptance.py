@@ -451,7 +451,8 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
 
 
 def _proper_visit_chain(graph):
-    """Q: the walk read at proper visits only, over the graph's proper states.
+    """Q: the walk read at proper visits only, over the graph's proper states,
+    with the one-step matrix P and the proper mask it is built from.
 
     P comes from every scripted pick of the sampler's walker.  A sample is
     the state at the thin-th proper visit, so samples form a Q^thin chain,
@@ -482,16 +483,39 @@ def _proper_visit_chain(graph):
         improper_mass = P_ii @ improper_mass
     Q = P[pp][:, pp].toarray()
     Q[:, entered] += P[pp][:, ii] @ excursion
-    return Q
+    return Q, P, proper
+
+
+def _first_proper_visit_law(Q, P, proper, start, burn_in):
+    """Law of the first proper visit after ``burn_in`` raw steps from ``start``.
+
+    The raw steps push the law through P.  From a proper state the first
+    proper visit is one Q step; from an improper one it is where the
+    excursion ends, summed until the mass still improper is below 1e-15.
+    """
+    law = np.zeros(len(proper))
+    law[start] = 1.0
+    for _ in range(burn_in):
+        law = P.T @ law
+    pp, ii = np.flatnonzero(proper), np.flatnonzero(~proper)
+    first, improper = law[pp] @ Q, law[ii]
+    P_ii, P_ip = P[ii][:, ii], P[ii][:, pp]
+    while improper.sum() > 1e-15:
+        first += P_ip.T @ improper
+        improper = P_ii.T @ improper
+    return first
 
 
 def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, graph4):
     # The default thin, measured exactly: after ChainConfig(n).thin proper
-    # visits every start is within 1e-6 of uniform in total variation.
+    # visits every start is within 1e-6 of uniform in total variation.  So is
+    # the first sample from the cyclic start at the default burn-in; at thin 1
+    # it is not, however long the burn-in: an improper excursion size-biases
+    # where the walk lands.
     details = []
     for graph in (graph3, graph4):
         n = graph.n
-        Q = _proper_visit_chain(graph)
+        Q, P, proper = _proper_visit_chain(graph)
         assert np.abs(Q.sum(axis=1) - 1).max() < 1e-12
         assert np.abs(Q.sum(axis=0) - 1).max() < 1e-12  # doubly stochastic: uniform is stationary
         assert np.abs(Q - Q.T).max() < 1e-12  # reversible, so its spectrum is real
@@ -502,21 +526,62 @@ def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, gra
         thin = ChainConfig(n).thin
         assert thin == 2 * n * n and tv[thin] <= 1e-6
         slem = np.sort(np.abs(np.linalg.eigvalsh(Q)))[-2]
+
+        start = graph.states.index(cyclic_square(n))
+        later = np.linalg.matrix_power(Q, thin - 1)
+        first_tv, bias = {}, {}
+        for burn_in in (0, n**3, 10 * n**3):
+            first = _first_proper_visit_law(Q, P, proper, start, burn_in)
+            first_tv[burn_in] = 0.5 * np.abs(first @ later - 1 / len(Q)).sum()
+            bias[burn_in] = 0.5 * np.abs(first - 1 / len(Q)).sum()
+        burn_in = ChainConfig(n).burn_in
+        assert burn_in == n**3 and first_tv[burn_in] <= 1e-6
         details.append(
             f"n={n}: TV " + ", ".join(f"{tv[t]:.1e} at {t}" for t in tv)
-            + f"; second-largest |eigenvalue| {slem:.3f}"
+            + f"; second-largest |eigenvalue| {slem:.3f}; first sample from the cyclic start: TV "
+            + ", ".join(f"{first_tv[b]:.1e} at burn-in {b}" for b in first_tv)
+            + "; at thin 1: TV " + ", ".join(f"{bias[b]:.2g} at burn-in {b}" for b in bias)
         )
     acceptance_record(
-        "proper-visit chain at n=3,4: doubly stochastic, within 1e-6 of uniform at thin 2n^2",
+        "proper-visit chain at n=3,4: doubly stochastic, within 1e-6 of uniform at thin 2n^2, "
+        "and so is the first sample from the cyclic start at burn-in n^3",
         True,
         "; ".join(details),
     )
 
 
+def test_default_burn_in_reaches_uniform_agreement_order_eight(acceptance_record):
+    # A uniform square agrees with the cyclic start in n cells on average.  At
+    # thin 1 the first sample is the first proper visit after the burn-in, so
+    # over 400 chains its mean agreement must lie within 5 standard errors of
+    # n at the default burn-in, and outside them with none.
+    n, chains = 8, 400
+    start = np.array(cyclic_square(n).grid)
+
+    def agreement(burn_in):
+        agree = np.array([
+            (np.array(sample(ChainConfig(n, seed=seed, burn_in=burn_in, thin=1), 1)[0].grid) == start).sum()
+            for seed in range(CI_SEED, CI_SEED + chains)
+        ])
+        return agree.mean(), agree.std(ddof=1) / chains**0.5
+
+    (mean, se), (mean0, se0) = agreement(None), agreement(0)
+    ok = abs(mean - n) <= 5 * se and abs(mean0 - n) > 5 * se0
+    acceptance_record(
+        "default burn-in at n=8: agreement with the cyclic start at its uniform mean n",
+        ok,
+        f"{chains} chains, first proper visit: {mean:.2f} +- {se:.2f} cells at burn-in "
+        f"{ChainConfig(n).burn_in}, {mean0:.2f} +- {se0:.2f} at burn-in 0",
+    )
+    assert abs(mean - n) <= 5 * se
+    assert abs(mean0 - n) > 5 * se0
+
+
 def test_default_thin_exceeds_five_autocorrelation_times_order_eight(acceptance_record):
     # tau_int of the slowest observable known, "cell (0,0) holds 0", over
-    # every proper visit after the default burn-in.
-    visits = iter_chains(ChainConfig(8, seed=CI_SEED, thin=1), 1, 20000)
+    # every proper visit after a burn-in of 10 n^3, the series the README's
+    # tau_int table reports.
+    visits = iter_chains(ChainConfig(8, seed=CI_SEED, burn_in=10 * 8**3, thin=1), 1, 20000)
     series = np.fromiter((sq.grid[0][0] == 0 for sq in visits), dtype=float, count=20000)
     tau, ess = autocorrelation_time(series)
     thin = ChainConfig(8).thin

@@ -21,7 +21,7 @@ from scripted_draws import ScriptedDraws, walk
 
 def test_config_defaults_and_validation():
     cfg = ChainConfig(4, seed=1)
-    assert cfg.burn_in == 10 * 64 and cfg.thin == 2 * 4**2
+    assert cfg.burn_in == 4**3 and cfg.thin == 2 * 4**2
     with pytest.raises(DegenerateOrder):
         ChainConfig(0)
     with pytest.raises(Exception):
@@ -34,7 +34,7 @@ def test_config_defaults_and_validation():
     with pytest.raises(LatinSquareError):
         ChainConfig(3.0)
     cfg = ChainConfig(np.int64(4), seed=np.uint32(1), thin=np.int16(32))
-    assert (cfg.n, cfg.seed, cfg.burn_in, cfg.thin) == (4, 1, 640, 32)
+    assert (cfg.n, cfg.seed, cfg.burn_in, cfg.thin) == (4, 1, 64, 32)
     assert type(cfg.n) is int and type(cfg.thin) is int
 
 
@@ -154,11 +154,11 @@ def test_iter_chains_rejects_empty_splits(chains, count):
 
 
 def test_iter_samples_streams_lazily():
-    gen = iter_samples(ChainConfig(3, seed=5, burn_in=10, thin=2), 3, RngStream(5))
+    rng = RngStream(5)
+    gen = iter_samples(ChainConfig(3, seed=5, burn_in=10, thin=2), 3, rng)
+    assert rng._draws == {}  # nothing is drawn until the stream is first read
     first = next(gen)
     assert first.n == 3
-    with pytest.raises(LatinSquareError, match="count must be at least 1"):
-        next(iter_samples(ChainConfig(3), 0, RngStream(0)))  # checked when the stream is first read
 
 
 def test_rng_stream_spawn_children_differ_and_reproduce():

@@ -152,23 +152,32 @@ def test_gen_flag_errors(capsys):
 # sha256 of stdout for fixed seeds: a change to the walk, to its use of the
 # random stream or to the output formats shows here.  (`uniformity 4` needs at
 # least 5760 samples for its 576 categories.)  Each sampling argv is pinned
-# twice: with the default thin, and with an explicit --thin n^3, which pins
-# the walk's bytes independently of the default.
+# with the defaults, and with an explicit --burn-in 10 n^3 with and without
+# an explicit --thin n^3, which pin the walk's bytes independently of either
+# default.
 GOLDEN_STDOUT = [
     (("gen", "4", "--seed", "77", "--samples", "6", "--chains", "3", "--burn-in", "100", "--thin", "8"),
      "edcfef2ba6ddc56eade222f9a44f95340925485bd815e598927c63bcff054b49"),
-    (("gen", "16", "--seed", "1", "--samples", "2", "--thin", "4096"),
+    (("gen", "16", "--seed", "1", "--samples", "2", "--thin", "4096", "--burn-in", "40960"),
      "9a40fb4d921db9491dcc871a8932308ded59c58fe89efa1b2228e70778726dfe"),
-    (("gen", "16", "--seed", "1", "--samples", "2"),
+    (("gen", "16", "--seed", "1", "--samples", "2", "--burn-in", "40960"),
      "940923b285983f3eaf170de35ae63e02c42dc0cca5ae93f118520881a25c6051"),
-    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json", "--thin", "343"),
+    (("gen", "16", "--seed", "1", "--samples", "2"),
+     "1e6a97fc9b0c88cbc54d1388610b283953ef483c1e1e84ad138f255dd04d4d21"),
+    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json", "--thin", "343",
+      "--burn-in", "3430"),
      "fc4346579978ee1ad7b81270211d52c2a76adc7681dad06b59d32ce642ed7ae2"),
-    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json"),
+    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json", "--burn-in", "3430"),
      "74e5e9605e506500cccaaeba3332589f102d5698c7211685229aed00b439eaf7"),
-    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3", "--thin", "64"),
+    (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json"),
+     "471affb1c99d948433a54bec01435a26c9303714a3c0a30faa8e6924a70bd402"),
+    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3", "--thin", "64",
+      "--burn-in", "640"),
      "7bbdc004d044a8672a47471a5ea4e29f2c422accc986edb66e7e64a82c08d036"),
-    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3"),
+    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3", "--burn-in", "640"),
      "26e15c61fcee8e73159089290c3639485ad0a8d26522c20daa94bac560054c0f"),
+    (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3"),
+     "4c9dac403df11ed30226f5e0dd93c31d6407dc548898bf7955cc623d098b0030"),
     (("path", "improper4.txt", "cyclic4.txt", "--verify"),
      "38d0173da538136cc0cdce7b9e2e44517598cf3e6203a45669ac78878200604b"),
 ]
