@@ -1,21 +1,33 @@
 """Ground-truth engines: exhaustive enumeration and full state-graph search.
 
 These are deliberately independent of the constructive machinery so they can
-verify it: squares are enumerated by cell-wise backtracking and the move
-graph by breadth-first closure.  The tests check both against independent
-reference enumerations (symbol-wise placement, improper-square completion).
+verify it: squares are enumerated by cell-wise backtracking, and the move
+graph by breadth-first closure on the signed incidence cube itself, held as
+two 64-bit masks per state, with the move rule stated on those masks
+instead of borrowed from `moves`.  The tests check both against independent
+reference enumerations (symbol-wise placement, improper-square completion),
+the graph's edges against `moves` vertex by vertex, and the bit-parallel
+diameter probe against plain breadth-first search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations, permutations, product
 
-from .core import LatinSquareError, SquareState, cyclic_square
-from .moves import apply_move, enumerate_valid_moves
+import numpy as np
+
+from .core import ImproperCell, LatinSquareError, SquareState, cyclic_square
 
 ENUMERATION_LIMIT = 5
 GRAPH_LIMIT = 4
+# The state graph packs a state's signed incidence cube into uint64 masks,
+# one bit per cube entry, so its orders need n**3 <= 64.
+assert GRAPH_LIMIT**3 <= 64, "GRAPH_LIMIT exceeds the 64-bit cube masks of the state graph"
+
+_ONE = np.uint64(1)
+_BLOCK = 64  # states flipped at once: one array of _BLOCK rows, one column per move
 
 
 class TooLarge(LatinSquareError):
@@ -107,63 +119,163 @@ class StateGraph:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
 
+def _move_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The +1 and the -1 positions of every canonical move, as cube masks.
+
+    Bit (r*n + c)*n + s stands for the cube entry (r, c, s).  The move
+    ((i,j;a),(i2,j2;b)) with i < i2, j < j2 and a != b adds +1 at
+    (i,j,a), (i,j2,b), (i2,j,b), (i2,j2,a) and -1 at the other four
+    corners of its 2 x 2 x 2 box.
+    """
+
+    def bit(r: int, c: int, s: int) -> int:
+        return 1 << ((r * n + c) * n + s)
+
+    plus, minus = [], []
+    for i, i2 in combinations(range(n), 2):
+        for j, j2 in combinations(range(n), 2):
+            for a, b in permutations(range(n), 2):
+                plus.append(bit(i, j, a) | bit(i, j2, b) | bit(i2, j, b) | bit(i2, j2, a))
+                minus.append(bit(i, j, b) | bit(i, j2, a) | bit(i2, j, a) | bit(i2, j2, b))
+    return np.array(plus, dtype=np.uint64), np.array(minus, dtype=np.uint64)
+
+
+def _flips(
+    pos: np.ndarray, neg: np.ndarray, plus: np.ndarray, minus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every move on a block of states: validity and the resulting masks.
+
+    ``pos`` and ``neg`` hold the +1 and the -1 entries of each state.  A
+    move keeps every entry in {-1, 0, 1} when none of its +1s lands on a
+    +1 and none of its -1s on a -1; its +1s cancel a -1 and its -1s cancel
+    a +1, and the result is valid when at most one -1 is left.  Each
+    output has one row per state and one column per move.
+    """
+    p, q = pos[:, None], neg[:, None]
+    new_neg = (q & ~plus) | (minus & ~p)
+    ok = ((plus & p) == 0) & ((minus & q) == 0) & ((new_neg & (new_neg - _ONE)) == 0)
+    return ok, (p & ~minus) | (plus & ~q), new_neg
+
+
+def _closure(root: SquareState, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of every state the moves reach from a proper square, sorted by +1 mask.
+
+    Breadth-first, one level at a time, a block of the frontier at a time.
+    The +1 mask alone fixes a valid state (the -1 sits where three lines of
+    it hold two +1s), so states are told apart by it.
+    """
+    n = root.n
+    start = sum(1 << ((r * n + c) * n + s) for r, line in enumerate(root.grid) for c, s in enumerate(line))
+    seen_pos = frontier_pos = np.array([start], dtype=np.uint64)
+    seen_neg = frontier_neg = np.zeros(1, dtype=np.uint64)
+    while frontier_pos.size:
+        found_pos, found_neg = [], []
+        for lo in range(0, frontier_pos.size, _BLOCK):
+            ok, pos, neg = _flips(frontier_pos[lo : lo + _BLOCK], frontier_neg[lo : lo + _BLOCK], plus, minus)
+            found_pos.append(pos[ok])
+            found_neg.append(neg[ok])
+        pos, first = np.unique(np.concatenate(found_pos), return_index=True)
+        neg = np.concatenate(found_neg)[first]
+        new = ~np.isin(pos, seen_pos, assume_unique=True)
+        frontier_pos, frontier_neg = pos[new], neg[new]
+        seen_pos = np.concatenate([seen_pos, frontier_pos])
+        seen_neg = np.concatenate([seen_neg, frontier_neg])
+    order = np.argsort(seen_pos)
+    return seen_pos[order], seen_neg[order]
+
+
+def _decode(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SquareState]:
+    """The states of cube masks; equal rows and equal records are shared objects."""
+    low = (1 << n) - 1
+    cells = ((pos[:, None] >> (np.arange(n * n, dtype=np.uint64) * np.uint64(n))) & np.uint64(low)).astype(np.uint8)
+    smallest = np.array([max(0, (x & -x).bit_length() - 1) for x in range(low + 1)], dtype=np.uint8)
+    # Each row as its index in `rows`, which lists every n-tuple over 0..n-1;
+    # the grid holds the smaller positive at the improper cell.
+    codes = smallest[cells].reshape(-1, n, n) @ n ** np.arange(n - 1, -1, -1)
+    rows = list(product(range(n), repeat=n))
+    records: dict[tuple[int, int], ImproperCell] = {}
+    states = []
+    for line_codes, p, q in zip(codes.tolist(), pos.tolist(), neg.tolist()):
+        rec = None
+        if q:
+            at = q.bit_length() - 1
+            cell, negative = divmod(at, n)
+            content = (p >> (cell * n)) & low
+            rec = records.get((at, content))
+            if rec is None:
+                pair = tuple(s for s in range(n) if content >> s & 1)
+                rec = records[at, content] = ImproperCell(*divmod(cell, n), pair, negative)
+        states.append(SquareState(tuple(map(rows.__getitem__, line_codes)), rec))
+    return states
+
+
 def build_state_graph(n: int) -> StateGraph:
     """Breadth-first closure of the move graph from the cyclic square.
 
-    The vertex list ``states`` is the queue: the search walks it while
-    appending each new state, keyed on the states themselves.  A vertex
-    lists the neighbours its own moves reach; a move is fixed by the change
-    it makes, so none is listed twice, and its inverse lists the edge from
-    the other end.  Vertices are then renumbered in canonical-key order.
+    A state is held as two bit masks over its signed incidence cube, one of
+    its +1 entries and one of its -1 entry, so one array expression tests
+    every move on a block of the frontier (`_flips`).  The closure finds the
+    states level by level; they are then decoded once and renumbered in
+    canonical-key order.  A second blocked pass flips every vertex again
+    and looks each result up among the sorted masks: a vertex lists the
+    neighbours its own moves reach, and a move is fixed by the change it
+    makes, so none is listed twice.
     """
     if not 2 <= n <= GRAPH_LIMIT:
         raise TooLarge(f"state graph is limited to 2 <= n <= {GRAPH_LIMIT}")
-    start = cyclic_square(n)
-    states = [start]
-    found = {start: 0}
-    nbrs: list[list[int]] = []
-    for state in states:
-        nbrs.append([])
-        for m in enumerate_valid_moves(state):
-            nxt = apply_move(state, m)
-            j = found.get(nxt)
-            if j is None:
-                j = found[nxt] = len(states)
-                states.append(nxt)
-            nbrs[-1].append(j)
-
-    order = sorted(range(len(states)), key=lambda i: canonical_key(states[i]))
-    rank = sorted(range(len(order)), key=order.__getitem__)  # rank[order[i]] == i
-    adjacency = [sorted(rank[j] for j in nbrs[i]) for i in order]
-    return StateGraph(n, [states[i] for i in order], adjacency)
-
-
-def _bfs_distances(g: StateGraph, source: int) -> list[int]:
-    dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = [source]
-    for u in queue:  # grows as the search reaches vertices
-        for v in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    plus, minus = _move_masks(n)
+    pos, neg = _closure(cyclic_square(n), plus, minus)
+    found = _decode(n, pos, neg)
+    order = sorted(range(len(found)), key=lambda i: canonical_key(found[i]))
+    v = len(order)
+    rank = np.empty(v, dtype=np.intp)
+    rank[order] = np.arange(v)
+    index = list(range(v))  # one int object per vertex, shared by every list naming it
+    pos_by_rank, neg_by_rank = pos[order], neg[order]
+    adjacency: list[list[int]] = []
+    for lo in range(0, v, _BLOCK):
+        ok, to, _ = _flips(pos_by_rank[lo : lo + _BLOCK], neg_by_rank[lo : lo + _BLOCK], plus, minus)
+        vertex = np.nonzero(ok)[0]
+        edges = np.sort(vertex * v + rank[np.searchsorted(pos, to[ok])]) - vertex * v
+        nbrs = list(map(index.__getitem__, edges.tolist()))
+        first = 0
+        for end in np.cumsum(ok.sum(axis=1)).tolist():
+            adjacency.append(nbrs[first:end])
+            first = end
+    return StateGraph(n, [found[i] for i in order], adjacency)
 
 
 def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
     """Connectivity plus the exact diameter (n <= 3) or a probed bound (n = 4).
 
-    The probe runs full BFS from 32 vertices spread evenly over the
-    canonical vertex order; every reported eccentricity is a lower bound on
-    the diameter and each must respect the 2(n-1)^3 ceiling.
+    The probe runs breadth-first search from 32 vertices spread evenly over
+    the canonical vertex order; every reported eccentricity is a lower
+    bound on the diameter and each must respect the 2(n-1)^3 ceiling.  The
+    searches run together, one bit per seed: a vertex holds one uint64 word
+    per 64 seeds, and a level ORs each vertex's neighbours' frontier words.
+    The first seed, vertex 0, decides connectivity.
     """
     v = g.vertex_count
     exact = g.n <= 3
-    seeds = range(v) if exact else range(0, v, max(1, v // 32))[:32]
-    diameter = 0
-    for s in seeds:
-        dist = _bfs_distances(g, s)
-        if s == 0:  # the first probe decides connectivity
-            connected = -1 not in dist
-        diameter = max(diameter, max(dist))
+    seeds = np.arange(v) if exact else np.arange(0, v, max(1, v // 32))[:32]
+    degree = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=v)
+    nbrs = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(degree.sum()))
+    # reduceat reads an empty segment as the element at its start (and past
+    # the end for a last one), so only vertices with neighbours get one.
+    linked = degree > 0
+    starts = (np.cumsum(degree) - degree)[linked]
+    seen = np.zeros((v, (seeds.size + 63) // 64), dtype=np.uint64)
+    bits = np.arange(seeds.size)
+    seen[seeds, bits // 64] = _ONE << (bits % 64).astype(np.uint64)
+    frontier, diameter = seen, 0
+    while True:
+        reached = np.zeros_like(seen)
+        if nbrs.size:
+            reached[linked] = np.bitwise_or.reduceat(frontier[nbrs], starts, axis=0)
+        frontier = reached & ~seen
+        if not frontier.any():
+            break
+        seen |= frontier
+        diameter += 1
+    connected = bool(np.all(seen[:, 0] & _ONE))
     return {"connected": connected, "diameter": diameter, "exact": exact}

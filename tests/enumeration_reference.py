@@ -5,15 +5,17 @@ each symbol as a full rook placement, a strategy unrelated to the cell-wise
 backtracking of `latinsq.oracle`; `enumerate_improper_squares` lists the
 improper squares by direct completion search, independent of the move
 machinery and of the graph search.  The tests check the library's
-enumeration and state graph against both.  `proper_row_cycles` splits the
-columns of a proper square into the cycles of two rows, for the tests of
-`cycle_swap`.
+enumeration and state graph against both.  `bfs_distances` is a plain
+queue-driven breadth-first search over a state graph's adjacency lists,
+the reference for the library's bit-parallel diameter probe.
+`proper_row_cycles` splits the columns of a proper square into the cycles
+of two rows, for the tests of `cycle_swap`.
 """
 
 from __future__ import annotations
 
 from latinsq.core import ImproperCell, SquareState, cube_from_grid
-from latinsq.oracle import GRAPH_LIMIT, TooLarge
+from latinsq.oracle import GRAPH_LIMIT, StateGraph, TooLarge
 
 
 def enumerate_grids_by_symbol(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -107,6 +109,19 @@ def _complete_improper(
 
     fill(0)
     return found
+
+
+def bfs_distances(g: StateGraph, source: int) -> list[int]:
+    """Edge distance from ``source`` to every vertex, -1 where unreachable."""
+    dist = [-1] * g.vertex_count
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # grows as the search reaches vertices
+        for v in g.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[tuple[int, ...]]:

@@ -384,6 +384,23 @@ def test_graph_limit(capsys):
     assert code == 2 and err
 
 
+def test_graph_disconnected_report(capsys, monkeypatch, graph3):
+    # No real state graph is disconnected, so the report's other branch is
+    # reached through a hand-built one: vertex 2 is isolated.
+    from latinsq import cli
+    from latinsq.oracle import StateGraph
+
+    states = graph3.states[:3]
+    monkeypatch.setattr(cli, "build_state_graph", lambda n: StateGraph(n, states, [[1], [0], []]))
+    code, out, _ = run_cli(capsys, "graph", "3")
+    assert code == 1
+    proper = sum(s.is_proper for s in states)
+    assert out == (
+        f"{proper} proper, {3 - proper} improper, DISCONNECTED, diameter 1\n"
+        "bound 2(n-1)^3 = 16 satisfied: no\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # uniformity
 

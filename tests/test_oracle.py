@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from cube_reference import is_valid_move
-from enumeration_reference import enumerate_grids_by_symbol, enumerate_improper_squares
+from enumeration_reference import bfs_distances, enumerate_grids_by_symbol, enumerate_improper_squares
 from latinsq.core import validate
-from latinsq.moves import enumerate_valid_moves
+from latinsq.moves import apply_move, enumerate_valid_moves
 from latinsq.oracle import (
+    StateGraph,
     TooLarge,
     _enumerate_grids,
     build_state_graph,
@@ -79,18 +82,53 @@ def test_graph_vertex_set_matches_independent_enumeration(graph3):
     assert improper_keys == enum_improper
 
 
-def test_graph_edges_symmetric_via_inverted_move(graph3):
-    # Spot-check: every listed edge is realized by some valid move whose
-    # inverse realizes the reverse edge.
-    from latinsq.moves import apply_move
+def test_graph_edges_symmetric_via_inverted_move(graph3, graph4):
+    # The graph flips cube masks; `enumerate_valid_moves` and `apply_move`
+    # work on the grid.  Every vertex of graph3, and a seeded sample of 500
+    # of graph4's, must list exactly the states those two reach, and each
+    # move's inverse must be valid from its end.
+    for g, vertices in (
+        (graph3, range(graph3.vertex_count)),
+        (graph4, sorted(random.Random(18).sample(range(graph4.vertex_count), 500))),
+    ):
+        index = {canonical_key(s): k for k, s in enumerate(g.states)}
+        for idx in vertices:
+            state = g.states[idx]
+            targets = []
+            for m in enumerate_valid_moves(state):
+                target = apply_move(state, m)
+                targets.append(index[canonical_key(target)])
+                assert is_valid_move(target, m.inverted())
+            assert g.adjacency[idx] == sorted(targets)
 
-    for idx in range(0, graph3.vertex_count, 7):
-        state = graph3.states[idx]
-        for m in enumerate_valid_moves(state):
-            target = apply_move(state, m)
-            j = graph3.states.index(target)
-            assert j in graph3.adjacency[idx]
-            assert is_valid_move(target, m.inverted())
+
+def _reference_probe(g):
+    """The probe's result from one plain breadth-first search per seed."""
+    v = g.vertex_count
+    seeds = range(v) if g.n <= 3 else range(0, v, max(1, v // 32))[:32]
+    dists = [bfs_distances(g, s) for s in seeds]
+    return {"connected": -1 not in dists[0], "diameter": max(map(max, dists)), "exact": g.n <= 3}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_probe_matches_plain_bfs(n, request):
+    g = build_state_graph(2) if n == 2 else request.getfixturevalue(f"graph{n}")
+    assert check_connectivity_and_diameter(g) == _reference_probe(g)
+
+
+@pytest.mark.parametrize(
+    "n,adjacency",
+    [
+        (3, [[1], [0, 2], [1], [], [5], [4], []]),  # isolated vertices inside and last
+        (3, [[], [2], [1, 3], [2], []]),  # vertex 0, the connectivity seed, isolated
+        (4, [[1], [0], [], [4], [3], []]),  # probe mode, every vertex a seed at this size
+    ],
+)
+def test_probe_reports_disconnected_graph(n, adjacency, graph3):
+    g = StateGraph(n, graph3.states[: len(adjacency)], adjacency)
+    result = check_connectivity_and_diameter(g)
+    assert result == _reference_probe(g)
+    assert result["connected"] is False
 
 
 @pytest.mark.parametrize("name", ["graph3", "graph4"])
@@ -127,20 +165,11 @@ def test_improper_enumeration_small_orders():
 def test_transform_path_never_beats_bfs_distance(graph3):
     # The constructive path is an upper bound: its length is at least the
     # graph distance for every ordered pair of proper order-3 vertices.
-    from collections import deque
-
     from latinsq.connect import transform_path
 
     proper_idx = [i for i, s in enumerate(graph3.states) if s.is_proper]
     for src in proper_idx:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in graph3.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        dist = bfs_distances(graph3, src)
         for dst in proper_idx:
             seq = transform_path(graph3.states[src], graph3.states[dst])
             assert len(seq) >= dist[dst]
