@@ -60,8 +60,9 @@ class ChainConfig:
             object.__setattr__(self, "burn_in", self.n**3)
         if self.thin is None:
             object.__setattr__(self, "thin", 2 * self.n**2)
-        if self.seed < 0 or self.burn_in < 0 or self.thin < 1:
-            raise LatinSquareError("seed and burn_in must be >= 0 and thin >= 1")
+        for name, least in (("seed", 0), ("burn_in", 0), ("thin", 1)):
+            if (value := getattr(self, name)) < least:
+                raise LatinSquareError(f"{name} must be at least {least}, got {value}")
 
 
 class RngStream:

@@ -32,7 +32,7 @@ class NotImproper(LatinSquareError):
 
 
 class MismatchedRows(LatinSquareError):
-    """The designated source row does not carry the required symbol."""
+    """The designated source row lies outside 0..n-1 or does not carry the required symbol."""
 
 
 class InvalidCycle(LatinSquareError):
@@ -40,7 +40,7 @@ class InvalidCycle(LatinSquareError):
 
 
 class PreconditionViolated(LatinSquareError):
-    """Named precondition of the row-entry swap failed."""
+    """Named precondition of the row-entry swap failed, an index outside 0..n-1 included."""
 
 
 class OrderMismatch(LatinSquareError):
@@ -132,6 +132,8 @@ def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...
     rec = state.improper
     if rec is None:
         raise NotImproper("state is proper; it has no improper cell")
+    if not 0 <= source_row < state.n:
+        raise MismatchedRows(f"row {source_row} outside 0..{state.n - 1}")
     if state.entry(source_row, rec.col, rec.negative) != 1:
         raise MismatchedRows(
             f"row {source_row} does not hold symbol {rec.negative} at column {rec.col}"
@@ -211,10 +213,10 @@ def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSe
 def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSequence:
     """Swap the symbols of row ``i1`` at columns ``j1`` and ``j2``.
 
-    Preconditions (each violation is named): the state is improper with its
-    negative cell in column ``j1`` at some row i2 != i1; cell (i1, j1) holds
-    that cell's negative symbol s; and (always true for valid states) some
-    row i3 holds s at column ``j2``.
+    Preconditions (each violation is named): i1, j1 and j2 lie in 0..n-1;
+    the state is improper with its negative cell in column ``j1`` at some
+    row i2 != i1; cell (i1, j1) holds that cell's negative symbol s; and
+    (always true for valid states) some row i3 holds s at column ``j2``.
 
     The result holds t = old (i1, j2) symbol at (i1, j1) and s at (i1, j2),
     is proper or improper with the negative cell at (i2 or i3, j1) carrying
@@ -224,6 +226,8 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
     rec = state.improper
     if rec is None:
         raise PreconditionViolated("state is proper; an improper cell in column j1 is required")
+    if not all(0 <= x < state.n for x in (i1, j1, j2)):
+        raise PreconditionViolated(f"row {i1}, column {j1} or column {j2} outside 0..{state.n - 1}")
     if rec.col != j1:
         raise PreconditionViolated(
             f"improper cell sits in column {rec.col}, not in j1={j1}"

@@ -11,7 +11,10 @@ to the incidence cube, so line sums are conserved by construction.  A move is
 valid on a state when every touched entry stays inside {-1, 0, 1} and the
 result has at most one negative entry.  A move reads its four cells from
 the state's grid and record and writes a new grid; no cube is built.
-A move's inverse, `IntercalateMove.inverted`, exchanges a and b.
+A move's inverse, `IntercalateMove.inverted`, exchanges a and b.  That
+rule is stated once, in `_flip`: `apply_move` raises on its verdict, and
+`enumerate_valid_moves` keeps the candidates of an anchored search that
+it accepts.
 """
 
 from __future__ import annotations
@@ -151,55 +154,23 @@ def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
     most the one -1 that exists, so at least three of a valid move's four -1
     positions sit on a +1.  Naming the move from the one whose row and column
     neighbours are both +1s, every valid move is found from a +1 (i, j, b), a
-    symbol a != b, a +1 of a in row i and a +1 of a in column j.  Those three
-    -1 positions are +1s by construction, so each candidate is checked on
-    its four +1 positions and its fourth -1 position, (i2, j2, b), by the
-    rule of `apply_move`; the valid ones are brought to canonical form,
-    deduplicated and sorted.
+    symbol a != b, a +1 of a in row i and a +1 of a in column j.  Each such
+    candidate is named by `IntercalateMove.from_anchors` and checked by the
+    rule of `apply_move`; the valid ones are sorted.
     """
-    n = state.n
     rec = state.improper
     plus = [(i, j, b) for i, line in enumerate(state.grid) for j, b in enumerate(line)]
-    value = [0] * n**3  # value[(i*n + j)*n + s]: the cube entry at (i, j, s)
     if rec is not None:
         plus.append((rec.row, rec.col, rec.positive_pair[1]))
-        value[(rec.row * n + rec.col) * n + rec.negative] = -1
-    in_row = [[[] for _ in range(n)] for _ in range(n)]  # in_row[i][a]: columns of a's +1s in row i
-    in_col = [[[] for _ in range(n)] for _ in range(n)]  # in_col[j][a]: rows of a's +1s in column j
-    for i, j, b in plus:
-        value[(i * n + j) * n + b] = 1
-        in_row[i][b].append(j)
-        in_col[j][b].append(i)
-    negatives = 0 if rec is None else 1
-    found = set()
-    for i, j, b in plus:
-        row_i, col_j = in_row[i], in_col[j]
-        at_ij = (i * n + j) * n
-        for a in range(n):
-            e = value[at_ij + a]  # +1 position (i, j, a)
-            if a == b or e == 1:
-                continue
-            cancels_ij = e == -1
-            for j2 in row_i[a]:
-                e = value[(i * n + j2) * n + b]  # +1 position (i, j2, b)
-                if j2 == j or e == 1:
-                    continue
-                cancels = cancels_ij + (e == -1)
-                for i2 in col_j[a]:
-                    if i2 == i:
-                        continue
-                    at_i2j = (i2 * n + j) * n + b  # +1 position (i2, j, b)
-                    at_i2j2 = (i2 * n + j2) * n  # +1 at a, fourth -1 position at b
-                    e2, e3, e4 = value[at_i2j], value[at_i2j2 + a], value[at_i2j2 + b]
-                    if e2 == 1 or e3 == 1 or e4 == -1:
-                        continue
-                    if negatives + (e4 == 0) - cancels - (e2 == -1) - (e3 == -1) > 1:
-                        continue
-                    # Canonical naming, as IntercalateMove.from_anchors.
-                    r, r2, c, c2, x, y = i, i2, j, j2, a, b
-                    if r > r2:
-                        r, r2, x, y = r2, r, y, x
-                    if c > c2:
-                        c, c2, x, y = c2, c, y, x
-                    found.add((r, r2, c, c2, x, y))
-    return [IntercalateMove(i, j, a, i2, j2, b) for i, i2, j, j2, a, b in sorted(found)]
+    candidates = {
+        IntercalateMove.from_anchors(i, j, a, i2, j2, b)
+        for i, j, b in plus
+        for a in range(state.n)
+        if a != b
+        for j2 in state.cols_with(i, a)
+        if j2 != j
+        for i2 in state.rows_with(j, a)
+        if i2 != i
+    }
+    valid = [m for m in candidates if not isinstance(_flip(state, m), str)]
+    return sorted(valid, key=lambda m: (m.i, m.i2, m.j, m.j2, m.a, m.b))

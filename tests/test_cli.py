@@ -149,6 +149,15 @@ def test_gen_flag_errors(capsys):
     assert_one_line_error(run_cli(capsys, "gen", "3", "--seed", "-1"), 2)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--thin", "0", "thin must be at least 1, got 0\n"),
+    ("--burn-in", "-1", "burn_in must be at least 0, got -1\n"),
+    ("--seed", "-1", "seed must be at least 0, got -1\n"),
+])
+def test_gen_names_the_rejected_chain_setting(capsys, flag, value, message):
+    assert run_cli(capsys, "gen", "3", flag, value) == (2, "", message)
+
+
 # sha256 of stdout for fixed seeds: a change to the walk, to its use of the
 # random stream or to the output formats shows here.  (`uniformity 4` needs at
 # least 5760 samples for its 576 categories.)  Each sampling argv is pinned

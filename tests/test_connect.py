@@ -66,6 +66,12 @@ def test_find_row_cycles_preconditions(ex_improper, ex_proper):
         find_row_cycles(ex_improper, 2)  # the improper row holds the -1 there
 
 
+@pytest.mark.parametrize("row", [-1, 4])
+def test_find_row_cycles_rejects_row_outside_square(ex_improper, row):
+    # ex_improper has order 4: -1 would read row 3 from the bottom, 4 is past it
+    with pytest.raises(MismatchedRows, match=f"row {row} outside 0..3"):
+        find_row_cycles(ex_improper, row)
+
 def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
     for state in graph3.states:
         if state.is_proper:
@@ -224,6 +230,14 @@ def test_swap_row_entries_preconditions(ex_improper, ex_proper):
     with pytest.raises(PreconditionViolated):
         swap_row_entries(ex_improper, 1, 1, 2)
 
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_swap_row_entries_rejects_index_outside_square(ex_improper, bad):
+    # ex_improper has order 4 and its improper cell in column 1; row 0 holds
+    # its negative symbol there, so (0, 1, 2) meets every other precondition.
+    for i1, j2 in ((bad, 2), (0, bad)):
+        with pytest.raises(PreconditionViolated, match="outside 0..3"):
+            swap_row_entries(ex_improper, i1, 1, j2)
 
 def _lemma_instances(n, seed, want):
     """(state, i1, j1, j2) tuples satisfying the row-swap preconditions."""

@@ -152,9 +152,15 @@ def test_enumerate_is_sorted_and_cross_validates(graph3):
 def test_enumerate_matches_predicate_on_sampled_states(n):
     # The enumerator's candidate search and the cube's predicate are separate
     # code paths; cross-validate them over every canonical move on chain states.
-    # The state after every 25th of 150 walk steps.
-    for state, _ in itertools.islice(walk(cyclic_square(n), RngStream(50 + n)), 24, 150, 25):
+    # Six states, proper and improper in turn: each is the first of its kind
+    # after 24 further walk steps (the walk at n = 5 is mostly improper).
+    steps = walk(cyclic_square(n), RngStream(50 + n))
+    kinds = set()
+    for want in ("proper", "improper") * 3:
+        state = next(s for s, _ in itertools.islice(steps, 24, None) if s.kind == want)
+        kinds.add(state.kind)
         assert enumerate_valid_moves(state) == _scan_valid_moves(state)
+    assert kinds == {"proper", "improper"}
 
 
 def _check_apply_against_cube(state):
