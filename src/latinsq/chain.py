@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
+import pickle
 from dataclasses import dataclass
-from typing import Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -238,10 +240,15 @@ def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[Square
     """Stream ``count`` samples from ``chains`` independent chains, chain by chain.
 
     Each chain gets its own spawned child stream and ceil(count / chains)
-    samples; the stream stops after ``count``.  The output depends only on
-    (seed, chains, count), never on scheduling.  Only the streams read are
-    spawned; a child's seed depends on its index alone, so the k-th stream
-    is the same however many follow it.
+    samples, the last chain only what is left of ``count``.  Only the
+    streams read are spawned; a child's seed depends on its index alone, so
+    the k-th stream is the same however many follow it.
+
+    The chains run in up to one forked process per usable CPU, in
+    contiguous groups: this process streams the first group itself, then
+    yields each child's samples in chain order.  The output and its order
+    depend only on (seed, chains, count), never on the CPUs or on
+    scheduling.
     """
     if chains < 1:
         raise LatinSquareError("chains must be at least 1")
@@ -249,5 +256,72 @@ def iter_chains(config: ChainConfig, chains: int, count: int) -> Iterator[Square
         raise LatinSquareError("sample count must be at least 1")
     per_chain = -(-count // chains)
     streams = RngStream(config.seed).spawn(-(-count // per_chain))
-    samples = itertools.chain.from_iterable(iter_samples(config, per_chain, s) for s in streams)
-    return itertools.islice(samples, count)
+    counts = [per_chain] * (len(streams) - 1) + [count - per_chain * (len(streams) - 1)]
+    return _run_groups(config, list(zip(counts, streams)))
+
+
+def _run_groups(config: ChainConfig, tasks: list[tuple[int, RngStream]]) -> Iterator[SquareState]:
+    """Run (count, stream) chains split into one contiguous group per process.
+
+    Children are killed and reaped however the stream ends: exhausted,
+    closed early, or by an exception here or in a child.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    groups = min(cpus, len(tasks)) if hasattr(os, "fork") else 1
+    bounds = [len(tasks) * k // groups for k in range(groups + 1)]
+    children: list[tuple[int, IO[bytes]]] = []
+    try:
+        for k in range(1, groups):
+            children.append(_fork_group(config, tasks[bounds[k] : bounds[k + 1]]))
+        for per, rng in tasks[: bounds[1]]:
+            yield from iter_samples(config, per, rng)
+        for k, (_, pipe) in enumerate(children, 1):
+            try:
+                out = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise LatinSquareError(f"the process running chains {bounds[k]}..{bounds[k + 1] - 1} died") from None
+            if isinstance(out, BaseException):
+                raise out
+            for grid in out.tolist():
+                yield SquareState(tuple(map(tuple, grid)))
+    finally:
+        for pid, pipe in children:
+            import signal  # only a run with children loads it
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_group(config: ChainConfig, tasks: list[tuple[int, RngStream]]) -> tuple[int, IO[bytes]]:
+    """Fork a child running ``tasks``; returns its pid and the read end of its pipe.
+
+    The child pickles its samples as one (samples, n, n) symbol array, or
+    the exception that stopped it, and always ends in os._exit: it never
+    returns into its caller's frames.  It calls no threaded numpy routine,
+    so the threads a fork leaves behind cannot block it.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                try:
+                    n = config.n
+                    out = np.empty((sum(per for per, _ in tasks), n, n), np.min_scalar_type(n - 1))
+                    runs = (iter_samples(config, per, rng) for per, rng in tasks)
+                    for k, state in enumerate(itertools.chain.from_iterable(runs)):
+                        out[k] = state.grid
+                except BaseException as exc:  # sent to the parent, which raises it
+                    out = exc
+                pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")

@@ -156,20 +156,24 @@ def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
     neighbours are both +1s, every valid move is found from a +1 (i, j, b), a
     symbol a != b, a +1 of a in row i and a +1 of a in column j.  Each such
     candidate is named by `IntercalateMove.from_anchors` and checked by the
-    rule of `apply_move`; the valid ones are sorted.
+    rule of `apply_move`; the valid ones are sorted.  Each (row, symbol) and
+    (column, symbol) line is read once.
     """
     rec = state.improper
+    lines = range(state.n)
+    in_row = [[state.cols_with(i, a) for a in lines] for i in lines]
+    in_col = [[state.rows_with(j, a) for a in lines] for j in lines]
     plus = [(i, j, b) for i, line in enumerate(state.grid) for j, b in enumerate(line)]
     if rec is not None:
         plus.append((rec.row, rec.col, rec.positive_pair[1]))
     candidates = {
         IntercalateMove.from_anchors(i, j, a, i2, j2, b)
         for i, j, b in plus
-        for a in range(state.n)
+        for a in lines
         if a != b
-        for j2 in state.cols_with(i, a)
+        for j2 in in_row[i][a]
         if j2 != j
-        for i2 in state.rows_with(j, a)
+        for i2 in in_col[j][a]
         if i2 != i
     }
     valid = [m for m in candidates if not isinstance(_flip(state, m), str)]

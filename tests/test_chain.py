@@ -1,8 +1,10 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+import latinsq.chain
 from cube_reference import IncidenceCube, is_valid_move, plus_triples
 from latinsq.chain import (
     ChainConfig,
@@ -151,6 +153,89 @@ def test_iter_chains_splits_by_ceiling_and_stops_at_count():
 def test_iter_chains_rejects_empty_splits(chains, count):
     with pytest.raises(LatinSquareError):
         iter_chains(ChainConfig(3), chains, count)
+
+
+CPU_SETS = [{0}, {0, 1}, {0, 1, 2}]
+
+
+def force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "n,chains,count",
+    [
+        (3, 3, 7),  # 3 + 3 + 1: the last chain trimmed
+        (3, 5, 13),  # five chains of three, more chains than CPUs
+        (4, 2, 6),  # two streams, fewer than three CPUs
+        (3, 10, 1),  # one stream read
+        (2, 4, 9),  # direct draws
+    ],
+)
+def test_iter_chains_same_samples_on_any_cpu_count(monkeypatch, n, chains, count):
+    cfg = ChainConfig(n, seed=31, burn_in=20, thin=3)
+    force_cpus(monkeypatch, {0})
+    expected = list(iter_chains(cfg, chains, count))
+    assert len(expected) == count
+    per_chain = -(-count // chains)
+    streams = -(-count // per_chain)
+    fork = os.fork
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus in CPU_SETS:
+        forks.clear()
+        force_cpus(monkeypatch, cpus)
+        assert list(iter_chains(cfg, chains, count)) == expected
+        # One group per usable CPU, at most one per stream; this process runs the first.
+        assert len(forks) == min(len(cpus), streams) - 1
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", CPU_SETS)
+def test_iter_chains_closed_early_leaves_no_child(monkeypatch, cpus):
+    force_cpus(monkeypatch, cpus)
+    it = iter_chains(ChainConfig(5, seed=2), 3, 300)
+    assert next(it).n == 5
+    it.close()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", CPU_SETS)
+def test_iter_chains_raises_when_a_chain_fails(monkeypatch, cpus):
+    real = latinsq.chain.iter_samples
+
+    def failing(config, count, rng):
+        for k, state in enumerate(real(config, count, rng)):
+            if k == 1 and rng.seed_seq.spawn_key == (1,):
+                raise RuntimeError("chain 1 failed")
+            yield state
+
+    monkeypatch.setattr(latinsq.chain, "iter_samples", failing)
+    force_cpus(monkeypatch, cpus)
+    with pytest.raises(RuntimeError, match="chain 1 failed"):
+        list(iter_chains(ChainConfig(3, seed=4, burn_in=5, thin=2), 3, 9))
+    assert_no_child_left()
+
+
+def test_iter_chains_raises_when_a_child_dies(monkeypatch):
+    parent = os.getpid()
+    real = latinsq.chain.iter_samples
+
+    def dying(config, count, rng):
+        if rng.seed_seq.spawn_key == (1,) and os.getpid() != parent:
+            os._exit(3)  # dies without sending anything
+        return real(config, count, rng)
+
+    monkeypatch.setattr(latinsq.chain, "iter_samples", dying)
+    force_cpus(monkeypatch, {0, 1})
+    with pytest.raises(LatinSquareError, match="chains 1..1 died"):
+        list(iter_chains(ChainConfig(3, seed=4, burn_in=5, thin=2), 2, 6))
+    assert_no_child_left()
 
 
 def test_iter_samples_streams_lazily():

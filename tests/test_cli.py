@@ -205,16 +205,21 @@ def test_golden_stdout_bytes(capsys, tmp_path, monkeypatch, ex_improper, argv, d
 
 def test_gen_into_closed_pipe_exits_quietly():
     proc = subprocess.Popen(
-        [sys.executable, "-m", "latinsq", "gen", "3", "--samples", "20000", "--burn-in", "0", "--thin", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+        [sys.executable, "-m", "latinsq", "gen", "3", "--samples", "20000", "--burn-in", "0", "--thin", "1",
+         "--chains", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV, start_new_session=True,
     )
     # 20000 records are far more than a pipe buffers, so the writer is still
-    # running when the reader goes away.
+    # running when the reader goes away; the chains beyond the first run in
+    # forked processes wherever more than one CPU is usable.
     assert proc.stdout.readline() == b"n 3\n"
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+    # The command led its own process group: no process it forked outlived it.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 # ---------------------------------------------------------------------------
