@@ -13,13 +13,13 @@ result has at most one negative entry.  A move reads its four cells from
 the state's grid and record and writes a new grid; no cube is built.
 A move's inverse, `IntercalateMove.inverted`, exchanges a and b.  That
 rule is stated once, in `_flip`: `apply_move` raises on its verdict, and
-`enumerate_valid_moves` keeps the candidates of an anchored search that
-it accepts.
+`enumerate_valid_moves` keeps every canonical move it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 from .core import ImproperCell, LatinSquareError, SquareState
 
@@ -147,34 +147,13 @@ def apply_move(state: SquareState, m: IntercalateMove) -> SquareState:
 
 
 def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
-    """All canonical moves valid on the state, ordered lexicographically
-    by (i, i2, j, j2, a, b).
-
-    A valid result has at most one negative entry, and a move cancels at
-    most the one -1 that exists, so at least three of a valid move's four -1
-    positions sit on a +1.  Naming the move from the one whose row and column
-    neighbours are both +1s, every valid move is found from a +1 (i, j, b), a
-    symbol a != b, a +1 of a in row i and a +1 of a in column j.  Each such
-    candidate is named by `IntercalateMove.from_anchors` and checked by the
-    rule of `apply_move`; the valid ones are sorted.  Each (row, symbol) and
-    (column, symbol) line is read once.
-    """
-    rec = state.improper
+    """The canonical moves valid on the state: each of the n^3 (n-1)^3 / 4
+    canonical moves, in (i, i2, j, j2, a, b) order, that `_flip` accepts."""
     lines = range(state.n)
-    in_row = [[state.cols_with(i, a) for a in lines] for i in lines]
-    in_col = [[state.rows_with(j, a) for a in lines] for j in lines]
-    plus = [(i, j, b) for i, line in enumerate(state.grid) for j, b in enumerate(line)]
-    if rec is not None:
-        plus.append((rec.row, rec.col, rec.positive_pair[1]))
-    candidates = {
-        IntercalateMove.from_anchors(i, j, a, i2, j2, b)
-        for i, j, b in plus
-        for a in lines
-        if a != b
-        for j2 in in_row[i][a]
-        if j2 != j
-        for i2 in in_col[j][a]
-        if i2 != i
-    }
-    valid = [m for m in candidates if not isinstance(_flip(state, m), str)]
-    return sorted(valid, key=lambda m: (m.i, m.i2, m.j, m.j2, m.a, m.b))
+    moves = (
+        IntercalateMove(i, j, a, i2, j2, b)
+        for i, i2 in combinations(lines, 2)
+        for j, j2 in combinations(lines, 2)
+        for a, b in permutations(lines, 2)
+    )
+    return [m for m in moves if not isinstance(_flip(state, m), str)]

@@ -35,7 +35,8 @@ class TooLarge(LatinSquareError):
 
 
 def canonical_key(state: SquareState) -> bytes:
-    """Collision-free byte encoding used for hashing states.
+    """Collision-free byte encoding of a state: `build_state_graph` orders its
+    vertices by it (the order the tests' `GRAPH4_DIGEST` pins); tests key dicts on it.
 
     Row-major symbol list; an improper square writes 255 at its cell and
     appends its cell record (row, col, sorted positive pair, negative) after

@@ -130,13 +130,15 @@ def test_criterion_4_constructive_path_bounds(acceptance_record):
     checked = 0
     worst = {}
     squares3 = [_state(sq) for sq in enumerate_latin_squares(3)]
+    longest = 0
     for a in squares3:
         for b in squares3:
             seq = transform_path(a, b)
             assert len(seq) <= 16
             assert seq.replay(check=True) == b
+            longest = max(longest, len(seq))
             checked += 1
-    worst[3] = 16
+    worst[3] = longest
 
     for n in (4, 5, 6, 7, 8):
         bound = 2 * (n - 1) ** 3
@@ -452,25 +454,26 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
 
 def _proper_visit_chain(graph):
     """Q: the walk read at proper visits only, over the graph's proper states,
-    with the one-step matrix P and the proper mask it is built from.
+    with the one-step matrix P, the proper mask and the pick counts K.
 
-    P comes from every scripted pick of the sampler's walker.  A sample is
-    the state at the thin-th proper visit, so samples form a Q^thin chain,
+    K[u, v] counts the scripted picks of the sampler's walker that step from
+    u to v, and P is K with each row divided by its state's picks.  A sample
+    is the state at the thin-th proper visit, so samples form a Q^thin chain,
     with Q = P_pp + P_pi (I + P_ii + P_ii^2 + ...) P_ip; the excursion sum
     stops once the mass still improper is below 1e-15.
     """
     n = graph.n
     index = {s: k for k, s in enumerate(graph.states)}
-    rows, cols, vals = [], [], []
+    picks = [n * n * (n - 1) if s.is_proper else 8 for s in graph.states]
+    rows, cols = [], []
     for k, state in enumerate(graph.states):
-        picks = n * n * (n - 1) if state.is_proper else 8
-        for v in range(picks):
-            w = _Walker(state, ScriptedDraws([v], bound=picks))
+        for v in range(picks[k]):
+            w = _Walker(state, ScriptedDraws([v], bound=picks[k]))
             w.advance(1)
             rows.append(k)
             cols.append(index[w.view()])
-            vals.append(1.0 / picks)
-    P = sparse.csr_matrix((vals, (rows, cols)), shape=(len(index), len(index)))
+    K = sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(index), len(index)))
+    P = (sparse.diags(1.0 / np.array(picks)) @ K).tocsr()
     proper = np.array([s.is_proper for s in graph.states])
     pp, ii = np.flatnonzero(proper), np.flatnonzero(~proper)
     P_ii, P_ip = P[ii][:, ii], P[ii][:, pp].toarray()
@@ -483,7 +486,7 @@ def _proper_visit_chain(graph):
         improper_mass = P_ii @ improper_mass
     Q = P[pp][:, pp].toarray()
     Q[:, entered] += P[pp][:, ii] @ excursion
-    return Q, P, proper
+    return Q, P, proper, K
 
 
 def _first_proper_visit_law(Q, P, proper, start, burn_in):
@@ -515,7 +518,10 @@ def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, gra
     details = []
     for graph in (graph3, graph4):
         n = graph.n
-        Q, P, proper = _proper_visit_chain(graph)
+        Q, P, proper, K = _proper_visit_chain(graph)
+        # k(u->v) = k(v->u) and k(u->u) = 0 in integers: a law proportional to
+        # each state's picks is in detailed balance, so it is stationary.
+        assert (K != K.T).nnz == 0 and not K.diagonal().any()
         assert np.abs(Q.sum(axis=1) - 1).max() < 1e-12
         assert np.abs(Q.sum(axis=0) - 1).max() < 1e-12  # doubly stochastic: uniform is stationary
         assert np.abs(Q - Q.T).max() < 1e-12  # reversible, so its spectrum is real
@@ -537,14 +543,16 @@ def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, gra
         burn_in = ChainConfig(n).burn_in
         assert burn_in == n**3 and first_tv[burn_in] <= 1e-6
         details.append(
-            f"n={n}: TV " + ", ".join(f"{tv[t]:.1e} at {t}" for t in tv)
+            f"n={n}: {K.nnz} ordered state pairs with symmetric pick counts, "
+            + f"multiplicity at most {K.max()}; TV "
+            + ", ".join(f"{tv[t]:.1e} at {t}" for t in tv)
             + f"; second-largest |eigenvalue| {slem:.3f}; first sample from the cyclic start: TV "
             + ", ".join(f"{first_tv[b]:.1e} at burn-in {b}" for b in first_tv)
             + "; at thin 1: TV " + ", ".join(f"{bias[b]:.2g} at burn-in {b}" for b in bias)
         )
     acceptance_record(
-        "proper-visit chain at n=3,4: doubly stochastic, within 1e-6 of uniform at thin 2n^2, "
-        "and so is the first sample from the cyclic start at burn-in n^3",
+        "proper-visit chain at n=3,4: symmetric pick counts, doubly stochastic, "
+        "within 1e-6 of uniform at thin 2n^2, and so is the first sample from the cyclic start at burn-in n^3",
         True,
         "; ".join(details),
     )

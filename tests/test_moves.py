@@ -150,7 +150,7 @@ def test_enumerate_is_sorted_and_cross_validates(graph3):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_enumerate_matches_predicate_on_sampled_states(n):
-    # The enumerator's candidate search and the cube's predicate are separate
+    # The enumerator's grid rule (`_flip`) and the cube's predicate are separate
     # code paths; cross-validate them over every canonical move on chain states.
     # Six states, proper and improper in turn: each is the first of its kind
     # after 24 further walk steps (the walk at n = 5 is mostly improper).
