@@ -2,12 +2,13 @@
 
 These are deliberately independent of the constructive machinery so they can
 verify it: squares are enumerated by cell-wise backtracking, and the move
-graph by breadth-first closure on the signed incidence cube itself, held as
-two 64-bit masks per state, with the move rule stated on those masks
-instead of borrowed from `moves`.  The tests check both against independent
-reference enumerations (symbol-wise placement, improper-square completion),
-the graph's edges against `moves` vertex by vertex, and the bit-parallel
-diameter probe against plain breadth-first search.
+graph is built on the signed incidence cube itself, held as two 64-bit
+masks per state, with the move rule stated on those masks instead of
+borrowed from `moves`; its vertices are found without following its
+edges.  The tests check both against independent reference enumerations
+(symbol-wise placement, improper-square completion), the graph's edges
+against `moves` vertex by vertex, and the bit-parallel diameter probe
+against plain breadth-first search.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
-from .core import ImproperCell, LatinSquareError, SquareState, cyclic_square
+from .core import ImproperCell, LatinSquareError, SquareState
 
 ENUMERATION_LIMIT = 5
 GRAPH_LIMIT = 4
@@ -158,31 +159,26 @@ def _flips(
     return ok, (p & ~minus) | (plus & ~q), new_neg
 
 
-def _closure(root: SquareState, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The masks of every state the moves reach from a proper square, sorted by +1 mask.
+def _states(n: int, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of every valid state of order n <= 4, sorted by +1 mask.
 
-    Breadth-first, one level at a time, a block of the frontier at a time.
-    The +1 mask alone fixes a valid state (the -1 sits where three lines of
-    it hold two +1s), so states are told apart by it.
+    Every improper state is one move from a proper square:
+    `normalize_to_proper` resolves it in at most floor((n-1)/2) moves, one
+    when n <= 4, and a move's inverse is valid.  So one flip of every
+    enumerated square finds them all.  The +1 mask alone fixes a valid
+    state (the -1 sits where three lines of it hold two +1s), so states
+    are told apart by it.
     """
-    n = root.n
-    start = sum(1 << ((r * n + c) * n + s) for r, line in enumerate(root.grid) for c, s in enumerate(line))
-    seen_pos = frontier_pos = np.array([start], dtype=np.uint64)
-    seen_neg = frontier_neg = np.zeros(1, dtype=np.uint64)
-    while frontier_pos.size:
-        found_pos, found_neg = [], []
-        for lo in range(0, frontier_pos.size, _BLOCK):
-            ok, pos, neg = _flips(frontier_pos[lo : lo + _BLOCK], frontier_neg[lo : lo + _BLOCK], plus, minus)
-            found_pos.append(pos[ok])
-            found_neg.append(neg[ok])
-        pos, first = np.unique(np.concatenate(found_pos), return_index=True)
-        neg = np.concatenate(found_neg)[first]
-        new = ~np.isin(pos, seen_pos, assume_unique=True)
-        frontier_pos, frontier_neg = pos[new], neg[new]
-        seen_pos = np.concatenate([seen_pos, frontier_pos])
-        seen_neg = np.concatenate([seen_neg, frontier_neg])
-    order = np.argsort(seen_pos)
-    return seen_pos[order], seen_neg[order]
+    cells = np.array(_enumerate_grids(n), dtype=np.uint64).reshape(-1, n * n)
+    proper = np.bitwise_or.reduce(_ONE << (np.arange(n * n, dtype=np.uint64) * np.uint64(n) + cells), axis=1)
+    found_pos, found_neg = [proper], [np.zeros_like(proper)]
+    for lo in range(0, proper.size, _BLOCK):
+        block = proper[lo : lo + _BLOCK]
+        ok, pos, neg = _flips(block, np.zeros_like(block), plus, minus)
+        found_pos.append(pos[ok])
+        found_neg.append(neg[ok])
+    pos, first = np.unique(np.concatenate(found_pos), return_index=True)
+    return pos, np.concatenate(found_neg)[first]
 
 
 def _decode(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SquareState]:
@@ -211,21 +207,22 @@ def _decode(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SquareState]:
 
 
 def build_state_graph(n: int) -> StateGraph:
-    """Breadth-first closure of the move graph from the cyclic square.
+    """The move graph on every proper and improper square of order n.
 
     A state is held as two bit masks over its signed incidence cube, one of
     its +1 entries and one of its -1 entry, so one array expression tests
-    every move on a block of the frontier (`_flips`).  The closure finds the
-    states level by level; they are then decoded once and renumbered in
-    canonical-key order.  A second blocked pass flips every vertex again
-    and looks each result up among the sorted masks: a vertex lists the
-    neighbours its own moves reach, and a move is fixed by the change it
-    makes, so none is listed twice.
+    every move on a block of states (`_flips`).  The vertices (`_states`)
+    are decoded once and renumbered in canonical-key order.  A blocked pass
+    flips every vertex and looks each result up among the sorted masks: a
+    vertex lists the neighbours its own moves reach, and a move is fixed by
+    the change it makes, so none is listed twice.  No vertex is found by
+    following an edge, so a connected graph certifies that the moves
+    connect every state of the order.
     """
     if not 2 <= n <= GRAPH_LIMIT:
         raise TooLarge(f"state graph is limited to 2 <= n <= {GRAPH_LIMIT}")
     plus, minus = _move_masks(n)
-    pos, neg = _closure(cyclic_square(n), plus, minus)
+    pos, neg = _states(n, plus, minus)
     found = _decode(n, pos, neg)
     order = sorted(range(len(found)), key=lambda i: canonical_key(found[i]))
     v = len(order)

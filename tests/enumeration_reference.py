@@ -4,12 +4,13 @@
 each symbol as a full rook placement, a strategy unrelated to the cell-wise
 backtracking of `latinsq.oracle`; `enumerate_improper_squares` lists the
 improper squares by direct completion search, independent of the move
-machinery and of the graph search.  The tests check the library's
+machinery and of the state graph.  The tests check the library's
 enumeration and state graph against both.  `bfs_distances` is a plain
 queue-driven breadth-first search over a state graph's adjacency lists,
 the reference for the library's bit-parallel diameter probe.
 `proper_row_cycles` splits the columns of a proper square into the cycles
-of two rows, for the tests of `cycle_swap`.
+of two rows, for the tests of `cycle_swap`.  `reduced_form` names a
+square's class for the exact uniformity test at order 5.
 """
 
 from __future__ import annotations
@@ -145,3 +146,16 @@ def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[tuple[
         seen.update(cycle)
         cycles.append(tuple(cycle))
     return cycles
+
+
+def reduced_form(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The reduced square (row 0 and column 0 both 0..n-1) of a grid's class.
+
+    The columns are permuted so that row 0 reads 0..n-1, then the rows are
+    sorted, which puts column 0 in order.  Each reduced square of order n
+    is reached from exactly n!(n-1)! squares, one per column permutation
+    and permutation of rows 1..n-1, so uniform squares give uniform
+    reduced squares.
+    """
+    column_of = sorted(range(len(grid)), key=grid[0].__getitem__)
+    return tuple(sorted(tuple(map(row.__getitem__, column_of)) for row in grid))

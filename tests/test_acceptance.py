@@ -11,13 +11,19 @@ always cancel).
 
 import hashlib
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from cube_reference import IncidenceCube, is_valid_move, plus_triples
-from enumeration_reference import enumerate_grids_by_symbol, enumerate_improper_squares, proper_row_cycles
+from enumeration_reference import (
+    enumerate_grids_by_symbol,
+    enumerate_improper_squares,
+    proper_row_cycles,
+    reduced_form,
+)
 from latinsq.chain import ChainConfig, RngStream, _Walker, iter_chains, iter_samples, sample
 from latinsq.cli import main as cli_main
 from latinsq.connect import (
@@ -42,7 +48,13 @@ from latinsq.oracle import (
     count_latin_squares,
     enumerate_latin_squares,
 )
-from latinsq.stats import autocorrelation_time, cell_symbol_frequency_test, chi_square_uniformity
+from latinsq.stats import (
+    acceptance_band,
+    autocorrelation_time,
+    cell_symbol_frequency_test,
+    chi_square_uniformity,
+    pearson_statistic,
+)
 from scripted_draws import ScriptedDraws, walk
 
 from conftest import EX_PROPER_GRID
@@ -87,7 +99,7 @@ def test_criterion_2_connectivity(acceptance_record, graph3, graph4):
             f"n={n}: {graph.proper_count}+{graph.improper_count} vertices, connected"
         )
         assert result["connected"]
-        # the BFS closure covers exactly the independently enumerated state set
+        # the vertex set is exactly the independently enumerated state set
         assert proper_ok and improper_ok
     acceptance_record("criterion 2: state graph connected for n=2,3,4", ok, "; ".join(details))
 
@@ -283,8 +295,6 @@ def test_criterion_6_enumeration_oracle(acceptance_record):
 
 
 def test_criterion_7_uniformity(acceptance_record):
-    from collections import Counter
-
     reports = []
     samples3 = sample(ChainConfig(3, seed=CI_SEED, burn_in=1000, thin=27), 12000)
     universe3 = enumerate_latin_squares(3)
@@ -306,6 +316,26 @@ def test_criterion_7_uniformity(acceptance_record):
 
     ok = rep3.passed and rep4.passed and rep8.passed
     acceptance_record("criterion 7: uniformity within central 99.9% bands", ok, "; ".join(reports))
+    assert ok
+
+
+def test_uniformity_order_five_over_reduced_squares(acceptance_record):
+    # Exact categories at n = 5 without 161,280 of them: a uniform square
+    # has a uniform reduced form, one of 56, so 5600 samples give 100
+    # expected per class.  The per-cell test at n >= 5 stays as it is.
+    identity = tuple(range(5))
+    reduced = [g for g in _enumerate_grids(5) if g[0] == identity and tuple(r[0] for r in g) == identity]
+    assert len(reduced) == 56
+    counts = Counter(reduced_form(sq.grid) for sq in sample(ChainConfig(5, seed=CI_SEED), 5600))
+    assert counts.keys() <= set(reduced)
+    statistic = pearson_statistic([counts[g] for g in reduced], 100)
+    lo, hi = acceptance_band(55)
+    ok = lo <= statistic <= hi
+    acceptance_record(
+        "uniformity at n=5 over the 56 reduced squares within the central 99.9% band",
+        ok,
+        f"5600 samples, stat {statistic:.1f} dof 55, band {lo:.1f}-{hi:.1f}",
+    )
     assert ok
 
 
@@ -522,6 +552,17 @@ def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, gra
         # k(u->v) = k(v->u) and k(u->u) = 0 in integers: a law proportional to
         # each state's picks is in detailed balance, so it is stationary.
         assert (K != K.T).nnz == 0 and not K.diagonal().any()
+        # Connected over every state, and an edge joining two states at one
+        # breadth-first depth from state 0 closes an odd cycle: the walk is
+        # irreducible and aperiodic, so that law is its only limit.
+        order, parent = sparse.csgraph.breadth_first_order(K, 0)
+        assert len(order) == K.shape[0]
+        depth = np.zeros(len(order), dtype=np.int64)
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        u, v = K.nonzero()
+        level_edges = int((depth[u] == depth[v]).sum()) // 2
+        assert level_edges > 0
         assert np.abs(Q.sum(axis=1) - 1).max() < 1e-12
         assert np.abs(Q.sum(axis=0) - 1).max() < 1e-12  # doubly stochastic: uniform is stationary
         assert np.abs(Q - Q.T).max() < 1e-12  # reversible, so its spectrum is real
@@ -544,14 +585,14 @@ def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, gra
         assert burn_in == n**3 and first_tv[burn_in] <= 1e-6
         details.append(
             f"n={n}: {K.nnz} ordered state pairs with symmetric pick counts, "
-            + f"multiplicity at most {K.max()}; TV "
+            + f"multiplicity at most {K.max()}, one component, {level_edges} edges within a BFS level; TV "
             + ", ".join(f"{tv[t]:.1e} at {t}" for t in tv)
             + f"; second-largest |eigenvalue| {slem:.3f}; first sample from the cyclic start: TV "
             + ", ".join(f"{first_tv[b]:.1e} at burn-in {b}" for b in first_tv)
             + "; at thin 1: TV " + ", ".join(f"{bias[b]:.2g} at burn-in {b}" for b in bias)
         )
     acceptance_record(
-        "proper-visit chain at n=3,4: symmetric pick counts, doubly stochastic, "
+        "proper-visit chain at n=3,4: symmetric, connected, non-bipartite pick counts, doubly stochastic, "
         "within 1e-6 of uniform at thin 2n^2, and so is the first sample from the cyclic start at burn-in n^3",
         True,
         "; ".join(details),

@@ -64,22 +64,41 @@ def test_graph_vertices_all_valid(graph3):
             assert len({*rec.positive_pair, rec.negative}) == 3
 
 
-def test_graph_vertex_set_matches_independent_enumeration(graph3):
-    proper_keys = {
-        canonical_key(s) for s in graph3.states if s.is_proper
-    }
-    improper_keys = {
-        canonical_key(s) for s in graph3.states if not s.is_proper
-    }
+def test_graph_vertex_set_matches_independent_enumeration(graph3, graph4):
     from latinsq.core import cube_from_grid
 
-    enum_proper = {
-        canonical_key(cube_from_grid([list(r) for r in sq.grid]))
-        for sq in enumerate_latin_squares(3)
-    }
-    enum_improper = {canonical_key(s) for s in enumerate_improper_squares(3)}
-    assert proper_keys == enum_proper
-    assert improper_keys == enum_improper
+    for g in (graph3, graph4):
+        proper_keys = {canonical_key(s) for s in g.states if s.is_proper}
+        improper_keys = {canonical_key(s) for s in g.states if not s.is_proper}
+        enum_proper = {
+            canonical_key(cube_from_grid([list(r) for r in sq.grid]))
+            for sq in enumerate_latin_squares(g.n)
+        }
+        enum_improper = {canonical_key(s) for s in enumerate_improper_squares(g.n)}
+        assert proper_keys == enum_proper
+        assert improper_keys == enum_improper
+
+
+@pytest.mark.parametrize("n,improper", [(3, 36), (4, 2304)])
+def test_graph_with_moves_on_two_rows_is_disconnected(n, improper, monkeypatch, capsys):
+    # The vertex set does not come from the moves, so moves that cannot
+    # connect the squares must give a disconnected graph, not a smaller
+    # connected one.  The first C(n,2) n(n-1) masks are the moves on rows 0, 1.
+    from math import comb
+
+    from latinsq import oracle
+    from latinsq.cli import main
+
+    every_move = oracle._move_masks
+    kept = comb(n, 2) * n * (n - 1)
+    monkeypatch.setattr(oracle, "_move_masks", lambda n: tuple(m[:kept] for m in every_move(n)))
+    g = build_state_graph(n)
+    assert (g.proper_count, g.improper_count) == (count_latin_squares(n), improper)
+    assert check_connectivity_and_diameter(g)["connected"] is False
+    assert main(["graph", str(n)]) == 1
+    assert capsys.readouterr().out.startswith(
+        f"{count_latin_squares(n)} proper, {improper} improper, DISCONNECTED, "
+    )
 
 
 def test_graph_edges_symmetric_via_inverted_move(graph3, graph4):
