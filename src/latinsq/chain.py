@@ -18,8 +18,6 @@ import pickle
 from dataclasses import dataclass
 from typing import IO, Iterator
 
-import numpy as np
-
 from .core import ImproperCell, LatinSquareError, SquareState, cyclic_square
 from .oracle import enumerate_latin_squares
 
@@ -78,6 +76,8 @@ class RngStream:
     _BLOCK = 4096
 
     def __init__(self, seed: "int | np.random.SeedSequence"):
+        import numpy as np  # loaded by the first stream, not at start-up
+
         if isinstance(seed, np.random.SeedSequence):
             self.seed_seq = seed
         else:
@@ -93,6 +93,8 @@ class RngStream:
         """The endless stream of uniform draws from range(bound)."""
         it = self._draws.get(bound)
         if it is None:
+            import numpy as np
+
             gen, size = self._gen, self._BLOCK  # no reference to self: a dropped stream frees at once
             blocks = iter(lambda: gen.integers(0, bound, size, dtype=np.int64).tolist(), None)
             it = self._draws[bound] = itertools.chain.from_iterable(blocks)
@@ -312,6 +314,8 @@ def _fork_group(config: ChainConfig, tasks: list[tuple[int, RngStream]]) -> tupl
             os.close(r)
             with open(w, "wb") as pipe:
                 try:
+                    import numpy as np
+
                     n = config.n
                     out = np.empty((sum(per for per, _ in tasks), n, n), np.min_scalar_type(n - 1))
                     runs = (iter_samples(config, per, rng) for per, rng in tasks)

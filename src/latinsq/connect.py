@@ -12,19 +12,23 @@ Everything here is built from three primitives and one driver:
   fixing rows top-down; the emitted sequence never exceeds 2(n-1)^3 moves and
   every intermediate state is a valid proper or improper square.
 
-Each returns one `MoveSequence` whose ``end`` is the resulting square, built
-by composition: ``seq + other`` joins a path that starts at ``seq.end``, and
-``seq.then(moves)`` applies moves there.  A two-row chain or cycle is the
-tuple of its columns in walk order; its symbols are read from the state.
+Each returns one `MoveSequence` whose ``end`` is the resulting square.  The
+moves are taken on one private mutable board, `_Board`: the rows as lists,
+the improper record and the list of moves taken, read through
+`SquareState`'s own readers and changed only by `moves._flip`, the rule
+`apply_move` states.  Each primitive runs on a board, so `transform_path`
+drives a single board from start to end and builds a state only there.  A
+two-row chain or cycle is the tuple of its columns in walk order; its
+symbols are read from the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .core import LatinSquareError, SquareState, validate
-from .moves import IntercalateMove, apply_move
+from .core import InvalidSquare, LatinSquareError, SquareState, validate
+from .moves import IntercalateMove, InvalidMove, _flip, apply_move
 
 
 class NotImproper(LatinSquareError):
@@ -47,7 +51,7 @@ class OrderMismatch(LatinSquareError):
     """The two endpoint squares have different orders."""
 
 
-@dataclass  # not frozen: a path composes hundreds of these, and a frozen __init__ costs twice as much
+@dataclass
 class MoveSequence:
     """An ordered move list with its endpoint states; no method changes one."""
 
@@ -90,7 +94,45 @@ class MoveSequence:
         return state
 
 
-def _unique_col(state: SquareState, row: int, sym: int) -> int:
+class _Board:
+    """The one mutable square a path is built on, with the moves taken so far.
+
+    ``grid`` holds the rows as lists and ``improper`` the record, as a
+    `SquareState` holds them, so the state's readers serve it unchanged.
+    `take` applies a move through `moves._flip`; a refused move raises
+    InvalidMove, as `apply_move` does, and leaves the board as it was.
+    """
+
+    __slots__ = ("grid", "improper", "moves")
+
+    n = SquareState.n
+    entry, symbol_at = SquareState.entry, SquareState.symbol_at
+    rows_with, cols_with = SquareState.rows_with, SquareState.cols_with
+
+    def __init__(self, state: SquareState):
+        self.grid = list(map(list, state.grid))
+        self.improper = state.improper
+        self.moves: list[IntercalateMove] = []
+
+    def take(self, m: IntercalateMove) -> None:
+        out = _flip(self.grid, self.improper, m)
+        if isinstance(out, str):
+            raise InvalidMove(f"move ({m.text()}) invalid: {out}")
+        self.grid[m.i], self.grid[m.i2], self.improper = out
+        self.moves.append(m)
+
+    def state(self) -> SquareState:
+        return SquareState(tuple(map(tuple, self.grid)), self.improper)
+
+
+def _on_board(state: SquareState, primitive: Callable[..., None], *args) -> MoveSequence:
+    """Run a board primitive on a board of ``state``: the path of the moves it takes."""
+    board = _Board(state)
+    primitive(board, *args)
+    return MoveSequence(state, tuple(board.moves), board.state())
+
+
+def _unique_col(state: SquareState | _Board, row: int, sym: int) -> int:
     cols = state.cols_with(row, sym)
     if len(cols) != 1:
         raise LatinSquareError(
@@ -100,21 +142,30 @@ def _unique_col(state: SquareState, row: int, sym: int) -> int:
 
 
 def _two_row_chain(
-    state: SquareState, top: int, bottom: int, col: int, ends: tuple[int, ...]
+    state: SquareState | _Board, top: int, bottom: int, col: int, ends: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Walk the chain of rows (``top``, ``bottom``) from column ``col``.
 
     At each column read the bottom row's symbol; stop when it is in ``ends``,
     else jump to the column where the top row holds it.  Returns the columns
     in walk order.  A valid state ends the walk within n columns.
+
+    The rows are read straight from the grid.  The grid shows only the
+    smaller positive of the improper cell, so a chain must not reach that
+    cell: no caller's chain does on a valid state, and one that does raises.
     """
+    rec = state.improper
+    improper_col = rec.col if rec is not None and rec.row in (top, bottom) else -1
+    upper, lower = state.grid[top], state.grid[bottom]
     cols: list[int] = []
-    for _ in range(state.n):
+    for _ in range(len(lower)):
+        if col == improper_col:
+            raise LatinSquareError(f"chain reached the improper cell in column {col}; state is corrupt")
         cols.append(col)
-        sym = state.symbol_at(bottom, col)
+        sym = lower[col]
         if sym in ends:
             return tuple(cols)
-        col = _unique_col(state, top, sym)
+        col = upper.index(sym)
     raise LatinSquareError("chain did not terminate; state is corrupt")
 
 
@@ -146,8 +197,8 @@ def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...
     )
 
 
-def _resolve_improper(state: SquareState, avoid: Iterable[int] = ()) -> MoveSequence:
-    """Drive an improper state proper with moves confined to two rows.
+def _resolve_improper(board: _Board, avoid: Iterable[int] = ()) -> None:
+    """Drive an improper board proper with moves confined to two rows.
 
     The helper row is the smallest row outside ``avoid`` that holds the
     negative symbol in the improper column; a corrupt state without one
@@ -157,20 +208,19 @@ def _resolve_improper(state: SquareState, avoid: Iterable[int] = ()) -> MoveSequ
     two current chains (ties go to the larger positive), which makes the
     total number of moves at most the first minimum, i.e. floor((n-1)/2).
     """
-    rec = state.improper
-    helpers = [r for r in state.rows_with(rec.col, rec.negative) if r not in avoid]
+    rec = board.improper
+    helpers = [r for r in board.rows_with(rec.col, rec.negative) if r not in avoid]
     if not helpers:
         raise LatinSquareError(
             f"no helper row holds symbol {rec.negative} in column {rec.col}; state is corrupt"
         )
-    seq, helper_row = MoveSequence(state, (), state), helpers[0]
-    while (rec := seq.end.improper) is not None:
-        chain_hi, chain_lo = find_row_cycles(seq.end, helper_row)
+    helper_row = helpers[0]
+    while (rec := board.improper) is not None:
+        chain_hi, chain_lo = find_row_cycles(board, helper_row)
         lo, hi = rec.positive_pair
         chain, chased = (chain_lo, lo) if len(chain_lo) < len(chain_hi) else (chain_hi, hi)
-        m = IntercalateMove.from_anchors(rec.row, rec.col, rec.negative, helper_row, chain[-1], chased)
-        seq, helper_row = seq.then((m,)), rec.row
-    return seq
+        board.take(IntercalateMove.from_anchors(rec.row, rec.col, rec.negative, helper_row, chain[-1], chased))
+        helper_row = rec.row
 
 
 def normalize_to_proper(state: SquareState) -> MoveSequence:
@@ -183,7 +233,7 @@ def normalize_to_proper(state: SquareState) -> MoveSequence:
     """
     if state.improper is None:
         return MoveSequence(state, (), state)
-    return _resolve_improper(state)
+    return _on_board(state, _resolve_improper)
 
 
 def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSequence:
@@ -195,19 +245,23 @@ def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSe
     the cycle changes.  The cycle closes at the column where row i2 holds
     the symbol row i1 holds at ``column``.
     """
+    return _on_board(state, _cycle_swap, rows, column)
+
+
+def _cycle_swap(board: _Board, rows: tuple[int, int], column: int) -> None:
     i1, i2 = rows
-    if state.improper is not None:
+    if board.improper is not None:
         raise InvalidCycle("row cycles need a proper state")
     if i1 == i2:
         raise InvalidCycle("cycle rows must differ")
-    if not all(0 <= x < state.n for x in (i1, i2, column)):
-        raise InvalidCycle(f"row {i1}, row {i2} or column {column} outside 0..{state.n - 1}")
-    top = state.grid[i1]
+    if not all(0 <= x < board.n for x in (i1, i2, column)):
+        raise InvalidCycle(f"row {i1}, row {i2} or column {column} outside 0..{board.n - 1}")
+    top = board.grid[i1]  # a move replaces the board's row, so this one stays as it was
     first = top[column]
-    cols = _two_row_chain(state, i1, i2, column, (first,))
-    ms = [IntercalateMove.from_anchors(i1, column, top[cols[1]], i2, cols[1], first)]
-    ms += (IntercalateMove.from_anchors(i2, c, first, i1, d, top[d]) for c, d in zip(cols[1:-1], cols[2:]))
-    return MoveSequence(state, (), state).then(ms)
+    cols = _two_row_chain(board, i1, i2, column, (first,))
+    board.take(IntercalateMove.from_anchors(i1, column, top[cols[1]], i2, cols[1], first))
+    for c, d in zip(cols[1:-1], cols[2:]):
+        board.take(IntercalateMove.from_anchors(i2, c, first, i1, d, top[d]))
 
 
 def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSequence:
@@ -223,11 +277,15 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
     negative symbol t, and differs from the input only at those two cells
     and within rows i2 and i3.  At most 2(n-1) moves are emitted.
     """
-    rec = state.improper
+    return _on_board(state, _swap_row_entries, i1, j1, j2)
+
+
+def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
+    rec = board.improper
     if rec is None:
         raise PreconditionViolated("state is proper; an improper cell in column j1 is required")
-    if not all(0 <= x < state.n for x in (i1, j1, j2)):
-        raise PreconditionViolated(f"row {i1}, column {j1} or column {j2} outside 0..{state.n - 1}")
+    if not all(0 <= x < board.n for x in (i1, j1, j2)):
+        raise PreconditionViolated(f"row {i1}, column {j1} or column {j2} outside 0..{board.n - 1}")
     if rec.col != j1:
         raise PreconditionViolated(
             f"improper cell sits in column {rec.col}, not in j1={j1}"
@@ -238,48 +296,51 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
     if j1 == j2:
         raise PreconditionViolated("j1 and j2 must differ")
     s = rec.negative
-    if state.entry(i1, j1, s) != 1:
+    if board.entry(i1, j1, s) != 1:
         raise PreconditionViolated(
             f"cell ({i1},{j1}) does not hold the negative symbol {s}"
         )
-    t = state.symbol_at(i1, j2)
-    i3_rows = state.rows_with(j2, s)
+    t = board.symbol_at(i1, j2)
+    i3_rows = board.rows_with(j2, s)
     if len(i3_rows) != 1:
         raise PreconditionViolated(f"column {j2} does not hold symbol {s} exactly once")
     i3 = i3_rows[0]
 
     if i3 == i2:
         # The negative row itself holds s at j2: one move does it all.
-        return MoveSequence(state, (), state).then((IntercalateMove.from_anchors(i1, j1, t, i2, j2, s),))
+        board.take(IntercalateMove.from_anchors(i1, j1, t, i2, j2, s))
+        return
 
     # General case.  Chase the chain of rows (i2, i3) from each of the two
     # columns where row i2 holds s; a usable chain ends on a column where
     # row i3 yields one of the improper cell's positives and never touches
     # j2 (row i3 holding s there would derail the closing steps).
     ends = (*rec.positive_pair, s)
-    chains = [_two_row_chain(state, i2, i3, c, ends) for c in state.cols_with(i2, s)]
-    chains = [chain for chain in chains if state.symbol_at(i3, chain[-1]) != s]
+    chains = [_two_row_chain(board, i2, i3, c, ends) for c in board.cols_with(i2, s)]
+    bottom = board.grid[i3]  # i3 is not the improper row
+    chains = [chain for chain in chains if bottom[chain[-1]] != s]
     if not chains:
         raise LatinSquareError("no usable chain found; state is corrupt")
     chain = min(chains, key=lambda chain: (len(chain), chain[0]))
-    c1, b_sym = chain[0], state.symbol_at(i3, chain[-1])
+    c1, b_sym = chain[0], bottom[chain[-1]]
 
-    seq = MoveSequence(state, (), state).then((IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym),))
-    detour = MoveSequence(seq.end, (), seq.end)
+    board.take(IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym))
+    detour: list[IntercalateMove] = []
     if len(chain) >= 2:
-        if seq.end.improper is not None:
+        if board.improper is not None:
             # Park the new negative cell (i1, c1) with moves on rows i1 and a
             # spare row, keeping rows i2 and i3 untouched for the cycle swap.
-            detour = _resolve_improper(seq.end, (i1, i2, i3))
-        seq = seq + detour + cycle_swap(detour.end, (i2, i3), c1)
+            mark = len(board.moves)
+            _resolve_improper(board, (i1, i2, i3))
+            detour = board.moves[mark:]
+        _cycle_swap(board, (i2, i3), c1)
 
     # The detour and the swap share no row, so the detour's inverse still
     # undoes it; two moves then close the swap.
-    return seq.then((
-        *detour.inverted().moves,
-        IntercalateMove.from_anchors(i3, j1, b_sym, i1, c1, s),
-        IntercalateMove.from_anchors(i1, j1, t, i3, j2, s),
-    ))
+    for m in reversed(detour):
+        board.take(m.inverted())
+    board.take(IntercalateMove.from_anchors(i3, j1, b_sym, i1, c1, s))
+    board.take(IntercalateMove.from_anchors(i1, j1, t, i3, j2, s))
 
 
 def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
@@ -291,32 +352,35 @@ def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
     column, resolving it within rows below ``k`` once the displaced symbol
     reaches its own target column.  Costs at most 2(n-1)^2 moves.
     """
-    n = state.n
-    target_row = [target.symbol_at(k, c) for c in range(n)]
-    seq = MoveSequence(state, (), state)
+    rec = state.improper
+    if rec is not None and rec.row == k:
+        raise InvalidSquare(f"cell ({k},{rec.col}) is not a proper cell")  # what symbol_at raises there
+    return _on_board(state, _fix_row, [target.symbol_at(k, c) for c in range(state.n)], k)
+
+
+def _fix_row(board: _Board, target_row: list[int], k: int) -> None:
     while True:
-        row = [seq.end.symbol_at(k, c) for c in range(n)]
-        mismatched = [c for c in range(n) if row[c] != target_row[c]]
-        if not mismatched:
-            return seq
-        j2 = mismatched[0]
+        row = board.grid[k]  # proper at the start of a round
+        j2 = next((c for c, (x, y) in enumerate(zip(row, target_row)) if x != y), None)
+        if j2 is None:
+            return
         s = target_row[j2]
         t = row[j2]
         j1 = row.index(s)
-        i1 = _unique_row_below(seq.end, k, j2, s)
-        seq = seq.then((IntercalateMove.from_anchors(k, j2, s, i1, j1, t),))
-        while (rec := seq.end.improper) is not None:
+        i1 = _unique_row_below(board, k, j2, s)
+        board.take(IntercalateMove.from_anchors(k, j2, s, i1, j1, t))
+        while (rec := board.improper) is not None:
             tau = rec.negative
             if target_row[rec.col] == tau:
                 # tau landed on its own target column: close out the round
                 # with a two-row resolution on a helper row below row k.
-                seq += _resolve_improper(seq.end, range(k + 1))
+                _resolve_improper(board, range(k + 1))
                 break
-            seq += swap_row_entries(seq.end, k, rec.col, target_row.index(tau))
+            _swap_row_entries(board, k, rec.col, target_row.index(tau))
 
 
-def _unique_row_below(state: SquareState, k: int, col: int, sym: int) -> int:
-    rows = state.rows_with(col, sym)
+def _unique_row_below(board: _Board, k: int, col: int, sym: int) -> int:
+    rows = board.rows_with(col, sym)
     if len(rows) != 1:
         raise LatinSquareError(f"column {col} does not hold {sym} exactly once")
     if rows[0] <= k:
@@ -330,18 +394,24 @@ def transform_path(a: SquareState, b: SquareState) -> MoveSequence:
     Improper endpoints are first driven proper (and the suffix replayed in
     reverse for ``b``); rows are then fixed top-down, the last row being
     forced.  The sequence length is at most 2(n-1)^3 and every intermediate
-    state is a valid proper or improper square.
+    state is a valid proper or improper square.  One board runs from ``a``
+    to ``b``, and a second resolves ``b``; only the end is built as a state.
     """
     if a.n != b.n:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if a == b:
         return MoveSequence(a, (), b)
-    seq, seq_b = normalize_to_proper(a), normalize_to_proper(b)
+    board, target = _Board(a), _Board(b)
+    for bd in (board, target):
+        if bd.improper is not None:
+            _resolve_improper(bd)
     for k in range(a.n - 1):
-        seq += fix_row(seq.end, seq_b.end, k)
-    if seq.end != seq_b.end:
+        _fix_row(board, target.grid[k], k)
+    if board.grid != target.grid or board.improper is not None:
         raise LatinSquareError("row fixing did not converge; internal error")
-    seq = seq.then(seq_b.inverted().moves)
-    if seq.end != b:
+    for m in reversed(target.moves):
+        board.take(m.inverted())
+    end = board.state()
+    if end != b:
         raise LatinSquareError("endpoint mismatch after replay; internal error")
-    return seq
+    return MoveSequence(a, tuple(board.moves), end)

@@ -10,16 +10,18 @@ as ((i,j;a),(i2,j2;b)), the flip adds
 to the incidence cube, so line sums are conserved by construction.  A move is
 valid on a state when every touched entry stays inside {-1, 0, 1} and the
 result has at most one negative entry.  A move reads its four cells from
-the state's grid and record and writes a new grid; no cube is built.
+the state's grid and record and writes two new rows; no cube is built.
 A move's inverse, `IntercalateMove.inverted`, exchanges a and b.  That
-rule is stated once, in `_flip`: `apply_move` raises on its verdict, and
-`enumerate_valid_moves` keeps every canonical move it accepts.
+rule is stated once, in `_flip`, on a state's rows and record: `apply_move`
+raises on its verdict, the path finder's board (`connect`) takes a move the
+same way, and `enumerate_valid_moves` keeps every canonical move it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Sequence
 
 from .core import ImproperCell, LatinSquareError, SquareState
 
@@ -77,25 +79,29 @@ class IntercalateMove:
         return f"{self.i} {self.j} {self.a} {self.i2} {self.j2} {self.b}"
 
 
-def _flip(state: SquareState, m: IntercalateMove) -> SquareState | str:
-    """The state plus the move's intercalate, or the reason the move is invalid.
+def _flip(
+    grid: Sequence[Sequence[int]], rec: ImproperCell | None, m: IntercalateMove
+) -> tuple[list[int], list[int], ImproperCell | None] | str:
+    """Rows m.i and m.i2 and the record after the move's intercalate, or the
+    reason the move is invalid.
 
-    One pass over the four touched cells.  Cell k gains +1 at symbol x and
-    -1 at symbol y, so a proper cell must hold y (it then holds x) or
+    ``grid`` and ``rec`` are a state's rows and record, as a `SquareState`
+    holds them; neither is modified, and the two rows come back as new
+    lists.  One pass over the four touched cells.  Cell k gains +1 at symbol
+    x and -1 at symbol y, so a proper cell must hold y (it then holds x) or
     neither (it becomes improper with the -1 at y), and the improper cell
     must not hold x as a positive or y as its negative.  The count of -1s is
     checked once, at the end.
     """
-    n = state.n
+    n = len(grid)
     i, j, a, i2, j2, b = m.i, m.j, m.a, m.i2, m.j2, m.b
     if max(i2, j2, a, b) >= n:
         return f"move indices exceed order {n}"
-    rec = state.improper
     at_r, at_c = (-1, -1) if rec is None else (rec.row, rec.col)
     negatives = 0 if rec is None else 1
     # The record survives unless its cell is touched.
     new = None if at_r in (i, i2) and at_c in (j, j2) else rec
-    top, bottom = list(state.grid[i]), list(state.grid[i2])
+    top, bottom = list(grid[i]), list(grid[i2])
     for k, (line, r, c, x, y) in enumerate(
         ((top, i, j, a, b), (top, i, j2, b, a), (bottom, i2, j, b, a), (bottom, i2, j2, a, b))
     ):
@@ -129,9 +135,7 @@ def _flip(state: SquareState, m: IntercalateMove) -> SquareState | str:
         line[c] = new.positive_pair[0]
     if negatives > 1:
         return "result would have more than one negative cell"
-    grid = list(state.grid)
-    grid[i], grid[i2] = tuple(top), tuple(bottom)
-    return SquareState(tuple(grid), new)
+    return top, bottom, new
 
 
 def apply_move(state: SquareState, m: IntercalateMove) -> SquareState:
@@ -140,10 +144,13 @@ def apply_move(state: SquareState, m: IntercalateMove) -> SquareState:
     Fails atomically with InvalidMove when any entry would leave {-1,0,1} or
     a second negative cell would arise; the input state is never modified.
     """
-    out = _flip(state, m)
+    out = _flip(state.grid, state.improper, m)
     if isinstance(out, str):
         raise InvalidMove(f"move ({m.text()}) invalid: {out}")
-    return out
+    top, bottom, rec = out
+    grid = list(state.grid)
+    grid[m.i], grid[m.i2] = tuple(top), tuple(bottom)
+    return SquareState(tuple(grid), rec)
 
 
 def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
@@ -156,4 +163,5 @@ def enumerate_valid_moves(state: SquareState) -> list[IntercalateMove]:
         for j, j2 in combinations(lines, 2)
         for a, b in permutations(lines, 2)
     )
-    return [m for m in moves if not isinstance(_flip(state, m), str)]
+    grid, rec = state.grid, state.improper
+    return [m for m in moves if not isinstance(_flip(grid, rec, m), str)]

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
-import numpy as np
-
 from .core import ImproperCell, LatinSquareError, SquareState
 
 ENUMERATION_LIMIT = 5
@@ -27,7 +25,6 @@ GRAPH_LIMIT = 4
 # one bit per cube entry, so its orders need n**3 <= 64.
 assert GRAPH_LIMIT**3 <= 64, "GRAPH_LIMIT exceeds the 64-bit cube masks of the state graph"
 
-_ONE = np.uint64(1)
 _BLOCK = 64  # states flipped at once: one array of _BLOCK rows, one column per move
 
 
@@ -129,6 +126,7 @@ def _move_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     (i,j,a), (i,j2,b), (i2,j,b), (i2,j2,a) and -1 at the other four
     corners of its 2 x 2 x 2 box.
     """
+    import numpy as np
 
     def bit(r: int, c: int, s: int) -> int:
         return 1 << ((r * n + c) * n + s)
@@ -153,9 +151,11 @@ def _flips(
     a +1, and the result is valid when at most one -1 is left.  Each
     output has one row per state and one column per move.
     """
+    import numpy as np
+
     p, q = pos[:, None], neg[:, None]
     new_neg = (q & ~plus) | (minus & ~p)
-    ok = ((plus & p) == 0) & ((minus & q) == 0) & ((new_neg & (new_neg - _ONE)) == 0)
+    ok = ((plus & p) == 0) & ((minus & q) == 0) & ((new_neg & (new_neg - np.uint64(1))) == 0)
     return ok, (p & ~minus) | (plus & ~q), new_neg
 
 
@@ -169,8 +169,10 @@ def _states(n: int, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np
     state (the -1 sits where three lines of it hold two +1s), so states
     are told apart by it.
     """
+    import numpy as np
+
     cells = np.array(_enumerate_grids(n), dtype=np.uint64).reshape(-1, n * n)
-    proper = np.bitwise_or.reduce(_ONE << (np.arange(n * n, dtype=np.uint64) * np.uint64(n) + cells), axis=1)
+    proper = np.bitwise_or.reduce(np.uint64(1) << (np.arange(n * n, dtype=np.uint64) * np.uint64(n) + cells), axis=1)
     found_pos, found_neg = [proper], [np.zeros_like(proper)]
     for lo in range(0, proper.size, _BLOCK):
         block = proper[lo : lo + _BLOCK]
@@ -183,6 +185,8 @@ def _states(n: int, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np
 
 def _decode(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SquareState]:
     """The states of cube masks; equal rows and equal records are shared objects."""
+    import numpy as np
+
     low = (1 << n) - 1
     cells = ((pos[:, None] >> (np.arange(n * n, dtype=np.uint64) * np.uint64(n))) & np.uint64(low)).astype(np.uint8)
     smallest = np.array([max(0, (x & -x).bit_length() - 1) for x in range(low + 1)], dtype=np.uint8)
@@ -221,6 +225,8 @@ def build_state_graph(n: int) -> StateGraph:
     """
     if not 2 <= n <= GRAPH_LIMIT:
         raise TooLarge(f"state graph is limited to 2 <= n <= {GRAPH_LIMIT}")
+    import numpy as np
+
     plus, minus = _move_masks(n)
     pos, neg = _states(n, plus, minus)
     found = _decode(n, pos, neg)
@@ -253,6 +259,8 @@ def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
     per 64 seeds, and a level ORs each vertex's neighbours' frontier words.
     The first seed, vertex 0, decides connectivity.
     """
+    import numpy as np
+
     v = g.vertex_count
     exact = g.n <= 3
     seeds = np.arange(v) if exact else np.arange(0, v, max(1, v // 32))[:32]
@@ -264,7 +272,7 @@ def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
     starts = (np.cumsum(degree) - degree)[linked]
     seen = np.zeros((v, (seeds.size + 63) // 64), dtype=np.uint64)
     bits = np.arange(seeds.size)
-    seen[seeds, bits // 64] = _ONE << (bits % 64).astype(np.uint64)
+    seen[seeds, bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
     frontier, diameter = seen, 0
     while True:
         reached = np.zeros_like(seen)
@@ -275,5 +283,5 @@ def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
             break
         seen |= frontier
         diameter += 1
-    connected = bool(np.all(seen[:, 0] & _ONE))
+    connected = bool(np.all(seen[:, 0] & np.uint64(1)))
     return {"connected": connected, "diameter": diameter, "exact": exact}

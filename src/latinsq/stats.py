@@ -16,8 +16,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import LatinSquareError, SquareState
 
 ALPHA = 0.001  # total two-sided mass outside the acceptance band
@@ -141,6 +139,8 @@ def autocorrelation_time(series) -> tuple[float, float]:
     independent series reads about 1.  The effective sample size is
     N / tau_int.  Autocorrelations come from one FFT, O(N log N).
     """
+    import numpy as np
+
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise InsufficientSamples(f"need a series of at least 2 values, got shape {x.shape}")

@@ -508,24 +508,36 @@ def test_module_entry_point():
 
 
 # Runs in a fresh interpreter: every command but a uniformity verdict starts
-# without scipy, and a verdict loads scipy.special but not scipy.stats.
+# without scipy, and a verdict loads scipy.special but not scipy.stats.  The
+# import, verify, path and enumerate load no numpy either; gen loads it.
 STARTUP_CHILD = """
 import json, sys
 import latinsq
 from latinsq import cli
 
+
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
+
+
+numpy_after_import = loaded("numpy")
 a, b = sys.argv[1:]
 codes = [cli.main(argv) for argv in (
-    ["gen", "3", "--seed", "1", "--samples", "2"],
     ["verify", a],
     ["path", a, b, "--verify"],
     ["enumerate", "3", "--count-only"],
-    ["graph", "3"],
 )]
-scipy_after_commands = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+numpy_after_commands = loaded("numpy")
+codes.append(cli.main(["gen", "3", "--seed", "1", "--samples", "2"]))
+numpy_after_gen = "numpy" in sys.modules
+codes.append(cli.main(["graph", "3"]))
+scipy_after_commands = loaded("scipy")
 uniformity_code = cli.main(["uniformity", "4", "--samples", "5760", "--seed", "1"])
 print(json.dumps({
     "codes": codes,
+    "numpy_after_import": numpy_after_import,
+    "numpy_after_commands": numpy_after_commands,
+    "numpy_after_gen": numpy_after_gen,
     "scipy_after_commands": scipy_after_commands,
     "uniformity_code": uniformity_code,
     "loaded_after_verdict": [m for m in ("scipy.special", "scipy.stats") if m in sys.modules],
@@ -544,6 +556,8 @@ def test_commands_start_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0] * 5
+    assert report["numpy_after_import"] == report["numpy_after_commands"] == []
+    assert report["numpy_after_gen"]
     assert report["scipy_after_commands"] == []
     assert report["uniformity_code"] in (0, 1)
     assert report["loaded_after_verdict"] == ["scipy.special"]

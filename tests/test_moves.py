@@ -7,7 +7,7 @@ from enumeration_reference import proper_row_cycles
 from latinsq.chain import RngStream
 from latinsq.core import cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, InvalidMove, apply_move, enumerate_valid_moves
-from latinsq.connect import cycle_swap
+from latinsq.connect import _Board, cycle_swap
 from scripted_draws import walk
 
 EX_MOVE = IntercalateMove.from_anchors(0, 1, 0, 2, 3, 1)
@@ -191,6 +191,41 @@ def _check_apply_against_cube(state):
 def test_apply_matches_cube_arithmetic_on_every_order_three_state(graph3):
     for state in graph3.states:
         _check_apply_against_cube(state)
+
+
+def test_board_take_agrees_with_apply_move_on_every_order_three_move(graph3):
+    """The path finder's board and `apply_move` share one move rule: on all 66
+    states and all 54 canonical moves (plus one outside the order) they give
+    the same state or the same InvalidMove message, and a refused move leaves
+    the board's rows, record and move list as they were."""
+    lines = range(3)
+    moves = [
+        IntercalateMove(i, j, a, i2, j2, b)
+        for i, i2 in itertools.combinations(lines, 2)
+        for j, j2 in itertools.combinations(lines, 2)
+        for a, b in itertools.permutations(lines, 2)
+    ]
+    assert len(graph3.states) == 66 and len(moves) == 54
+    taken = 0
+    for state in graph3.states:
+        board = _Board(state)  # one board per state: each valid move is taken, then undone
+        for m in (*moves, IntercalateMove(0, 0, 0, 1, 3, 1)):
+            rows, rec, before = [list(r) for r in board.grid], board.improper, list(board.moves)
+            try:
+                expected = apply_move(state, m)
+            except InvalidMove as refusal:
+                with pytest.raises(InvalidMove) as err:
+                    board.take(m)
+                assert str(err.value) == str(refusal)
+                assert (board.grid, board.improper, board.moves) == (rows, rec, before)
+                continue
+            board.take(m)
+            assert board.state() == expected and board.moves == [*before, m]
+            board.take(m.inverted())
+            assert board.state() == state
+            taken += 1
+    # A vertex's neighbours are the states its valid moves reach, one per move.
+    assert taken == sum(map(len, graph3.adjacency))
 
 
 @pytest.mark.parametrize("n", [4, 5])
