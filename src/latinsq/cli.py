@@ -161,7 +161,7 @@ def cmd_path(args: argparse.Namespace) -> int:
         bound = 2 * (a.n - 1) ** 3
         try:
             endpoint = seq.replay(check=True)
-        except Exception as exc:
+        except LatinSquareError as exc:
             print(f"verification failed: {exc}", file=sys.stderr)
             return 3
         if endpoint != b or len(seq) > bound:

@@ -17,9 +17,11 @@ moves are taken on one private mutable board, `_Board`: the rows as lists,
 the improper record and the list of moves taken, read through
 `SquareState`'s own readers and changed only by `moves._flip`, the rule
 `apply_move` states.  Each primitive runs on a board, so `transform_path`
-drives a single board from start to end and builds a state only there.  A
-two-row chain or cycle is the tuple of its columns in walk order; its
-symbols are read from the rows.
+drives a single board from start to end and builds a state only there.
+The board is the only place a path is built: a `MoveSequence` records one
+and can reverse or replay it, but never extends it.  A two-row chain or
+cycle is the tuple of its columns in walk order; its symbols are read from
+the rows.
 """
 
 from __future__ import annotations
@@ -61,19 +63,6 @@ class MoveSequence:
 
     def __len__(self) -> int:
         return len(self.moves)
-
-    def __add__(self, other: "MoveSequence") -> "MoveSequence":
-        """This path followed by ``other``, which must start where this one ends."""
-        if other.start != self.end:
-            raise LatinSquareError("paths do not meet: the second does not start where the first ends")
-        return MoveSequence(self.start, self.moves + other.moves, other.end)
-
-    def then(self, moves: Iterable[IntercalateMove]) -> "MoveSequence":
-        """This path extended by ``moves``, each applied once and in order to ``end``."""
-        state, added = self.end, tuple(moves)
-        for m in added:
-            state = apply_move(state, m)
-        return MoveSequence(self.start, self.moves + added, state)
 
     def inverted(self) -> "MoveSequence":
         """The moves from ``end`` back to ``start``: each inverted, last first."""
@@ -200,15 +189,18 @@ def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...
 def _resolve_improper(board: _Board, avoid: Iterable[int] = ()) -> None:
     """Drive an improper board proper with moves confined to two rows.
 
-    The helper row is the smallest row outside ``avoid`` that holds the
-    negative symbol in the improper column; a corrupt state without one
-    raises.  The working pair is (improper row, helper row); after each
-    move the negative cell hops to the other row of the pair, so the pair
-    is fixed while the roles alternate.  Each step picks the shorter of the
-    two current chains (ties go to the larger positive), which makes the
-    total number of moves at most the first minimum, i.e. floor((n-1)/2).
+    A proper board is left as it is.  The helper row is the smallest row
+    outside ``avoid`` that holds the negative symbol in the improper column;
+    a corrupt state without one raises.  The working pair is (improper row,
+    helper row); after each move the negative cell hops to the other row of
+    the pair, so the pair is fixed while the roles alternate.  Each step
+    picks the shorter of the two current chains (ties go to the larger
+    positive), which makes the total number of moves at most the first
+    minimum, i.e. floor((n-1)/2).
     """
     rec = board.improper
+    if rec is None:
+        return
     helpers = [r for r in board.rows_with(rec.col, rec.negative) if r not in avoid]
     if not helpers:
         raise LatinSquareError(
@@ -231,8 +223,6 @@ def normalize_to_proper(state: SquareState) -> MoveSequence:
     emitted sequence touches only the improper row and the helper row and
     has length at most floor((n-1)/2).
     """
-    if state.improper is None:
-        return MoveSequence(state, (), state)
     return _on_board(state, _resolve_improper)
 
 
@@ -327,12 +317,11 @@ def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
     board.take(IntercalateMove.from_anchors(i2, j1, s, i1, c1, b_sym))
     detour: list[IntercalateMove] = []
     if len(chain) >= 2:
-        if board.improper is not None:
-            # Park the new negative cell (i1, c1) with moves on rows i1 and a
-            # spare row, keeping rows i2 and i3 untouched for the cycle swap.
-            mark = len(board.moves)
-            _resolve_improper(board, (i1, i2, i3))
-            detour = board.moves[mark:]
+        # Park the new negative cell (i1, c1), if any, with moves on rows i1
+        # and a spare row, keeping rows i2 and i3 untouched for the cycle swap.
+        mark = len(board.moves)
+        _resolve_improper(board, (i1, i2, i3))
+        detour = board.moves[mark:]
         _cycle_swap(board, (i2, i3), c1)
 
     # The detour and the swap share no row, so the detour's inverse still
@@ -402,9 +391,8 @@ def transform_path(a: SquareState, b: SquareState) -> MoveSequence:
     if a == b:
         return MoveSequence(a, (), b)
     board, target = _Board(a), _Board(b)
-    for bd in (board, target):
-        if bd.improper is not None:
-            _resolve_improper(bd)
+    _resolve_improper(board)
+    _resolve_improper(target)
     for k in range(a.n - 1):
         _fix_row(board, target.grid[k], k)
     if board.grid != target.grid or board.improper is not None:

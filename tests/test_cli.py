@@ -290,6 +290,19 @@ def test_path_verify_failure_exits_three(tmp_path, capsys, monkeypatch, broken):
     assert result[2] == message
 
 
+def test_path_verify_lets_an_internal_error_propagate(tmp_path, monkeypatch):
+    from latinsq.connect import MoveSequence
+
+    def broken_replay(self, check=False):
+        raise RuntimeError("internal fault")
+
+    f = tmp_path / "a.txt"
+    f.write_text(format_square_text(cyclic_square(3)))
+    monkeypatch.setattr(MoveSequence, "replay", broken_replay)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        main(["path", str(f), str(f), "--verify"])
+
+
 def test_verify_fixture(tmp_path, capsys, ex_improper):
     f = tmp_path / "sq.txt"
     f.write_text(format_square_text(ex_improper))

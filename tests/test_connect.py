@@ -21,7 +21,7 @@ from latinsq.connect import (
     swap_row_entries,
     transform_path,
 )
-from latinsq.core import ImproperCell, LatinSquareError, SquareState, cube_from_grid, cyclic_square, validate
+from latinsq.core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, apply_move
 from latinsq.oracle import enumerate_latin_squares
 from scripted_draws import walk
@@ -229,6 +229,12 @@ def test_swap_row_entries_preconditions(ex_improper, ex_proper):
     # (i1, j1) must hold the negative symbol: row 1 holds 3 at column 1
     with pytest.raises(PreconditionViolated):
         swap_row_entries(ex_improper, 1, 1, 2)
+    # A corrupt state whose column j2 holds s twice: (3, 0) set to 1, unchecked.
+    grid = [list(r) for r in ex_improper.grid]
+    grid[3][0] = 1
+    bad = SquareState(tuple(map(tuple, grid)), ex_improper.improper)
+    with pytest.raises(PreconditionViolated, match="column 0 does not hold symbol 1 exactly once"):
+        swap_row_entries(bad, 0, 1, 0)
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -238,6 +244,13 @@ def test_swap_row_entries_rejects_index_outside_square(ex_improper, bad):
     for i1, j2 in ((bad, 2), (0, bad)):
         with pytest.raises(PreconditionViolated, match="outside 0..3"):
             swap_row_entries(ex_improper, i1, 1, j2)
+
+
+def test_fix_row_rejects_an_improper_working_row(ex_improper):
+    # ex_improper's improper cell is (2, 1); row 2 cannot be fixed through it.
+    with pytest.raises(InvalidSquare, match=r"cell \(2,1\) is not a proper cell"):
+        fix_row(ex_improper, cyclic_square(4), 2)
+
 
 def _lemma_instances(n, seed, want):
     """(state, i1, j1, j2) tuples satisfying the row-swap preconditions."""
@@ -376,26 +389,11 @@ def test_move_sequence_replay_checks_prefixes(ex_improper, ex_proper):
     assert seq.replay(check=True) == ex_proper
 
 
-def test_move_sequences_compose_where_they_meet(ex_improper):
-    a = normalize_to_proper(ex_improper)
-    b = fix_row(a.end, cyclic_square(4), 0)
-    joined = a + b
-    assert (joined.start, joined.end) == (a.start, b.end)
-    assert len(joined) == len(a) + len(b) and joined.moves == a.moves + b.moves
-    assert joined.replay(check=True) == b.end
-    with pytest.raises(LatinSquareError, match="do not meet"):
-        b + a
-
-
-def test_move_sequence_then_ends_where_checked_replay_does():
+def test_checked_replay_of_walk_moves_ends_where_the_walk_does():
     start = _improper_states_from_chain(6, 5, 1)[0]
     steps = list(itertools.islice(walk(start, RngStream(8)), 40))
     state, moves = steps[-1][0], [m for _, m in steps]
-    empty = MoveSequence(start, (), start)
-    seq = empty.then(moves[:15]).then(iter(moves[15:]))
-    assert seq.moves == tuple(moves) and seq.start == start
-    assert seq.end == MoveSequence(start, tuple(moves), state).replay(check=True) == state
-    assert empty.then(()) == empty
+    assert MoveSequence(start, tuple(moves), state).replay(check=True) == state
 
 
 def _path_endpoints(n, seed):
