@@ -112,15 +112,20 @@ def parse_square_json(text: str) -> SquareState:
     return cube_from_grid(grid, improper)
 
 
-def _read_squares_text(fh: IO[str]) -> Iterator[SquareState]:
-    """Stream concatenated text records (each starting with its header)."""
+def _read_squares(fh: IO[str]) -> Iterator[SquareState]:
+    """Stream concatenated records: a text record runs from its header line
+    to the next record, and a line that starts with '{' is one JSON record,
+    as `gen --format json` writes them."""
     block: list[str] = []
     for line in fh:
         stripped = line.strip()
-        if stripped.startswith("n ") and block:
+        is_json = stripped.startswith("{")
+        if block and (is_json or stripped.startswith("n ")):
             yield parse_square_text("\n".join(block))
             block = []
-        if stripped:
+        if is_json:
+            yield parse_square_json(stripped)
+        elif stripped:
             block.append(stripped)
     if block:
         yield parse_square_text("\n".join(block))
@@ -204,7 +209,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 def cmd_uniformity(args: argparse.Namespace) -> int:
     n = args.n
     if args.stdin:
-        samples = list(_read_squares_text(sys.stdin))
+        samples = list(_read_squares(sys.stdin))
         if any(s.improper is not None for s in samples):
             print("uniformity input must be proper squares", file=sys.stderr)
             return 2

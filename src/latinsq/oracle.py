@@ -5,7 +5,8 @@ verify it: squares are enumerated by cell-wise backtracking, and the move
 graph is built on the signed incidence cube itself, held as two 64-bit
 masks per state, with the move rule stated on those masks instead of
 borrowed from `moves`; its vertices are found without following its
-edges.  The tests check both against independent reference enumerations
+edges and are numbered by their +1 masks, the one identity a state has
+there.  The tests check both against independent reference enumerations
 (symbol-wise placement, improper-square completion), the graph's edges
 against `moves` vertex by vertex, and the bit-parallel diameter probe
 against plain breadth-first search.
@@ -30,22 +31,6 @@ _BLOCK = 64  # states flipped at once: one array of _BLOCK rows, one column per 
 
 class TooLarge(LatinSquareError):
     """Order exceeds the exhaustive-search limits."""
-
-
-def canonical_key(state: SquareState) -> bytes:
-    """Collision-free byte encoding of a state: `build_state_graph` orders its
-    vertices by it (the order the tests' `GRAPH4_DIGEST` pins); tests key dicts on it.
-
-    Row-major symbol list; an improper square writes 255 at its cell and
-    appends its cell record (row, col, sorted positive pair, negative) after
-    a 255 marker.
-    """
-    out = bytearray(b"".join(map(bytes, state.grid)))
-    rec = state.improper
-    if rec is not None:
-        out[rec.row * state.n + rec.col] = 255
-        out.extend((255, rec.row, rec.col, *rec.positive_pair, rec.negative))
-    return bytes(out)
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +80,8 @@ def count_latin_squares(n: int) -> int:
 
 @dataclass
 class StateGraph:
-    """The move graph over all proper and improper squares of one order."""
+    """The move graph over all proper and improper squares of one order:
+    vertex k is `states[k]`, with its neighbours, ascending, in `adjacency[k]`."""
 
     n: int
     states: list[SquareState]
@@ -215,11 +201,12 @@ def build_state_graph(n: int) -> StateGraph:
 
     A state is held as two bit masks over its signed incidence cube, one of
     its +1 entries and one of its -1 entry, so one array expression tests
-    every move on a block of states (`_flips`).  The vertices (`_states`)
-    are decoded once and renumbered in canonical-key order.  A blocked pass
-    flips every vertex and looks each result up among the sorted masks: a
-    vertex lists the neighbours its own moves reach, and a move is fixed by
-    the change it makes, so none is listed twice.  No vertex is found by
+    every move on a block of states (`_flips`).  The vertices are numbered
+    in the order `_states` returns them, by +1 mask, and decoded once.  A
+    blocked pass flips every vertex and finds each result's number by binary
+    search among those sorted masks: a vertex lists the neighbours its own
+    moves reach, and a move is fixed by the change it makes, so none is
+    listed twice.  No vertex is found by
     following an edge, so a connected graph certifies that the moves
     connect every state of the order.
     """
@@ -229,31 +216,27 @@ def build_state_graph(n: int) -> StateGraph:
 
     plus, minus = _move_masks(n)
     pos, neg = _states(n, plus, minus)
-    found = _decode(n, pos, neg)
-    order = sorted(range(len(found)), key=lambda i: canonical_key(found[i]))
-    v = len(order)
-    rank = np.empty(v, dtype=np.intp)
-    rank[order] = np.arange(v)
+    states = _decode(n, pos, neg)
+    v = len(states)
     index = list(range(v))  # one int object per vertex, shared by every list naming it
-    pos_by_rank, neg_by_rank = pos[order], neg[order]
     adjacency: list[list[int]] = []
     for lo in range(0, v, _BLOCK):
-        ok, to, _ = _flips(pos_by_rank[lo : lo + _BLOCK], neg_by_rank[lo : lo + _BLOCK], plus, minus)
+        ok, to, _ = _flips(pos[lo : lo + _BLOCK], neg[lo : lo + _BLOCK], plus, minus)
         vertex = np.nonzero(ok)[0]
-        edges = np.sort(vertex * v + rank[np.searchsorted(pos, to[ok])]) - vertex * v
+        edges = np.sort(vertex * v + np.searchsorted(pos, to[ok])) - vertex * v
         nbrs = list(map(index.__getitem__, edges.tolist()))
         first = 0
         for end in np.cumsum(ok.sum(axis=1)).tolist():
             adjacency.append(nbrs[first:end])
             first = end
-    return StateGraph(n, [found[i] for i in order], adjacency)
+    return StateGraph(n, states, adjacency)
 
 
 def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
     """Connectivity plus the exact diameter (n <= 3) or a probed bound (n = 4).
 
     The probe runs breadth-first search from 32 vertices spread evenly over
-    the canonical vertex order; every reported eccentricity is a lower
+    the vertex numbers; every reported eccentricity is a lower
     bound on the diameter and each must respect the 2(n-1)^3 ceiling.  The
     searches run together, one bit per seed: a vertex holds one uint64 word
     per 64 seeds, and a level ORs each vertex's neighbours' frontier words.

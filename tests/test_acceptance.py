@@ -25,7 +25,7 @@ from enumeration_reference import (
     reduced_form,
 )
 from latinsq.chain import ChainConfig, RngStream, _Walker, iter_chains, iter_samples, sample
-from latinsq.cli import main as cli_main
+from latinsq.cli import format_square_text, main as cli_main
 from latinsq.connect import (
     cycle_swap,
     fix_row,
@@ -43,7 +43,6 @@ from latinsq.moves import (
 from latinsq.oracle import (
     _enumerate_grids,
     build_state_graph,
-    canonical_key,
     check_connectivity_and_diameter,
     count_latin_squares,
     enumerate_latin_squares,
@@ -104,17 +103,16 @@ def test_criterion_2_connectivity(acceptance_record, graph3, graph4):
     acceptance_record("criterion 2: state graph connected for n=2,3,4", ok, "; ".join(details))
 
 
-# sha256 of build_state_graph(4): each vertex's canonical key in vertex order,
-# then each adjacency list.  A change to the moves, to the keys or to the
+# sha256 of build_state_graph(4): each vertex's text record in vertex order,
+# then each adjacency list.  A change to the moves, to the states or to the
 # vertex order shows here.
-GRAPH4_DIGEST = "cdf8c37e81b52d6645a97a03cc2d23500c341700c43db442c5a87d71ab66e865"
+GRAPH4_DIGEST = "638f089dcc11fdf021c0f5d132c77c83eab0ad1d7a9a6f48474d9066cbd7fa5d"
 
 
 def test_state_graph_order_four_bytes_pinned(graph4):
     h = hashlib.sha256()
     for state in graph4.states:
-        key = canonical_key(state)
-        h.update(bytes([len(key)]) + key)
+        h.update(format_square_text(state).encode())
     for nbrs in graph4.adjacency:
         h.update((" ".join(map(str, nbrs)) + "\n").encode())
     assert h.hexdigest() == GRAPH4_DIGEST
@@ -439,7 +437,7 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
     # every pick scripted in turn: n^2 (n-1) equally likely picks from a proper
     # state, 8 from an improper one.
     n = 3
-    index = {canonical_key(s): k for k, s in enumerate(graph3.states)}
+    index = {s: k for k, s in enumerate(graph3.states)}
     size = len(index)
     P = np.zeros((size, size))
     for k, state in enumerate(graph3.states):
@@ -449,7 +447,7 @@ def test_walk_transition_matrix_exact_order_three(acceptance_record, graph3):
             w.advance(1)
             result = w.view()
             assert validate(result) == []
-            P[k, index[canonical_key(result)]] += 1.0 / picks
+            P[k, index[result]] += 1.0 / picks
     assert np.allclose(P.sum(axis=1), 1.0)
 
     # Irreducible and aperiodic together: some power of the support is all
@@ -553,9 +551,10 @@ def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, gra
         # each state's picks is in detailed balance, so it is stationary.
         assert (K != K.T).nnz == 0 and not K.diagonal().any()
         # Connected over every state, and an edge joining two states at one
-        # breadth-first depth from state 0 closes an odd cycle: the walk is
-        # irreducible and aperiodic, so that law is its only limit.
-        order, parent = sparse.csgraph.breadth_first_order(K, 0)
+        # breadth-first depth from the cyclic square closes an odd cycle: the
+        # walk is irreducible and aperiodic, so that law is its only limit.
+        start = graph.states.index(cyclic_square(n))
+        order, parent = sparse.csgraph.breadth_first_order(K, start)
         assert len(order) == K.shape[0]
         depth = np.zeros(len(order), dtype=np.int64)
         for v in order[1:]:
@@ -574,7 +573,6 @@ def test_proper_visit_chain_mixes_at_default_thin(acceptance_record, graph3, gra
         assert thin == 2 * n * n and tv[thin] <= 1e-6
         slem = np.sort(np.abs(np.linalg.eigvalsh(Q)))[-2]
 
-        start = graph.states.index(cyclic_square(n))
         later = np.linalg.matrix_power(Q, thin - 1)
         first_tv, bias = {}, {}
         for burn_in in (0, n**3, 10 * n**3):

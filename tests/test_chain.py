@@ -17,7 +17,6 @@ from latinsq.chain import (
 )
 from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, apply_move, enumerate_valid_moves
-from latinsq.oracle import canonical_key
 from scripted_draws import ScriptedDraws, walk
 
 
@@ -75,7 +74,7 @@ def test_improper_state_has_eight_equally_likely_flips(graph3):
         result = w.view()
         assert validate(result) == []
         assert neg_triple in plus_triples(move)
-        results.add(canonical_key(result))
+        results.add(result)
     assert len(results) == 8  # every pick bit names a different +1
 
 
@@ -90,7 +89,7 @@ def test_chain_steps_are_valid_moves_and_stay_in_space():
 
 def test_reversibility_of_support_exhaustive_order_three(graph3):
     # If some step moves S to S', some step choice moves S' back to S.
-    for state in graph3.states[:40]:
+    for state in graph3.states:
         for m in enumerate_valid_moves(state):
             target = apply_move(state, m)
             inv = m.inverted()

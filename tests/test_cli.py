@@ -163,7 +163,7 @@ def test_gen_names_the_rejected_chain_setting(capsys, flag, value, message):
 # least 5760 samples for its 576 categories.)  Each sampling argv is pinned
 # with the defaults, and with an explicit --burn-in 10 n^3 with and without
 # an explicit --thin n^3, which pin the walk's bytes independently of either
-# default.
+# default.  The `graph` reports do not depend on the state graph's vertex order.
 GOLDEN_STDOUT = [
     (("gen", "4", "--seed", "77", "--samples", "6", "--chains", "3", "--burn-in", "100", "--thin", "8"),
      "edcfef2ba6ddc56eade222f9a44f95340925485bd815e598927c63bcff054b49"),
@@ -189,6 +189,8 @@ GOLDEN_STDOUT = [
      "4c9dac403df11ed30226f5e0dd93c31d6407dc548898bf7955cc623d098b0030"),
     (("path", "improper4.txt", "cyclic4.txt", "--verify"),
      "38d0173da538136cc0cdce7b9e2e44517598cf3e6203a45669ac78878200604b"),
+    (("graph", "3"), "04063eab28b6a89eb45058562b01f0a3a714908baaabb3097a4956b2ecd1c829"),
+    (("graph", "4"), "0d76f1ed96fafd1b0dd13ce4bd2a82f513b06224caca372f888f2d437894e5d4"),
 ]
 
 
@@ -455,6 +457,19 @@ def test_uniformity_stdin_mode(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(sys, "stdin", io.StringIO("n 3\n0 1 2\n1 2 0\n2 0 0\n"))
     assert_one_line_error(run_cli(capsys, "uniformity", "3", "--stdin"), 1)
+
+
+def test_uniformity_stdin_reads_json_records_as_text_records(capsys, monkeypatch):
+    # `gen --format json | uniformity --stdin` is the same pipe as the text one.
+    import io
+
+    reports = []
+    for fmt in ("text", "json"):
+        _, gen_out, _ = run_cli(capsys, "gen", "3", "--seed", "4", "--samples", "200", "--format", fmt)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(gen_out))
+        reports.append(run_cli(capsys, "uniformity", "3", "--stdin"))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][1])["samples"] == 200
 
 
 def test_uniformity_stdin_rejects_improper_or_other_order(capsys, monkeypatch, ex_improper):

@@ -278,7 +278,7 @@ def test_noncancelling_valid_move_exists_at_order_three():
 
 
 def test_apply_invert_identity_across_graph(graph3):
-    for state in graph3.states[:20]:
+    for state in graph3.states:
         for m in enumerate_valid_moves(state):
             there = apply_move(state, m)
             assert apply_move(there, m.inverted()) == state
@@ -338,7 +338,7 @@ def test_two_rowed_proper_move_is_involution():
 def test_line_sums_preserved_by_all_valid_moves(graph3):
     import numpy as np
 
-    for state in graph3.states[:30]:
+    for state in graph3.states:
         for m in enumerate_valid_moves(state):
             data = IncidenceCube.of(apply_move(state, m)).data
             assert np.all(data.sum(axis=0) == 1)

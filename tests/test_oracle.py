@@ -11,7 +11,6 @@ from latinsq.oracle import (
     TooLarge,
     _enumerate_grids,
     build_state_graph,
-    canonical_key,
     check_connectivity_and_diameter,
     count_latin_squares,
     enumerate_latin_squares,
@@ -65,18 +64,9 @@ def test_graph_vertices_all_valid(graph3):
 
 
 def test_graph_vertex_set_matches_independent_enumeration(graph3, graph4):
-    from latinsq.core import cube_from_grid
-
     for g in (graph3, graph4):
-        proper_keys = {canonical_key(s) for s in g.states if s.is_proper}
-        improper_keys = {canonical_key(s) for s in g.states if not s.is_proper}
-        enum_proper = {
-            canonical_key(cube_from_grid([list(r) for r in sq.grid]))
-            for sq in enumerate_latin_squares(g.n)
-        }
-        enum_improper = {canonical_key(s) for s in enumerate_improper_squares(g.n)}
-        assert proper_keys == enum_proper
-        assert improper_keys == enum_improper
+        assert {s for s in g.states if s.is_proper} == set(enumerate_latin_squares(g.n))
+        assert {s for s in g.states if not s.is_proper} == set(enumerate_improper_squares(g.n))
 
 
 @pytest.mark.parametrize("n,improper", [(3, 36), (4, 2304)])
@@ -110,13 +100,13 @@ def test_graph_edges_symmetric_via_inverted_move(graph3, graph4):
         (graph3, range(graph3.vertex_count)),
         (graph4, sorted(random.Random(18).sample(range(graph4.vertex_count), 500))),
     ):
-        index = {canonical_key(s): k for k, s in enumerate(g.states)}
+        index = {s: k for k, s in enumerate(g.states)}
         for idx in vertices:
             state = g.states[idx]
             targets = []
             for m in enumerate_valid_moves(state):
                 target = apply_move(state, m)
-                targets.append(index[canonical_key(target)])
+                targets.append(index[target])
                 assert is_valid_move(target, m.inverted())
             assert g.adjacency[idx] == sorted(targets)
 
@@ -162,9 +152,9 @@ def test_graph_adjacency_lists_are_sets_and_symmetric(name, request):
     assert not any(u in s for u, s in enumerate(nbr_sets))
 
 
-def test_canonical_key_distinguishes_states(graph3):
-    keys = {canonical_key(s) for s in graph3.states}
-    assert len(keys) == graph3.vertex_count
+def test_graph_vertices_are_distinct_states(graph3, graph4):
+    for g in (graph3, graph4):
+        assert len(set(g.states)) == g.vertex_count
 
 
 def test_graph_limits():
@@ -194,14 +184,3 @@ def test_transform_path_never_beats_bfs_distance(graph3):
             assert len(seq) >= dist[dst]
             assert len(seq) <= 16
 
-
-def test_canonical_key_byte_format(ex_improper, ex_proper):
-    # The key fixes the state-graph vertex order, so its bytes are pinned:
-    # row-major symbols, 255 at the improper cell, then 255 and the record
-    # (row, col, positive pair, negative).
-    assert canonical_key(ex_proper) == bytes(
-        [2, 0, 3, 1, 1, 3, 0, 2, 3, 2, 1, 0, 0, 1, 2, 3]
-    )
-    assert canonical_key(ex_improper) == bytes(
-        [2, 1, 3, 0, 1, 3, 0, 2, 3, 255, 1, 1, 0, 1, 2, 3, 255, 2, 1, 0, 2, 1]
-    )
