@@ -163,7 +163,8 @@ def test_gen_names_the_rejected_chain_setting(capsys, flag, value, message):
 # least 5760 samples for its 576 categories.)  Each sampling argv is pinned
 # with the defaults, and with an explicit --burn-in 10 n^3 with and without
 # an explicit --thin n^3, which pin the walk's bytes independently of either
-# default.  The `graph` reports do not depend on the state graph's vertex order.
+# default.  The `graph` reports pin the state graph's counts, connectivity and
+# diameter.
 GOLDEN_STDOUT = [
     (("gen", "4", "--seed", "77", "--samples", "6", "--chains", "3", "--burn-in", "100", "--thin", "8"),
      "edcfef2ba6ddc56eade222f9a44f95340925485bd815e598927c63bcff054b49"),
