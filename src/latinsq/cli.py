@@ -134,7 +134,7 @@ def _read_squares(fh: IO[str]) -> Iterator[SquareState]:
 def _load_state(path: str) -> SquareState:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return parse_square_json(text)
     return parse_square_text(text)
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .core import InvalidSquare, LatinSquareError, SquareState, validate
-from .moves import IntercalateMove, InvalidMove, _flip, apply_move
+from .core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, _line_holds, validate
+from .moves import IntercalateMove, InvalidMove, _flip
 
 
 class NotImproper(LatinSquareError):
@@ -69,27 +69,32 @@ class MoveSequence:
         return MoveSequence(self.end, tuple(m.inverted() for m in reversed(self.moves)), self.start)
 
     def replay(self, check: bool = False) -> SquareState:
-        """Re-apply the moves to ``start``; with ``check`` validate every prefix.
+        """Take the moves on a board of ``start``; with ``check`` validate every prefix.
 
-        Each prefix after the first is validated ``since`` the one before,
-        which passed, so only the lines its move changed are read; the
-        messages are those of a full check.
+        The first prefix is validated in full; each later one passed before
+        its move, so `_moved_lines_hold` reads only the lines the move can
+        have changed, and one it cannot show valid is validated in full.  A
+        refused move raises `apply_move`'s InvalidMove, a bad prefix the
+        full check's messages.
         """
-        state = self.start
+        board, symbols = _Board(self.start), set(range(self.start.n))
         for k, m in enumerate(self.moves):
-            before, state = state, apply_move(state, m)
-            if check and (problems := validate(state, since=before if k else None)):
+            before, rec = board.grid[:], board.improper
+            board.take(m)
+            checked = not check or k and _moved_lines_hold(board, before, rec, m, symbols)
+            if not checked and (problems := validate(board.state())):
                 raise LatinSquareError(f"invalid intermediate state: {problems}")
-        return state
+        return board.state()
 
 
 class _Board:
-    """The one mutable square a path is built on, with the moves taken so far.
+    """The one mutable square a path is built and replayed on, with the moves taken so far.
 
     ``grid`` holds the rows as lists and ``improper`` the record, as a
     `SquareState` holds them, so the state's readers serve it unchanged.
-    `take` applies a move through `moves._flip`; a refused move raises
-    InvalidMove, as `apply_move` does, and leaves the board as it was.
+    `take` applies a move through `moves._flip` and writes rows i and i2 as
+    new lists; a refused move raises InvalidMove, as `apply_move` does, and
+    leaves the board as it was.
     """
 
     __slots__ = ("grid", "improper", "moves")
@@ -112,6 +117,49 @@ class _Board:
 
     def state(self) -> SquareState:
         return SquareState(tuple(map(tuple, self.grid)), self.improper)
+
+
+def _moved_lines_hold(
+    board: _Board, before: list[list[int]], old: ImproperCell | None, m: IntercalateMove, symbols: set[int]
+) -> bool:
+    """Whether ``board`` is still valid after move ``m``, read on the lines it can have changed.
+
+    ``before`` (a copy of the row list, overwritten here) and ``old`` held
+    the valid square before the move.  Rows other than i and i2 must be the
+    same, rows i and i2 may change only at columns j and j2, and a new record
+    and the one it replaced must sit on those four cells.  Rows i and i2 and
+    any of columns j and j2 through a record must pass the line rule.  A
+    column through neither was a permutation, so it still is exactly when
+    rows i and i2 hold the pair of symbols they held there.  False means only
+    that this could not show the board valid.
+    """
+    grid, rec = board.grid, board.improper
+    i, i2, j, j2 = m.i, m.i2, m.j, m.j2
+    top, bottom = before[i], before[i2]
+    new_top, new_bottom = before[i], before[i2] = grid[i], grid[i2]
+    if before != grid:
+        return False
+    through = set()
+    for cell in (old, rec):
+        if cell is not None:
+            if rec is not old and (cell.row not in (i, i2) or cell.col not in (j, j2)):
+                return False
+            through.add(cell.col)
+    at_r, at_c = (-1, -1) if rec is None else (rec.row, rec.col)
+    for r, line, new in ((i, top, new_top), (i2, bottom, new_bottom)):
+        if not _line_holds(new, symbols, rec if r == at_r else None, at_c):
+            return False
+        line = line[:]
+        line[j], line[j2] = new[j], new[j2]
+        if line != new:
+            return False
+    for c in (j, j2):
+        if c not in through:
+            if {top[c], bottom[c]} != {new_top[c], new_bottom[c]}:
+                return False
+        elif not _line_holds([line[c] for line in grid], symbols, rec if c == at_c else None, at_r):
+            return False
+    return True
 
 
 def _on_board(state: SquareState, primitive: Callable[..., None], *args) -> MoveSequence:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import compress
-from operator import is_not, ne
+from typing import Sequence
 
 
 class LatinSquareError(Exception):
@@ -138,7 +137,19 @@ def cube_from_grid(
     return state
 
 
-def validate(state: SquareState, *, since: SquareState | None = None) -> list[str]:
+def _line_holds(line: Sequence[int], symbols: set[int], rec: ImproperCell | None, at: int) -> bool:
+    """The line rule on a row or column over ``symbols``, 0..n-1: every symbol once, or
+    on the line through ``rec``'s cell, at index ``at``, p there, q nowhere, the
+    negative twice and every other symbol once.  False names no violation."""
+    if len(line) != len(symbols):
+        return False
+    if rec is None:
+        return set(line) == symbols
+    (p, q), neg = rec.positive_pair, rec.negative
+    return line[at] == p and line.count(neg) == 2 and set(line) == symbols - {q}
+
+
+def validate(state: SquareState) -> list[str]:
     """Check the lines of the state's incidence cube; one message per violation.
 
     An empty list means the state is a valid proper or improper square.  A
@@ -149,61 +160,23 @@ def validate(state: SquareState, *, since: SquareState | None = None) -> list[st
     improper cell counts with its cube entries instead of its grid symbol.
     Messages come in the cube's order: the cell, then rows by (row, symbol),
     then columns by (column, symbol), then the record.
-
-    ``since`` is a state that passed `validate`, say the one before a move
-    (one of another order is ignored).  Then only the lines that can have
-    changed status are read: the rows whose tuples differ from ``since``'s,
-    the columns where those rows differ and, when the record is another
-    object, the rows and columns of the old and the new improper cell.  Only
-    those rows' lengths, the changed cells' symbols and a new record are
-    range-checked; one out of range gets the full check's message.  The cell
-    and the record are always checked, and the result is the full list.
     """
     grid, rec = state.grid, state.improper
     n = len(grid)
     if n < 1:
         return [f"order {n} is not positive"]
-    if since is None or len(since.grid) != n:
-        if set(map(len, grid)) != {n}:
-            r = next(r for r, line in enumerate(grid) if len(line) != n)
-            return [f"row {r} has length {len(grid[r])}, expected {n}"]
-        if rec is not None:
-            if not (0 <= rec.row < n and 0 <= rec.col < n):
-                return [f"improper cell ({rec.row},{rec.col}) outside the grid"]
-            if not all(0 <= s < n for s in (*rec.positive_pair, rec.negative)):
-                return ["improper record names symbols outside 0..n-1"]
-        symbols = set(range(n))
-        if not all(map(symbols.issuperset, grid)):
-            r, c, s = next((r, c, s) for r, line in enumerate(grid) for c, s in enumerate(line) if s not in symbols)
-            return [f"symbol {s} at ({r},{c}) outside 0..{n - 1}"]
-        row_lines, col_lines = enumerate(grid), enumerate(zip(*grid))
-    else:
-        old = since.grid
-        idx = range(n)
-        changed, cols = {}, set()
-        # Identity first, then equality, both at C level: a move leaves all but two rows the same object.
-        for i in compress(idx, map(is_not, old, grid)):
-            a, b = old[i], grid[i]
-            if a != b:
-                if len(b) != n:
-                    return [f"row {i} has length {len(b)}, expected {n}"]
-                changed[i] = b
-                for j in compress(idx, map(ne, a, b)):
-                    if b[j] not in idx:
-                        return validate(state)
-                    cols.add(j)
-        if rec is not since.improper:
-            if rec is not None and not (
-                0 <= rec.row < n and 0 <= rec.col < n and 0 <= rec.negative < n
-                and 0 <= rec.positive_pair[0] and rec.positive_pair[1] < n  # the pair is sorted
-            ):
-                return validate(state)  # the full check names what is out of range
-            for moved in (since.improper, rec):
-                if moved is not None:
-                    changed[moved.row] = grid[moved.row]
-                    cols.add(moved.col)
-        row_lines = sorted(changed.items())
-        col_lines = [(j, [line[j] for line in grid]) for j in sorted(cols)]
+    if set(map(len, grid)) != {n}:
+        r = next(r for r, line in enumerate(grid) if len(line) != n)
+        return [f"row {r} has length {len(grid[r])}, expected {n}"]
+    if rec is not None:
+        if not (0 <= rec.row < n and 0 <= rec.col < n):
+            return [f"improper cell ({rec.row},{rec.col}) outside the grid"]
+        if not all(0 <= s < n for s in (*rec.positive_pair, rec.negative)):
+            return ["improper record names symbols outside 0..n-1"]
+    symbols = set(range(n))
+    if not all(map(symbols.issuperset, grid)):
+        r, c, s = next((r, c, s) for r, line in enumerate(grid) for c, s in enumerate(line) if s not in symbols)
+        return [f"symbol {s} at ({r},{c}) outside 0..{n - 1}"]
     violations: list[str] = []
     at = (-1, -1)
     if rec is not None:
@@ -219,15 +192,12 @@ def validate(state: SquareState, *, since: SquareState | None = None) -> list[st
         if total != 1:
             violations.append(f"line row={rec.row} col={rec.col} (over symbols) sums to {total}")
     for axis, over, lines, k, kc in (
-        ("row", "columns", row_lines, at[0], at[1]),
-        ("col", "rows", col_lines, at[1], at[0]),
+        ("row", "columns", grid, at[0], at[1]),
+        ("col", "rows", zip(*grid), at[1], at[0]),
     ):
-        for i, line in lines:
-            if i != k:
-                if len(set(line)) == n:
-                    continue  # a permutation of 0..n-1: every sum is 1
-            elif line[kc] == p and q not in line and line.count(neg) == 2 and len(set(line)) == n - 1:
-                continue  # p at the cell, q hidden there, neg twice, every other symbol once
+        for i, line in enumerate(lines):
+            if _line_holds(line, symbols, rec if i == k else None, kc):
+                continue
             sums = [0] * n
             for s in line:
                 sums[s] += 1

@@ -1,6 +1,7 @@
-"""Helpers that run the sampler's walker in tests: scripted draws and checked walks."""
+"""Helpers that drive the library in tests: scripted draws, checked walks and a faulty board move."""
 
 from latinsq.chain import _Walker
+from latinsq.connect import _Board
 from latinsq.core import validate
 from latinsq.moves import IntercalateMove
 
@@ -36,3 +37,26 @@ def walk(start, rng):
         state = w.view()
         assert validate(state) == []
         yield state, move
+
+
+def faulty_take(at, fault):
+    """A `_Board.take` whose ``at``-th call (counting from 1) writes a faulty result.
+
+    That call takes its move, then writes ``fault(state, move)`` of the true
+    result over the board as a faulty move rule would: each row that differs
+    as a new list, and the record.  Returns the take and the list of moves
+    it was called with.
+    """
+    take, calls = _Board.take, []
+
+    def faulty(board, move):
+        calls.append(move)
+        take(board, move)
+        if len(calls) == at:
+            bad = fault(board.state(), move)
+            for r, line in enumerate(bad.grid):
+                if tuple(board.grid[r]) != line:
+                    board.grid[r] = list(line)
+            board.improper = bad.improper
+
+    return faulty, calls

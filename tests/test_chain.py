@@ -97,6 +97,33 @@ def test_reversibility_of_support_exhaustive_order_three(graph3):
             assert apply_move(target, inv) == state
 
 
+def _pick_landings(state):
+    """The state each of the walk's picks from ``state`` lands on, every pick
+    scripted in turn: n^2 (n-1) from a proper state, 8 from an improper one."""
+    n = state.n
+    picks = n * n * (n - 1) if state.is_proper else 8
+    landings = []
+    for v in range(picks):
+        w = _Walker(state, ScriptedDraws([v], bound=picks))
+        w.advance(1)
+        landings.append(w.view())
+    return landings
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_walk_picks_are_symmetric_along_a_walk(n):
+    # Every step u -> v of a seeded walk: the picks from u that land on v
+    # are as many as the picks from v that land on u, and there is one.
+    u, proper = cyclic_square(n), 0
+    from_u = _pick_landings(u)
+    for v, _ in itertools.islice(walk(u, RngStream(7000 + n)), 4 * n):
+        from_v = _pick_landings(v)
+        assert from_u.count(v) == from_v.count(u) >= 1
+        proper += u.is_proper
+        u, from_u = v, from_v
+    assert proper >= 3
+
+
 def test_sample_returns_proper_grids_only():
     for sq in sample(ChainConfig(4, seed=3, burn_in=100, thin=3), 25):
         assert sq.improper is None

@@ -341,6 +341,15 @@ def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
     assert result[2] == "parse failure: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", " [[0, 1], [1, 0]]"])
+def test_verify_reads_any_json_document_as_json(tmp_path, capsys, text):
+    f = tmp_path / "sq.json"
+    f.write_text(text)
+    result = run_cli(capsys, "verify", str(f))
+    assert_one_line_error(result, 1)
+    assert result[2] == "parse failure: expected an object with keys 'n' and 'grid'\n"
+
+
 @pytest.mark.parametrize("order", [-2, 0])
 def test_verify_rejects_order_below_one_at_header(tmp_path, capsys, order):
     f = tmp_path / "sq.txt"

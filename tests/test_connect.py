@@ -24,7 +24,7 @@ from latinsq.connect import (
 from latinsq.core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, apply_move
 from latinsq.oracle import enumerate_latin_squares
-from scripted_draws import walk
+from scripted_draws import faulty_take, walk
 
 
 def _touched_rows(moves):
@@ -427,42 +427,75 @@ def test_transform_path_move_text_pinned(n):
     for a, b in ((p0, p1), (i0, p2), (p3, i1), (i2, i3)):
         seq = transform_path(a, b)
         assert seq.replay(check=True) == b
+        assert seq.inverted().replay(check=True) == a
         text += "".join(m.text() + "\n" for m in seq.moves) + "--\n"
     assert hashlib.sha256(text.encode()).hexdigest() == PATH_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", sorted(PATH_DIGESTS))
-def test_restricted_validate_matches_full_on_pinned_paths(n):
+def test_restricted_validate_matches_full_on_pinned_paths(n, monkeypatch):
+    """The checked replay of a pinned path, either way, validates in full only its first prefix."""
     (p0, p1, p2, p3), (i0, i1, i2, i3) = _path_endpoints(n, 500 + n)
+    full = []
+    monkeypatch.setattr(connect, "validate", lambda state: full.append(state) or validate(state))
     for a, b in ((p0, p1), (i0, p2), (p3, i1), (i2, i3)):
-        state = a
-        for m in transform_path(a, b).moves:
-            before, state = state, apply_move(state, m)
-            assert validate(state, since=before) == validate(state) == []
+        seq = transform_path(a, b)
+        for path in (seq, seq.inverted()):
+            state, prefixes = path.start, []
+            for m in path.moves:
+                state = apply_move(state, m)
+                prefixes.append(state)
+            assert all(validate(state) == [] for state in prefixes)
+            full.clear()
+            assert path.replay(check=True) == prefixes[-1]
+            assert full == prefixes[:1]
 
 
-def _with_cell(state, r, c):
-    """The state with cell (r, c) holding the next symbol mod n."""
+def _with_cell(state, r, c, s=None):
+    """The state with cell (r, c) holding ``s``, by default the next symbol mod n."""
     grid = list(state.grid)
-    grid[r] = (*grid[r][:c], (grid[r][c] + 1) % state.n, *grid[r][c + 1:])
+    s = (grid[r][c] + 1) % state.n if s is None else s
+    grid[r] = (*grid[r][:c], s, *grid[r][c + 1:])
     return SquareState(tuple(grid), state.improper)
 
 
 def _fault(kind, state, m):
-    """One extra change to the true result of move ``m``, off the move's
-    four cells or to the length of one of its rows."""
-    r = next(x for x in range(state.n) if x not in (m.i, m.i2))
-    c = next(x for x in range(state.n) if x not in (m.j, m.j2))
+    """One extra change to the true result of move ``m``: off the move's four
+    cells, to the length of one of its rows, out of range, or one that keeps
+    the symbols of the lines of one kind."""
+    n, rec = state.n, state.improper
+    r = next(x for x in range(n) if x not in (m.i, m.i2))
+    c = next(x for x in range(n) if x not in (m.j, m.j2))
+    top, bottom = state.grid[m.i], state.grid[m.i2]
     if kind == "cell outside rows i, i2":
         return _with_cell(state, r, c)
     if kind == "cell in row i outside columns j, j2":
         return _with_cell(state, m.i, c)
+    if kind == "cells of row i outside columns j, j2 swapped":
+        c2 = next(x for x in range(n) if x not in (m.j, m.j2) and top[x] != top[c])
+        return _with_cell(_with_cell(state, m.i, c, top[c2]), m.i, c2, top[c])
+    if kind == "cells i, i2 of a moved column swapped":
+        c = m.j2 if rec.col == m.j else m.j  # the improper cell stays where it is
+        return _with_cell(_with_cell(state, m.i, c, bottom[c]), m.i2, c, top[c])
+    if kind.startswith("cells j, j2 of a proper moved row swapped"):
+        r, line = (m.i2, bottom) if rec is not None and rec.row == m.i else (m.i, top)
+        return _with_cell(_with_cell(state, r, m.j, line[m.j2]), r, m.j2, line[m.j])
+    if kind.startswith("symbol"):
+        return _with_cell(state, m.i, c, -1 if kind.endswith("-1") else n)
     if kind == "row i gains an entry":
         grid = list(state.grid)
         grid[m.i] = (*grid[m.i], grid[m.i][0])
-        return SquareState(tuple(grid), state.improper)
-    assert kind == "record off the four cells"
-    return SquareState(state.grid, dataclasses.replace(state.improper, row=r, col=c))
+        return SquareState(tuple(grid), rec)
+    if kind.startswith("record in row"):
+        return SquareState(state.grid, dataclasses.replace(rec, row=rec.row + (n if kind.endswith("+ n") else -n)))
+    if kind == "record in column c - n":
+        return SquareState(state.grid, dataclasses.replace(rec, col=rec.col - n))
+    if kind == "record off the four cells":
+        return SquareState(state.grid, dataclasses.replace(rec, row=r, col=c))
+    assert kind == "record off the four cells on a proper step"
+    p = state.grid[r][c]
+    q, neg = [x for x in range(n) if x != p][:2]
+    return SquareState(state.grid, ImproperCell(r, c, (p, q), neg))
 
 
 @pytest.mark.parametrize(
@@ -472,29 +505,41 @@ def _fault(kind, state, m):
         "cell in row i outside columns j, j2",
         "record off the four cells",
         "row i gains an entry",
+        "record off the four cells on a proper step",
+        "cells of row i outside columns j, j2 swapped",
+        "cells i, i2 of a moved column swapped",
+        "cells j, j2 of a proper moved row swapped",
+        "cells j, j2 of a proper moved row swapped on a proper step",
+        "symbol n in row i",
+        "symbol -1 in row i",
+        "record in row r + n",
+        "record in row r - n",
+        "record in column c - n",
     ],
 )
 def test_checked_replay_catches_faulty_apply_move(kind, monkeypatch):
-    """The prefix check since the prefix before raises what a full check of the bad state reports."""
+    """A faulty board move at a later prefix raises what a full check of the bad state reports.
+
+    The first kind is seen only by the check that other rows kept their
+    objects, a record added off the move's cells only by the check that a
+    new record sits on one, and each swap only by one check of the changed
+    lines: row locality, the rows, a column through a record or a column
+    pair.  A record moved by -n would alias its own cell.
+    """
     (p0, *_), (i0, *_) = _path_endpoints(6, 506)
     seq = transform_path(p0, i0)
-    # A later move (so the check runs since the prefix before) whose true result is improper.
+    # A later move (so only the lines it changed are read) whose result is
+    # improper, or for a proper step whose start and result are proper.
+    proper = kind.endswith("proper step")
     state = seq.start
     for k, m in enumerate(seq.moves):
         before, state = state, apply_move(state, m)
-        if k and state.improper is not None:
+        if k and (state.improper is None and before.improper is None if proper else state.improper is not None):
             break
-    bad = _fault(kind, state, m)
-    expected = validate(bad)
-    assert expected and validate(bad, since=before) == expected
-    calls = []
-
-    def faulty(state, move):
-        calls.append(move)
-        out = apply_move(state, move)
-        return _fault(kind, out, move) if len(calls) == k + 1 else out
-
-    monkeypatch.setattr(connect, "apply_move", faulty)
+    expected = validate(_fault(kind, state, m))
+    assert expected
+    faulty, calls = faulty_take(k + 1, lambda state, move: _fault(kind, state, move))
+    monkeypatch.setattr(connect._Board, "take", faulty)
     with pytest.raises(LatinSquareError) as err:
         seq.replay(check=True)
     assert str(err.value) == f"invalid intermediate state: {expected}"

@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 import latinsq
 from cube_reference import IncidenceCube, from_cube, validate_cube
 from latinsq.chain import RngStream
+from latinsq.connect import MoveSequence, _Board
 from latinsq.core import (
     ImproperCell,
     InvalidSquare,
+    LatinSquareError,
     SquareState,
     cube_from_grid,
     cyclic_square,
     validate,
 )
 from latinsq.oracle import enumerate_latin_squares
-from scripted_draws import walk
+from scripted_draws import faulty_take, walk
 
 
 def test_proper_two_by_two_encoding():
@@ -230,28 +232,39 @@ def _near_miss_improper_states(draw):
     # A valid improper state one walk step from a row-permuted cyclic
     # square, with one cell of its improper row or column overwritten: the
     # cell itself, q, a second copy of a symbol or the negative.  Returns
-    # the overwritten state and the valid one.
+    # the overwritten state, the valid one and the step's move.
     n = draw(st.integers(min_value=3, max_value=7))
     rows = draw(st.permutations(range(n)))
     state = cube_from_grid([[(i + j) % n for j in range(n)] for i in rows])
     steps = walk(state, RngStream(draw(st.integers(0, 2**32 - 1))))
     while state.improper is None:
-        state, _ = next(steps)
+        state, move = next(steps)
     rec = state.improper
     k = draw(st.integers(0, n - 1))
     r, c = (rec.row, k) if draw(st.booleans()) else (k, rec.col)
     grid = [list(line) for line in state.grid]
     grid[r][c] = draw(st.sampled_from([*rec.positive_pair, rec.negative, draw(st.integers(0, n - 1))]))
-    return SquareState(tuple(map(tuple, grid)), rec), state
+    return SquareState(tuple(map(tuple, grid)), rec), state, move
 
 
 @settings(max_examples=300)
 @given(_near_miss_improper_states())
 def test_validate_restricted_lines_on_near_miss_improper_states(case):
-    state, since = case
+    state, valid, move = case
     full = validate(state)
     assert full == validate_cube(IncidenceCube.of(state), state.improper)
-    assert validate(state, since=since) == full
+    # The checked replay of the step back and forth, the second step's board
+    # overwritten with ``state``: only the lines that step changed are read.
+    seq = MoveSequence(valid, (move.inverted(), move), valid)
+    faulty, _ = faulty_take(2, lambda *_: state)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Board, "take", faulty)
+        if not full:
+            assert seq.replay(check=True) == state
+            return
+        with pytest.raises(LatinSquareError) as err:
+            seq.replay(check=True)
+    assert str(err.value) == f"invalid intermediate state: {full}"
 
 
 @pytest.mark.parametrize(
@@ -263,22 +276,6 @@ def test_validate_restricted_lines_on_near_miss_improper_states(case):
 )
 def test_validate_reports_grids_that_are_not_squares(grid, message):
     assert validate(SquareState(grid)) == [message]
-
-
-def _out_of_range(case):
-    """cyclic_square(4) with cell (1,2) set to 4 or -1, or a record at (4,0) or (-1,0)."""
-    grid = cyclic_square(4).grid
-    if case.startswith("cell"):
-        row = list(grid[1])
-        row[2] = int(case.split()[1])
-        return SquareState((grid[0], tuple(row), *grid[2:]))
-    return SquareState(grid, ImproperCell(int(case.split()[1]), 0, (0, 1), 2))
-
-
-@pytest.mark.parametrize("case", ["cell 4", "cell -1", "record 4", "record -1"])
-def test_validate_since_names_what_is_out_of_range(case):
-    state = _out_of_range(case)
-    assert validate(state, since=cyclic_square(4)) == validate(state) != []
 
 
 def test_public_surface_is_pinned():
