@@ -114,12 +114,12 @@ def parse_square_json(text: str) -> SquareState:
 
 def _read_squares(fh: IO[str]) -> Iterator[SquareState]:
     """Stream concatenated records: a text record runs from its header line
-    to the next record, and a line that starts with '{' is one JSON record,
-    as `gen --format json` writes them."""
+    to the next record, and a line that starts with '{' or '[' is one JSON
+    record, as `gen --format json` writes them and as `_load_state` reads a file."""
     block: list[str] = []
     for line in fh:
         stripped = line.strip()
-        is_json = stripped.startswith("{")
+        is_json = stripped.startswith(("{", "["))
         if block and (is_json or stripped.startswith("n ")):
             yield parse_square_text("\n".join(block))
             block = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, _line_holds, validate
+from .core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, validate
 from .moves import IntercalateMove, InvalidMove, _flip
 
 
@@ -72,16 +72,16 @@ class MoveSequence:
         """Take the moves on a board of ``start``; with ``check`` validate every prefix.
 
         The first prefix is validated in full; each later one passed before
-        its move, so `_moved_lines_hold` reads only the lines the move can
-        have changed, and one it cannot show valid is validated in full.  A
+        its move, so `_moved_lines_hold` reads only the four cells the move
+        can have changed, and one it cannot show valid is validated in full.  A
         refused move raises `apply_move`'s InvalidMove, a bad prefix the
         full check's messages.
         """
-        board, symbols = _Board(self.start), set(range(self.start.n))
+        board = _Board(self.start)
         for k, m in enumerate(self.moves):
             before, rec = board.grid[:], board.improper
             board.take(m)
-            checked = not check or k and _moved_lines_hold(board, before, rec, m, symbols)
+            checked = not check or k and _moved_lines_hold(board, before, rec, m)
             if not checked and (problems := validate(board.state())):
                 raise LatinSquareError(f"invalid intermediate state: {problems}")
         return board.state()
@@ -119,47 +119,54 @@ class _Board:
         return SquareState(tuple(map(tuple, self.grid)), self.improper)
 
 
-def _moved_lines_hold(
-    board: _Board, before: list[list[int]], old: ImproperCell | None, m: IntercalateMove, symbols: set[int]
-) -> bool:
-    """Whether ``board`` is still valid after move ``m``, read on the lines it can have changed.
+def _moved_lines_hold(board: _Board, before: list[list[int]], old: ImproperCell | None, m: IntercalateMove) -> bool:
+    """Whether ``board`` is still valid after move ``m``, read on the four cells it can have changed.
 
     ``before`` (a copy of the row list, overwritten here) and ``old`` held
     the valid square before the move.  Rows other than i and i2 must be the
     same, rows i and i2 may change only at columns j and j2, and a new record
-    and the one it replaced must sit on those four cells.  Rows i and i2 and
-    any of columns j and j2 through a record must pass the line rule.  A
-    column through neither was a permutation, so it still is exactly when
-    rows i and i2 hold the pair of symbols they held there.  False means only
-    that this could not show the board valid.
+    and the one it replaced must sit on those four cells.  Then only the
+    four cells changed, and each of rows i, i2 and columns j, j2 still sums
+    to 1 on every symbol exactly when the +1s it lost and the -1s it gained
+    are, as a multiset, the +1s it gained and the -1s it lost.  A proper cell
+    holds +s; a record's cell holds +p, +q and -negative, with p on the grid,
+    p < q and the negative distinct from both.  False means only that this
+    could not show the board valid.
     """
     grid, rec = board.grid, board.improper
-    i, i2, j, j2 = m.i, m.i2, m.j, m.j2
+    i, j, _, i2, j2, _ = m
     top, bottom = before[i], before[i2]
     new_top, new_bottom = before[i], before[i2] = grid[i], grid[i2]
     if before != grid:
         return False
-    through = set()
-    for cell in (old, rec):
-        if cell is not None:
-            if rec is not old and (cell.row not in (i, i2) or cell.col not in (j, j2)):
-                return False
-            through.add(cell.col)
-    at_r, at_c = (-1, -1) if rec is None else (rec.row, rec.col)
-    for r, line, new in ((i, top, new_top), (i2, bottom, new_bottom)):
-        if not _line_holds(new, symbols, rec if r == at_r else None, at_c):
-            return False
+    for line, new in ((top, new_top), (bottom, new_bottom)):
         line = line[:]
         line[j], line[j2] = new[j], new[j2]
         if line != new:
             return False
-    for c in (j, j2):
-        if c not in through:
-            if {top[c], bottom[c]} != {new_top[c], new_bottom[c]}:
+    # Symbol s on line k (0 and 1: rows i and i2; 2 and 3: columns j and j2)
+    # counts as 4s + k, one integer per pair.  Only a new record's negative
+    # can be lost outside 0..n-1, and its row and column could then balance
+    # only through the record's own p or q; so balanced lines stay in range.
+    t, u, v, w = 4 * top[j], 4 * top[j2], 4 * bottom[j], 4 * bottom[j2]
+    t2, u2, v2, w2 = 4 * new_top[j], 4 * new_top[j2], 4 * new_bottom[j], 4 * new_bottom[j2]
+    lost = [t, u, v + 1, w + 1, t + 2, v + 2, u + 3, w + 3]
+    gained = [t2, u2, v2 + 1, w2 + 1, t2 + 2, v2 + 2, u2 + 3, w2 + 3]
+    if rec is not old:
+        for cell, plus, minus in ((old, lost, gained), (rec, gained, lost)):
+            if cell is None:
+                continue
+            r, c, (p, q), neg = cell
+            if r not in (i, i2) or c not in (j, j2) or not p < q or neg in (p, q):
                 return False
-        elif not _line_holds([line[c] for line in grid], symbols, rec if c == at_c else None, at_r):
-            return False
-    return True
+            row, col = r != i, 2 + (c != j)
+            plus += (4 * q + row, 4 * q + col)
+            minus += (4 * neg + row, 4 * neg + col)
+    if rec is not None and grid[rec.row][rec.col] != rec.positive_pair[0]:
+        return False
+    lost.sort()
+    gained.sort()
+    return lost == gained
 
 
 def _on_board(state: SquareState, primitive: Callable[..., None], *args) -> MoveSequence:

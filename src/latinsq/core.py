@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 
 class LatinSquareError(Exception):
@@ -25,29 +25,34 @@ class InvalidSquare(LatinSquareError):
     """Candidate data does not encode a proper or improper Latin square."""
 
 
-@dataclass(frozen=True)
-class ImproperCell:
-    """Location and content of the single negative cell of an improper square.
-
-    ``positive_pair`` is stored sorted ascending; all three symbols are
-    pairwise distinct.
-    """
-
+class _ImproperFields(NamedTuple):
     row: int
     col: int
     positive_pair: tuple[int, int]
     negative: int
 
-    def __post_init__(self) -> None:
-        p, q = self.positive_pair
+
+class ImproperCell(_ImproperFields):
+    """Location and content of the single negative cell of an improper square.
+
+    ``positive_pair`` is stored sorted ascending; all three symbols are
+    pairwise distinct.  An immutable tuple of the four fields, so a record
+    unpacks as ``row, col, (p, q), negative`` and compares and hashes as
+    that tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, row: int, col: int, positive_pair: tuple[int, int], negative: int) -> "ImproperCell":
+        p, q = positive_pair
         if p > q:
-            object.__setattr__(self, "positive_pair", (q, p))
             p, q = q, p
-        if p == q or self.negative in (p, q):
+        if p == q or negative in (p, q):
             raise InvalidSquare(
                 f"improper cell symbols must be pairwise distinct, "
-                f"got positives {self.positive_pair} negative {self.negative}"
+                f"got positives {(p, q)} negative {negative}"
             )
+        return tuple.__new__(cls, (row, col, (p, q), negative))
 
 
 @dataclass(frozen=True)
@@ -137,18 +142,6 @@ def cube_from_grid(
     return state
 
 
-def _line_holds(line: Sequence[int], symbols: set[int], rec: ImproperCell | None, at: int) -> bool:
-    """The line rule on a row or column over ``symbols``, 0..n-1: every symbol once, or
-    on the line through ``rec``'s cell, at index ``at``, p there, q nowhere, the
-    negative twice and every other symbol once.  False names no violation."""
-    if len(line) != len(symbols):
-        return False
-    if rec is None:
-        return set(line) == symbols
-    (p, q), neg = rec.positive_pair, rec.negative
-    return line[at] == p and line.count(neg) == 2 and set(line) == symbols - {q}
-
-
 def validate(state: SquareState) -> list[str]:
     """Check the lines of the state's incidence cube; one message per violation.
 
@@ -196,7 +189,11 @@ def validate(state: SquareState) -> list[str]:
         ("col", "rows", zip(*grid), at[1], at[0]),
     ):
         for i, line in enumerate(lines):
-            if _line_holds(line, symbols, rec if i == k else None, kc):
+            # Every symbol once, or on the improper line p at the cell, q
+            # nowhere, the negative twice and every other symbol once.
+            if i != k and set(line) == symbols:
+                continue
+            if i == k and line[kc] == p and line.count(neg) == 2 and set(line) == symbols - {q}:
                 continue
             sums = [0] * n
             for s in line:
@@ -208,7 +205,7 @@ def validate(state: SquareState) -> list[str]:
             violations.extend(
                 f"line {axis}={i} sym={s} (over {over}) sums to {v}" for s, v in enumerate(sums) if v != 1
             )
-    if rec is not None and x != p:  # with p at the cell, the cell holds exactly p, q and -neg
+    if rec is not None and (x != p or p > q):  # with p < q and p at the cell, it holds exactly p, q and -neg
         r, c = rec.row, rec.col
         pos = sorted(t for t, v in cell.items() if v == 1)
         if len(pos) != 2:

@@ -19,9 +19,8 @@ same way, and `enumerate_valid_moves` keeps every canonical move it accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ImproperCell, LatinSquareError, SquareState
 
@@ -30,15 +29,7 @@ class InvalidMove(LatinSquareError):
     """Applying the move would leave the proper/improper state space."""
 
 
-@dataclass(frozen=True)
-class IntercalateMove:
-    """One +/-1-move in canonical form: i < i2 and j < j2.
-
-    The four equivalent namings of a flip are collapsed by `from_anchors`;
-    the orientation lives in (a, b): a is the symbol incremented at
-    (min row, min col).
-    """
-
+class _MoveFields(NamedTuple):
     i: int
     j: int
     a: int
@@ -46,13 +37,27 @@ class IntercalateMove:
     j2: int
     b: int
 
-    def __post_init__(self) -> None:
-        if not (self.i < self.i2 and self.j < self.j2):
+
+class IntercalateMove(_MoveFields):
+    """One +/-1-move in canonical form: i < i2 and j < j2.
+
+    The four equivalent namings of a flip are collapsed by `from_anchors`;
+    the orientation lives in (a, b): a is the symbol incremented at
+    (min row, min col).  An immutable tuple of the six fields, so a move
+    unpacks as ``i, j, a, i2, j2, b`` and compares and hashes as that tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, a: int, i2: int, j2: int, b: int) -> "IntercalateMove":
+        self = tuple.__new__(cls, (i, j, a, i2, j2, b))
+        if not (i < i2 and j < j2):
             raise ValueError(f"move not in canonical form: {self!r}")
-        if self.a == self.b:
+        if a == b:
             raise ValueError(f"move symbols must differ: {self!r}")
-        if min(self.i, self.j, self.a, self.b) < 0:
+        if min(i, j, a, b) < 0:
             raise ValueError(f"move indices must be non-negative: {self!r}")
+        return self
 
     @staticmethod
     def from_anchors(i: int, j: int, a: int, i2: int, j2: int, b: int) -> "IntercalateMove":
@@ -94,19 +99,19 @@ def _flip(
     checked once, at the end.
     """
     n = len(grid)
-    i, j, a, i2, j2, b = m.i, m.j, m.a, m.i2, m.j2, m.b
-    if max(i2, j2, a, b) >= n:
+    i, j, a, i2, j2, b = m
+    if i2 >= n or j2 >= n or a >= n or b >= n:
         return f"move indices exceed order {n}"
     at_r, at_c = (-1, -1) if rec is None else (rec.row, rec.col)
     negatives = 0 if rec is None else 1
     # The record survives unless its cell is touched.
     new = None if at_r in (i, i2) and at_c in (j, j2) else rec
-    top, bottom = list(grid[i]), list(grid[i2])
-    for k, (line, r, c, x, y) in enumerate(
-        ((top, i, j, a, b), (top, i, j2, b, a), (bottom, i2, j, b, a), (bottom, i2, j2, a, b))
+    top, bottom = [*grid[i]], [*grid[i2]]
+    for k, line, r, c, x, y in (
+        (0, top, i, j, a, b), (1, top, i, j2, b, a), (2, bottom, i2, j, b, a), (3, bottom, i2, j2, a, b)
     ):
         if r == at_r and c == at_c:
-            pair, neg = rec.positive_pair, rec.negative
+            _, _, pair, neg = rec
             if x in pair:
                 return f"entry already 1 at +1 position {k}"
             if y == neg:

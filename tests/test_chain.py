@@ -1,11 +1,14 @@
+import functools
 import itertools
 import os
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import latinsq.chain
-from cube_reference import IncidenceCube, is_valid_move, plus_triples
+from cube_reference import IncidenceCube, from_cube, is_valid_move, plus_triples
 from latinsq.chain import (
     ChainConfig,
     DegenerateOrder,
@@ -122,6 +125,33 @@ def test_walk_picks_are_symmetric_along_a_walk(n):
         proper += u.is_proper
         u, from_u = v, from_v
     assert proper >= 3
+
+
+def _paratope(state, perms, axes):
+    """The image of ``state`` under a paratopy: ``perms`` relabel its rows,
+    columns and symbols, then ``axes`` orders the three coordinates."""
+    n = state.n
+    cube = IncidenceCube.of(state).data
+    image = np.zeros((n, n, n), dtype=np.int8)
+    for t in zip(*np.nonzero(cube)):
+        relabelled = [perm[x] for perm, x in zip(perms, t)]
+        image[tuple(relabelled[a] for a in axes)] = cube[t]
+    return from_cube(IncidenceCube(image))
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_walk_picks_commute_with_paratopy(n):
+    # Along a seeded walk, a seeded paratopy maps the multiset of states the
+    # picks from u land on onto the multiset the picks from its image land
+    # on.  The coordinate orders take all six in turn.
+    rnd = random.Random(7100 + n)
+    states = [s for s, _ in itertools.islice(walk(cyclic_square(n), RngStream(7100 + n)), 4 * n)]
+    assert {s.kind for s in states} == {"proper", "improper"}
+    for k, u in enumerate(states):
+        perms = [rnd.sample(range(n), n) for _ in range(3)]
+        axes = list(itertools.permutations(range(3)))[k % 6]
+        image = functools.partial(_paratope, perms=perms, axes=axes)
+        assert Counter(map(image, _pick_landings(u))) == Counter(_pick_landings(image(u)))
 
 
 def test_sample_returns_proper_grids_only():

@@ -482,6 +482,16 @@ def test_uniformity_stdin_reads_json_records_as_text_records(capsys, monkeypatch
     assert json.loads(reports[0][1])["samples"] == 200
 
 
+@pytest.mark.parametrize("text", ["[1, 2]\n", "n 3\n0 1 2\n1 2 0\n2 0 1\n[[0, 1], [1, 0]]\n"])
+def test_uniformity_stdin_reads_any_json_line_as_json(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    result = run_cli(capsys, "uniformity", "3", "--stdin")
+    assert_one_line_error(result, 1)
+    assert result[2] == "parse failure: expected an object with keys 'n' and 'grid'\n"
+
+
 def test_uniformity_stdin_rejects_improper_or_other_order(capsys, monkeypatch, ex_improper):
     import io
 

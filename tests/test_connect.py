@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -451,6 +450,20 @@ def test_restricted_validate_matches_full_on_pinned_paths(n, monkeypatch):
             assert full == prefixes[:1]
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_checked_replay_of_a_walk_validates_only_its_first_prefix(n, monkeypatch):
+    """Every walk step, proper or improper, passes the per-move check on its own, either way."""
+    steps = list(itertools.islice(walk(cyclic_square(n), RngStream(2700 + n)), 8 * n))
+    start, end = cyclic_square(n), steps[-1][0]
+    assert {state.kind for state, _ in steps} == {"proper", "improper"}
+    full = []
+    monkeypatch.setattr(connect, "validate", lambda state: full.append(state) or validate(state))
+    seq = MoveSequence(start, tuple(m for _, m in steps), end)
+    assert seq.replay(check=True) == end and full == [steps[0][0]]
+    full.clear()
+    assert seq.inverted().replay(check=True) == start and full == [steps[-2][0]]
+
+
 def _with_cell(state, r, c, s=None):
     """The state with cell (r, c) holding ``s``, by default the next symbol mod n."""
     grid = list(state.grid)
@@ -487,15 +500,30 @@ def _fault(kind, state, m):
         grid[m.i] = (*grid[m.i], grid[m.i][0])
         return SquareState(tuple(grid), rec)
     if kind.startswith("record in row"):
-        return SquareState(state.grid, dataclasses.replace(rec, row=rec.row + (n if kind.endswith("+ n") else -n)))
+        return SquareState(state.grid, rec._replace(row=rec.row + (n if kind.endswith("+ n") else -n)))
     if kind == "record in column c - n":
-        return SquareState(state.grid, dataclasses.replace(rec, col=rec.col - n))
+        return SquareState(state.grid, rec._replace(col=rec.col - n))
     if kind == "record off the four cells":
-        return SquareState(state.grid, dataclasses.replace(rec, row=r, col=c))
-    assert kind == "record off the four cells on a proper step"
-    p = state.grid[r][c]
-    q, neg = [x for x in range(n) if x != p][:2]
-    return SquareState(state.grid, ImproperCell(r, c, (p, q), neg))
+        return SquareState(state.grid, rec._replace(row=r, col=c))
+    if kind == "record off the four cells on a proper step":
+        p = state.grid[r][c]
+        q, neg = [x for x in range(n) if x != p][:2]
+        return SquareState(state.grid, ImproperCell(r, c, (p, q), neg))
+    if kind == "record on a move cell whose negative is its q, on a proper step":
+        p = state.grid[m.i][m.j]
+        q = (p + 1) % n  # the cell nets +p, as the proper cell did
+        return SquareState(state.grid, ImproperCell._make((m.i, m.j, (p, q), q)))
+    (p, q), neg = rec.positive_pair, rec.negative
+    other = next(x for x in range(n) if x not in (p, q, neg))
+    if kind == "record on a move cell with another negative":
+        return SquareState(state.grid, rec._replace(negative=other))
+    if kind == "record on a move cell with its larger positive n":
+        return SquareState(state.grid, rec._replace(positive_pair=(p, n)))
+    if kind == "record on a move cell with its positives unsorted, q on the grid":
+        return _with_cell(SquareState(state.grid, rec._replace(positive_pair=(q, p))), rec.row, rec.col, q)
+    assert kind == "record on a move cell naming another positive, q on the grid"
+    # The cell still nets +p +q -neg, but the grid shows q, not the record's first positive.
+    return _with_cell(SquareState(state.grid, rec._replace(positive_pair=(other, p))), rec.row, rec.col, q)
 
 
 @pytest.mark.parametrize(
@@ -515,26 +543,40 @@ def _fault(kind, state, m):
         "record in row r + n",
         "record in row r - n",
         "record in column c - n",
+        "record on a move cell with another negative",
+        "record on a move cell with its larger positive n",
+        "record on a move cell whose negative is its q, on a proper step",
+        "record on a move cell naming another positive, q on the grid",
+        "record on a move cell with its positives unsorted, q on the grid",
     ],
 )
 def test_checked_replay_catches_faulty_apply_move(kind, monkeypatch):
     """A faulty board move at a later prefix raises what a full check of the bad state reports.
 
     The first kind is seen only by the check that other rows kept their
-    objects, a record added off the move's cells only by the check that a
-    new record sits on one, and each swap only by one check of the changed
-    lines: row locality, the rows, a column through a record or a column
-    pair.  A record moved by -n would alias its own cell.
+    objects, a swap in row i off the move's columns only by row locality, a
+    record moved to row r + n only by the check that a new record sits on a
+    move cell, a record whose negative is its q only by the check that
+    its symbols differ, a record that names another positive only by the
+    check that the grid holds its first, an unsorted record only by the
+    check that p < q, and the other swaps and records by the signed counts
+    of the four lines.  A record moved by -n would alias its own cell.
     """
     (p0, *_), (i0, *_) = _path_endpoints(6, 506)
     seq = transform_path(p0, i0)
     # A later move (so only the lines it changed are read) whose result is
     # improper, or for a proper step whose start and result are proper.
     proper = kind.endswith("proper step")
+    on_move = kind.startswith("record on a move cell") and not proper
     state = seq.start
     for k, m in enumerate(seq.moves):
         before, state = state, apply_move(state, m)
-        if k and (state.improper is None and before.improper is None if proper else state.improper is not None):
+        rec = state.improper
+        if proper:
+            found = rec is None and before.improper is None
+        else:
+            found = rec is not None and (not on_move or rec.row in (m.i, m.i2) and rec.col in (m.j, m.j2))
+        if k and found:
             break
     expected = validate(_fault(kind, state, m))
     assert expected

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from latinsq.core import (
     cyclic_square,
     validate,
 )
+from latinsq.moves import IntercalateMove
 from latinsq.oracle import enumerate_latin_squares
 from scripted_draws import faulty_take, walk
 
@@ -125,6 +127,11 @@ def test_validate_catches_record_mismatch(ex_improper):
     assert any("record missing" in p for p in validate_cube(cube, None))
     out_of_range = SquareState(ex_improper.grid, ImproperCell(2, 1, (0, 2), 7))
     assert validate(out_of_range) == ["improper record names symbols outside 0..n-1"]
+    # The same cube with the record's pair unsorted and its first symbol on the grid.
+    grid = [list(line) for line in ex_improper.grid]
+    grid[2][1] = 2
+    unsorted = SquareState(tuple(map(tuple, grid)), ex_improper.improper._replace(positive_pair=(2, 0)))
+    assert validate(unsorted) == ["improper record (2, 0)-1 does not match cell content (0, 2)-1"]
 
 
 def test_improper_cell_distinctness_enforced():
@@ -137,6 +144,43 @@ def test_improper_cell_distinctness_enforced():
 def test_positive_pair_sorted():
     rec = ImproperCell(0, 0, (2, 1), 0)
     assert rec.positive_pair == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: ImproperCell(2, 1, (2, 0), 1), "ImproperCell(row=2, col=1, positive_pair=(0, 2), negative=1)"),
+        (lambda: IntercalateMove(0, 1, 3, 2, 4, 5), "IntercalateMove(i=0, j=1, a=3, i2=2, j2=4, b=5)"),
+    ],
+)
+def test_records_and_moves_are_immutable_values(make, text):
+    """Equal values hash alike, as the tuple of their fields does; no field can be set."""
+    value = make()
+    assert repr(value) == text
+    assert value == make() and hash(value) == hash(make()) == hash(tuple(value))
+    assert pickle.loads(pickle.dumps(value)) == value and type(pickle.loads(pickle.dumps(value))) is type(value)
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+
+
+DISTINCT = "improper cell symbols must be pairwise distinct, got positives"
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (ImproperCell, (0, 0, (1, 1), 2), f"{DISTINCT} (1, 1) negative 2"),
+        (ImproperCell, (0, 0, (2, 1), 2), f"{DISTINCT} (1, 2) negative 2"),
+        (IntercalateMove, (1, 0, 0, 0, 1, 1), "move not in canonical form: IntercalateMove(i=1, j=0, a=0, i2=0, j2=1, b=1)"),
+        (IntercalateMove, (0, 0, 1, 1, 1, 1), "move symbols must differ: IntercalateMove(i=0, j=0, a=1, i2=1, j2=1, b=1)"),
+        (IntercalateMove, (0, 0, -1, 1, 1, 1), "move indices must be non-negative: IntercalateMove(i=0, j=0, a=-1, i2=1, j2=1, b=1)"),
+    ],
+)
+def test_record_and_move_constructors_name_what_is_wrong(cls, args, message):
+    with pytest.raises(InvalidSquare if cls is ImproperCell else ValueError) as err:
+        cls(*args)
+    assert str(err.value) == message
 
 
 @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))

@@ -6,7 +6,7 @@ from cube_reference import IncidenceCube, is_valid_move, minus_triples, plus_tri
 from enumeration_reference import proper_row_cycles
 from latinsq.chain import RngStream
 from latinsq.core import cube_from_grid, cyclic_square, validate
-from latinsq.moves import IntercalateMove, InvalidMove, apply_move, enumerate_valid_moves
+from latinsq.moves import IntercalateMove, InvalidMove, _flip, apply_move, enumerate_valid_moves
 from latinsq.connect import _Board, cycle_swap
 from scripted_draws import walk
 
@@ -344,3 +344,44 @@ def test_line_sums_preserved_by_all_valid_moves(graph3):
             assert np.all(data.sum(axis=0) == 1)
             assert np.all(data.sum(axis=1) == 1)
             assert np.all(data.sum(axis=2) == 1)
+
+
+def _flip_verdicts(state):
+    """One line per canonical move on ``state``, and per move with one index
+    at n: the move text, then `_flip`'s refusal or its two rows and record."""
+    n = state.n
+    moves = [
+        IntercalateMove(i, j, a, i2, j2, b)
+        for i, i2 in itertools.combinations(range(n), 2)
+        for j, j2 in itertools.combinations(range(n), 2)
+        for a, b in itertools.permutations(range(n), 2)
+    ]
+    moves += [IntercalateMove(0, 0, 0, n, 1, 1), IntercalateMove(0, 0, 0, 1, n, 1)]
+    moves += [IntercalateMove(0, 0, n, 1, 1, 1), IntercalateMove(0, 0, 0, 1, 1, n)]
+    lines = []
+    for m in moves:
+        out = _flip(state.grid, state.improper, m)
+        if not isinstance(out, str):
+            top, bottom, rec = out
+            fields = None if rec is None else (rec.row, rec.col, rec.positive_pair, rec.negative)
+            out = f"{top} {bottom} {fields}"
+        lines.append(f"{m.text()}: {out}\n")
+    return lines
+
+
+# sha256 of `_flip_verdicts` over the 66 order-3 states and 12 walk states of order 5.
+FLIP_DIGEST = "7451217dcd0b26164a91196af7698a19ec66d5ecfbf9b4652404aabb5068ee03"
+
+
+def test_flip_verdicts_pinned(graph3):
+    """Every verdict and refusal text of the move rule is pinned; the states
+    reach each refusal, at each of the four positions where it has one."""
+    import hashlib
+
+    states = list(graph3.states)
+    steps = walk(cyclic_square(5), RngStream(5005))
+    states += [next(s for s, _ in itertools.islice(steps, 5, None) if s.kind == k) for k in ("proper", "improper") * 6]
+    lines = [line for state in states for line in _flip_verdicts(state)]
+    refusals = {line.split(": ")[1] for line in lines if "[" not in line}
+    assert len(refusals) == 11 and {s.kind for s in states[66:]} == {"proper", "improper"}
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == FLIP_DIGEST
