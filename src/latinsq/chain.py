@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import IO, Iterator
 
 from .core import ImproperCell, LatinSquareError, SquareState, cyclic_square
-from .oracle import enumerate_latin_squares
 
 
 class DegenerateOrder(LatinSquareError):
@@ -214,13 +213,15 @@ def iter_samples(config: ChainConfig, count: int, rng: RngStream) -> Iterator[Sq
 
     Starts from the cyclic square, discards ``burn_in`` raw steps, then
     yields every ``thin``-th proper visit (at n <= 2, a uniform draw from
-    the enumerated squares instead).  Byte-reproducible for a fixed stream.
+    the cyclic square and, at n = 2, its rows swapped).  Byte-reproducible
+    for a fixed stream.
     """
     n = config.n
     if n <= 2:
         # Order 2 has no improper squares, so every step flips to the other
         # square and the walk has period 2: draw the squares directly.
-        squares = enumerate_latin_squares(n)
+        grid = cyclic_square(n).grid
+        squares = [SquareState(grid[::step]) for step in (1, -1)[:n]]
         pick = rng.draws(len(squares))
         for _ in range(count):
             yield squares[next(pick)]
@@ -274,12 +275,13 @@ def _run_groups(config: ChainConfig, tasks: list[tuple[int, RngStream]]) -> Iter
         cpus = os.cpu_count() or 1
     groups = min(cpus, len(tasks)) if hasattr(os, "fork") else 1
     bounds = [len(tasks) * k // groups for k in range(groups + 1)]
+    # One generator per group: this process reads the first, a forked child each other one.
+    runs = [(s for per, rng in tasks[a:b] for s in iter_samples(config, per, rng)) for a, b in zip(bounds, bounds[1:])]
     children: list[tuple[int, IO[bytes]]] = []
     try:
-        for k in range(1, groups):
-            children.append(_fork_group(config, tasks[bounds[k] : bounds[k + 1]]))
-        for per, rng in tasks[: bounds[1]]:
-            yield from iter_samples(config, per, rng)
+        for run in runs[1:]:
+            children.append(_fork_group(run))
+        yield from runs[0]
         for k, (_, pipe) in enumerate(children, 1):
             try:
                 out = pickle.load(pipe)
@@ -287,8 +289,7 @@ def _run_groups(config: ChainConfig, tasks: list[tuple[int, RngStream]]) -> Iter
                 raise LatinSquareError(f"the process running chains {bounds[k]}..{bounds[k + 1] - 1} died") from None
             if isinstance(out, BaseException):
                 raise out
-            for grid in out.tolist():
-                yield SquareState(tuple(map(tuple, grid)))
+            yield from map(SquareState, out)
     finally:
         for pid, pipe in children:
             import signal  # only a run with children loads it
@@ -298,13 +299,13 @@ def _run_groups(config: ChainConfig, tasks: list[tuple[int, RngStream]]) -> Iter
             os.waitpid(pid, 0)
 
 
-def _fork_group(config: ChainConfig, tasks: list[tuple[int, RngStream]]) -> tuple[int, IO[bytes]]:
-    """Fork a child running ``tasks``; returns its pid and the read end of its pipe.
+def _fork_group(run: Iterator[SquareState]) -> tuple[int, IO[bytes]]:
+    """Fork a child reading ``run``; returns its pid and the read end of its pipe.
 
-    The child pickles its samples as one (samples, n, n) symbol array, or
-    the exception that stopped it, and always ends in os._exit: it never
-    returns into its caller's frames.  It calls no threaded numpy routine,
-    so the threads a fork leaves behind cannot block it.
+    The child pickles the list of its samples' grids, or the exception that
+    stopped it, and always ends in os._exit: it never returns into its
+    caller's frames.  Its only numpy calls are its streams' draws, none
+    threaded, so the threads a fork leaves behind cannot block it.
     """
     r, w = os.pipe()
     pid = os.fork()
@@ -314,13 +315,7 @@ def _fork_group(config: ChainConfig, tasks: list[tuple[int, RngStream]]) -> tupl
             os.close(r)
             with open(w, "wb") as pipe:
                 try:
-                    import numpy as np
-
-                    n = config.n
-                    out = np.empty((sum(per for per, _ in tasks), n, n), np.min_scalar_type(n - 1))
-                    runs = (iter_samples(config, per, rng) for per, rng in tasks)
-                    for k, state in enumerate(itertools.chain.from_iterable(runs)):
-                        out[k] = state.grid
+                    out = [state.grid for state in run]
                 except BaseException as exc:  # sent to the parent, which raises it
                     out = exc
                 pickle.dump(out, pipe, pickle.HIGHEST_PROTOCOL)

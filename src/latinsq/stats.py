@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import LatinSquareError, SquareState
 
@@ -39,15 +39,9 @@ class UniformityReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "categories": self.categories,
-                "samples": self.samples,
-                "statistic": self.statistic,
-                "dof": self.dof,
-                "pass": self.passed,
-            }
-        )
+        fields = asdict(self)
+        fields["pass"] = fields.pop("passed")
+        return json.dumps(fields)
 
 
 def acceptance_band(dof: int, alpha: float = ALPHA) -> tuple[float, float]:

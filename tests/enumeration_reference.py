@@ -10,7 +10,9 @@ queue-driven breadth-first search over a state graph's adjacency lists,
 the reference for the library's bit-parallel diameter probe.
 `proper_row_cycles` splits the columns of a proper square into the cycles
 of two rows, for the tests of `cycle_swap`.  `reduced_form` names a
-square's class for the exact uniformity test at order 5.
+square's class for the exact uniformity test at order 5, and
+`enumerate_reduced_grids` lists the classes for that test and for the
+intercalate law at order 6.
 """
 
 from __future__ import annotations
@@ -159,3 +161,37 @@ def reduced_form(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ..
     """
     column_of = sorted(range(len(grid)), key=grid[0].__getitem__)
     return tuple(sorted(tuple(map(row.__getitem__, column_of)) for row in grid))
+
+
+def enumerate_reduced_grids(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All reduced Latin squares of order n (row 0 and column 0 both 0..n-1).
+
+    Cell-by-cell backtracking over the cells off row 0 and column 0, in
+    lexicographic order.  There are 9408 at order 6 (McKay & Wanless, "On
+    the number of Latin squares", Ann. Combin. 9, 2005).
+    """
+    full = (1 << n) - 1
+    grid = [[c if r == 0 else r if c == 0 else -1 for c in range(n)] for r in range(n)]
+    row_used = [full] + [1 << r for r in range(1, n)]
+    col_used = [full] + [1 << c for c in range(1, n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            out.append(tuple(map(tuple, grid)))
+            return
+        r, c = cells[k]
+        avail = ~(row_used[r] | col_used[c]) & full
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            grid[r][c] = bit.bit_length() - 1
+            row_used[r] |= bit
+            col_used[c] |= bit
+            fill(k + 1)
+            row_used[r] ^= bit
+            col_used[c] ^= bit
+
+    fill(0)
+    return out

@@ -10,6 +10,7 @@ always cancel).
 """
 
 import hashlib
+import itertools
 import time
 from collections import Counter
 
@@ -21,6 +22,7 @@ from cube_reference import IncidenceCube, is_valid_move, plus_triples
 from enumeration_reference import (
     enumerate_grids_by_symbol,
     enumerate_improper_squares,
+    enumerate_reduced_grids,
     proper_row_cycles,
     reduced_form,
 )
@@ -321,8 +323,7 @@ def test_uniformity_order_five_over_reduced_squares(acceptance_record):
     # Exact categories at n = 5 without 161,280 of them: a uniform square
     # has a uniform reduced form, one of 56, so 5600 samples give 100
     # expected per class.  The per-cell test at n >= 5 stays as it is.
-    identity = tuple(range(5))
-    reduced = [g for g in _enumerate_grids(5) if g[0] == identity and tuple(r[0] for r in g) == identity]
+    reduced = enumerate_reduced_grids(5)
     assert len(reduced) == 56
     counts = Counter(reduced_form(sq.grid) for sq in sample(ChainConfig(5, seed=CI_SEED), 5600))
     assert counts.keys() <= set(reduced)
@@ -333,6 +334,36 @@ def test_uniformity_order_five_over_reduced_squares(acceptance_record):
         "uniformity at n=5 over the 56 reduced squares within the central 99.9% band",
         ok,
         f"5600 samples, stat {statistic:.1f} dof 55, band {lo:.1f}-{hi:.1f}",
+    )
+    assert ok
+
+
+# The intercalate counts of the 9408 reduced squares of order 6.
+INTERCALATE_LAW_6 = {0: 40, 4: 1080, 5: 3240, 7: 1620, 9: 600, 11: 1080, 15: 1188, 19: 540, 27: 20}
+
+
+def _intercalates(grid):
+    """The number of 2 x 2 subsquares: row pairs and column pairs whose four cells hold two symbols."""
+    pairs = list(itertools.combinations(range(len(grid)), 2))
+    return sum(a[c] == b[d] and a[d] == b[c] for a, b in itertools.combinations(grid, 2) for c, d in pairs)
+
+
+def test_intercalate_law_at_order_six(acceptance_record):
+    # Row and column permutations keep the intercalate count, so under
+    # uniform sampling its law is its law over the reduced squares, each
+    # the form of as many squares as any other.
+    reduced = enumerate_reduced_grids(6)
+    law = Counter(map(_intercalates, reduced))
+    assert len(reduced) == 9408 and law == INTERCALATE_LAW_6
+    counts = Counter(_intercalates(sq.grid) for sq in sample(ChainConfig(6, seed=CI_SEED), 3000))
+    assert counts.keys() <= law.keys()
+    statistic = sum(pearson_statistic([counts[k]], 3000 * m / len(reduced)) for k, m in law.items())
+    lo, hi = acceptance_band(len(law) - 1)
+    ok = lo <= statistic <= hi
+    acceptance_record(
+        "intercalate count at n=6 follows its exact law within the central 99.9% band",
+        ok,
+        f"3000 samples, stat {statistic:.2f} dof {len(law) - 1}, band {lo:.2f}-{hi:.2f}",
     )
     assert ok
 

@@ -20,6 +20,7 @@ from latinsq.chain import (
 )
 from latinsq.core import LatinSquareError, cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, apply_move, enumerate_valid_moves
+from latinsq.oracle import enumerate_latin_squares
 from scripted_draws import ScriptedDraws, walk
 
 
@@ -182,6 +183,15 @@ def test_order_two_runs_normally():
         assert {sq.grid for sq in sample(ChainConfig(2, seed=seed), 20)} == both
 
 
+@pytest.mark.parametrize("n,draws", [(1, [0, 0]), (2, [0, 1, 1, 0])])
+def test_small_orders_draw_in_oracle_order(n, draws):
+    # The sampler builds its own n <= 2 squares; draw k must name entry k of
+    # the oracle's list, which `uniformity` judges the samples against.
+    out = list(iter_samples(ChainConfig(n), len(draws), ScriptedDraws(draws, bound=n)))
+    squares = enumerate_latin_squares(n)
+    assert out == [squares[k] for k in draws]
+
+
 def test_run_parallel_single_chain_matches_sample():
     cfg = ChainConfig(3, seed=11, burn_in=100, thin=5)
     assert list(iter_chains(cfg, 1, 30)) == sample(cfg, 30)
@@ -231,6 +241,7 @@ def assert_no_child_left():
         (4, 2, 6),  # two streams, fewer than three CPUs
         (3, 10, 1),  # one stream read
         (2, 4, 9),  # direct draws
+        (6, 3, 8),  # grids of six symbols through the pipe
     ],
 )
 def test_iter_chains_same_samples_on_any_cpu_count(monkeypatch, n, chains, count):
