@@ -22,35 +22,23 @@ The board is the only place a path is built: a `MoveSequence` records one
 and can reverse or replay it, but never extends it.  A two-row chain or
 cycle is the tuple of its columns in walk order; its symbols are read from
 the rows.
+
+Each public function checks the states it is given once, on entry: one that
+fails `validate` raises InvalidSquare with its messages, a bad argument
+PreconditionViolated.  The board code behind them trusts its board.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, validate
+from .core import ImproperCell, LatinSquareError, SquareState, _checked, validate
 from .moves import IntercalateMove, InvalidMove, _flip
 
 
-class NotImproper(LatinSquareError):
-    """Operation requires an improper state."""
-
-
-class MismatchedRows(LatinSquareError):
-    """The designated source row lies outside 0..n-1 or does not carry the required symbol."""
-
-
-class InvalidCycle(LatinSquareError):
-    """A row cycle was asked of an improper state, equal rows or an index outside 0..n-1."""
-
-
 class PreconditionViolated(LatinSquareError):
-    """Named precondition of the row-entry swap failed, an index outside 0..n-1 included."""
-
-
-class OrderMismatch(LatinSquareError):
-    """The two endpoint squares have different orders."""
+    """An argument breaks a path primitive's named precondition, an index outside 0..n-1 included."""
 
 
 @dataclass
@@ -71,18 +59,18 @@ class MoveSequence:
     def replay(self, check: bool = False) -> SquareState:
         """Take the moves on a board of ``start``; with ``check`` validate every prefix.
 
-        The first prefix is validated in full; each later one passed before
-        its move, so `_moved_lines_hold` reads only the four cells the move
-        can have changed, and one it cannot show valid is validated in full.  A
+        ``start`` is validated in full, and a bad one raises InvalidSquare.
+        Every later prefix, the first move's included, follows a valid one,
+        so `_moved_lines_hold` reads only the four cells its move can have
+        changed, and one it cannot show valid is validated in full.  A
         refused move raises `apply_move`'s InvalidMove, a bad prefix the
         full check's messages.
         """
-        board = _Board(self.start)
-        for k, m in enumerate(self.moves):
+        board = _Board(_checked(self.start) if check else self.start)
+        for m in self.moves:
             before, rec = board.grid[:], board.improper
             board.take(m)
-            checked = not check or k and _moved_lines_hold(board, before, rec, m)
-            if not checked and (problems := validate(board.state())):
+            if check and not _moved_lines_hold(board, before, rec, m) and (problems := validate(board.state())):
                 raise LatinSquareError(f"invalid intermediate state: {problems}")
         return board.state()
 
@@ -176,15 +164,6 @@ def _on_board(state: SquareState, primitive: Callable[..., None], *args) -> Move
     return MoveSequence(state, tuple(board.moves), board.state())
 
 
-def _unique_col(state: SquareState | _Board, row: int, sym: int) -> int:
-    cols = state.cols_with(row, sym)
-    if len(cols) != 1:
-        raise LatinSquareError(
-            f"symbol {sym} appears {len(cols)} times positively in row {row}"
-        )
-    return cols[0]
-
-
 def _two_row_chain(
     state: SquareState | _Board, top: int, bottom: int, col: int, ends: tuple[int, ...]
 ) -> tuple[int, ...]:
@@ -194,23 +173,22 @@ def _two_row_chain(
     else jump to the column where the top row holds it.  Returns the columns
     in walk order.  A valid state ends the walk within n columns.
 
-    The rows are read straight from the grid.  The grid shows only the
-    smaller positive of the improper cell, so a chain must not reach that
-    cell: no caller's chain does on a valid state, and one that does raises.
+    The rows are read straight from the grid, which shows only the smaller
+    positive of the improper cell; no caller's chain reaches that cell.  The
+    walk enters a column only where the top row holds the symbol it chases,
+    and each caller's ``ends`` holds what the top row shows in the record's
+    column: the negative for `_row_cycles`, p for the row-swap chains, and
+    `_cycle_swap` runs on proper boards only.
     """
-    rec = state.improper
-    improper_col = rec.col if rec is not None and rec.row in (top, bottom) else -1
     upper, lower = state.grid[top], state.grid[bottom]
     cols: list[int] = []
     for _ in range(len(lower)):
-        if col == improper_col:
-            raise LatinSquareError(f"chain reached the improper cell in column {col}; state is corrupt")
         cols.append(col)
         sym = lower[col]
         if sym in ends:
             return tuple(cols)
         col = upper.index(sym)
-    raise LatinSquareError("chain did not terminate; state is corrupt")
+    raise LatinSquareError("chain did not terminate; internal error")
 
 
 def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -224,20 +202,25 @@ def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...
     larger positive, the chain through the smaller); the two share no column
     and the shorter has length <= floor((n-1)/2).
     """
-    rec = state.improper
+    rec = _checked(state).improper
     if rec is None:
-        raise NotImproper("state is proper; it has no improper cell")
+        raise PreconditionViolated("state is proper; it has no improper cell")
     if not 0 <= source_row < state.n:
-        raise MismatchedRows(f"row {source_row} outside 0..{state.n - 1}")
+        raise PreconditionViolated(f"row {source_row} outside 0..{state.n - 1}")
     if state.entry(source_row, rec.col, rec.negative) != 1:
-        raise MismatchedRows(
+        raise PreconditionViolated(
             f"row {source_row} does not hold symbol {rec.negative} at column {rec.col}"
         )
-    lo, hi = rec.positive_pair
-    ends = (rec.negative,)
+    return _row_cycles(state, source_row)
+
+
+def _row_cycles(state: SquareState | _Board, source_row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`find_row_cycles` on a valid board; ``source_row``, a proper row, holds each positive once."""
+    rec = state.improper
+    (lo, hi), ends, top = rec.positive_pair, (rec.negative,), state.grid[source_row]
     return (
-        _two_row_chain(state, source_row, rec.row, _unique_col(state, source_row, hi), ends),
-        _two_row_chain(state, source_row, rec.row, _unique_col(state, source_row, lo), ends),
+        _two_row_chain(state, source_row, rec.row, top.index(hi), ends),
+        _two_row_chain(state, source_row, rec.row, top.index(lo), ends),
     )
 
 
@@ -246,12 +229,13 @@ def _resolve_improper(board: _Board, avoid: Iterable[int] = ()) -> None:
 
     A proper board is left as it is.  The helper row is the smallest row
     outside ``avoid`` that holds the negative symbol in the improper column;
-    a corrupt state without one raises.  The working pair is (improper row,
-    helper row); after each move the negative cell hops to the other row of
-    the pair, so the pair is fixed while the roles alternate.  Each step
-    picks the shorter of the two current chains (ties go to the larger
-    positive), which makes the total number of moves at most the first
-    minimum, i.e. floor((n-1)/2).
+    none is left only when `fix_row`'s rows above its row disagree with its
+    target (or a lemma of the path finder fails), and then this raises.  The
+    working pair is (improper row, helper row); after each move the negative
+    cell hops to the other row of the pair, so the pair is fixed while the
+    roles alternate.  Each step picks the shorter of the two current chains
+    (ties go to the larger positive), which makes the total number of moves
+    at most the first minimum, i.e. floor((n-1)/2).
     """
     rec = board.improper
     if rec is None:
@@ -259,11 +243,11 @@ def _resolve_improper(board: _Board, avoid: Iterable[int] = ()) -> None:
     helpers = [r for r in board.rows_with(rec.col, rec.negative) if r not in avoid]
     if not helpers:
         raise LatinSquareError(
-            f"no helper row holds symbol {rec.negative} in column {rec.col}; state is corrupt"
+            f"no helper row outside the fixed rows holds symbol {rec.negative} in column {rec.col}"
         )
     helper_row = helpers[0]
     while (rec := board.improper) is not None:
-        chain_hi, chain_lo = find_row_cycles(board, helper_row)
+        chain_hi, chain_lo = _row_cycles(board, helper_row)
         lo, hi = rec.positive_pair
         chain, chased = (chain_lo, lo) if len(chain_lo) < len(chain_hi) else (chain_hi, hi)
         board.take(IntercalateMove.from_anchors(rec.row, rec.col, rec.negative, helper_row, chain[-1], chased))
@@ -278,7 +262,7 @@ def normalize_to_proper(state: SquareState) -> MoveSequence:
     emitted sequence touches only the improper row and the helper row and
     has length at most floor((n-1)/2).
     """
-    return _on_board(state, _resolve_improper)
+    return _on_board(_checked(state), _resolve_improper)
 
 
 def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSequence:
@@ -290,17 +274,17 @@ def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSe
     the cycle changes.  The cycle closes at the column where row i2 holds
     the symbol row i1 holds at ``column``.
     """
-    return _on_board(state, _cycle_swap, rows, column)
+    return _on_board(_checked(state), _cycle_swap, rows, column)
 
 
 def _cycle_swap(board: _Board, rows: tuple[int, int], column: int) -> None:
     i1, i2 = rows
     if board.improper is not None:
-        raise InvalidCycle("row cycles need a proper state")
+        raise PreconditionViolated("row cycles need a proper state")
     if i1 == i2:
-        raise InvalidCycle("cycle rows must differ")
+        raise PreconditionViolated("cycle rows must differ")
     if not all(0 <= x < board.n for x in (i1, i2, column)):
-        raise InvalidCycle(f"row {i1}, row {i2} or column {column} outside 0..{board.n - 1}")
+        raise PreconditionViolated(f"row {i1}, row {i2} or column {column} outside 0..{board.n - 1}")
     top = board.grid[i1]  # a move replaces the board's row, so this one stays as it was
     first = top[column]
     cols = _two_row_chain(board, i1, i2, column, (first,))
@@ -314,15 +298,16 @@ def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSeque
 
     Preconditions (each violation is named): i1, j1 and j2 lie in 0..n-1;
     the state is improper with its negative cell in column ``j1`` at some
-    row i2 != i1; cell (i1, j1) holds that cell's negative symbol s; and
-    (always true for valid states) some row i3 holds s at column ``j2``.
+    row i2 != i1; j2 != j1; and cell (i1, j1) holds that cell's negative
+    symbol s.  Column ``j2`` is then a proper column, so one row i3 holds s
+    there.
 
     The result holds t = old (i1, j2) symbol at (i1, j1) and s at (i1, j2),
     is proper or improper with the negative cell at (i2 or i3, j1) carrying
     negative symbol t, and differs from the input only at those two cells
     and within rows i2 and i3.  At most 2(n-1) moves are emitted.
     """
-    return _on_board(state, _swap_row_entries, i1, j1, j2)
+    return _on_board(_checked(state), _swap_row_entries, i1, j1, j2)
 
 
 def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
@@ -346,10 +331,7 @@ def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
             f"cell ({i1},{j1}) does not hold the negative symbol {s}"
         )
     t = board.symbol_at(i1, j2)
-    i3_rows = board.rows_with(j2, s)
-    if len(i3_rows) != 1:
-        raise PreconditionViolated(f"column {j2} does not hold symbol {s} exactly once")
-    i3 = i3_rows[0]
+    i3 = board.rows_with(j2, s)[0]
 
     if i3 == i2:
         # The negative row itself holds s at j2: one move does it all.
@@ -365,7 +347,7 @@ def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
     bottom = board.grid[i3]  # i3 is not the improper row
     chains = [chain for chain in chains if bottom[chain[-1]] != s]
     if not chains:
-        raise LatinSquareError("no usable chain found; state is corrupt")
+        raise LatinSquareError("no usable chain found; internal error")
     chain = min(chains, key=lambda chain: (len(chain), chain[0]))
     c1, b_sym = chain[0], bottom[chain[-1]]
 
@@ -387,22 +369,37 @@ def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
     board.take(IntercalateMove.from_anchors(i1, j1, t, i3, j2, s))
 
 
+def _check_pair(a: SquareState, b: SquareState) -> None:
+    """Check both squares on entry, then that their orders agree."""
+    _checked(a)
+    _checked(b)
+    if a.n != b.n:
+        raise PreconditionViolated(f"orders differ: {a.n} vs {b.n}")
+
+
 def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
     """Make row ``k`` of a proper square equal to row ``k`` of ``target``.
 
-    Assumes rows above ``k`` already agree; no move ever touches them.  Each
-    round places the target symbol of the smallest mismatched column, then
-    chains row-entry swaps while a negative cell persists in the working
-    column, resolving it within rows below ``k`` once the displaced symbol
-    reaches its own target column.  Costs at most 2(n-1)^2 moves.
+    Preconditions (each violation is named): the squares have one order,
+    ``k`` lies in 0..n-1, ``state`` is proper and ``target`` has no record
+    in row ``k``.  Assumes rows above ``k`` already agree; no move ever
+    touches them.  Each round places the target symbol of the smallest
+    mismatched column, then chains row-entry swaps while a negative cell
+    persists in the working column, resolving it within rows below ``k``
+    once the displaced symbol reaches its own target column.  Costs at most
+    2(n-1)^2 moves.
     """
-    rec = state.improper
-    if rec is not None and rec.row == k:
-        raise InvalidSquare(f"cell ({k},{rec.col}) is not a proper cell")  # what symbol_at raises there
-    return _on_board(state, _fix_row, [target.symbol_at(k, c) for c in range(state.n)], k)
+    _check_pair(state, target)
+    if not 0 <= k < state.n:
+        raise PreconditionViolated(f"row {k} outside 0..{state.n - 1}")
+    if state.improper is not None:
+        raise PreconditionViolated(f"state is improper; row {k} is fixed on a proper square")
+    if target.improper is not None and target.improper.row == k:
+        raise PreconditionViolated(f"row {k} of the target holds its improper cell")
+    return _on_board(state, _fix_row, target.grid[k], k)
 
 
-def _fix_row(board: _Board, target_row: list[int], k: int) -> None:
+def _fix_row(board: _Board, target_row: Sequence[int], k: int) -> None:
     while True:
         row = board.grid[k]  # proper at the start of a round
         j2 = next((c for c, (x, y) in enumerate(zip(row, target_row)) if x != y), None)
@@ -411,7 +408,9 @@ def _fix_row(board: _Board, target_row: list[int], k: int) -> None:
         s = target_row[j2]
         t = row[j2]
         j1 = row.index(s)
-        i1 = _unique_row_below(board, k, j2, s)
+        i1 = board.rows_with(j2, s)[0]  # the board is proper, so column j2 holds s once
+        if i1 <= k:
+            raise LatinSquareError(f"symbol {s} of column {j2} is not below row {k}")
         board.take(IntercalateMove.from_anchors(k, j2, s, i1, j1, t))
         while (rec := board.improper) is not None:
             tau = rec.negative
@@ -423,15 +422,6 @@ def _fix_row(board: _Board, target_row: list[int], k: int) -> None:
             _swap_row_entries(board, k, rec.col, target_row.index(tau))
 
 
-def _unique_row_below(board: _Board, k: int, col: int, sym: int) -> int:
-    rows = board.rows_with(col, sym)
-    if len(rows) != 1:
-        raise LatinSquareError(f"column {col} does not hold {sym} exactly once")
-    if rows[0] <= k:
-        raise LatinSquareError(f"symbol {sym} of column {col} is not below row {k}")
-    return rows[0]
-
-
 def transform_path(a: SquareState, b: SquareState) -> MoveSequence:
     """An explicit move sequence transferring ``a`` into ``b``.
 
@@ -441,8 +431,7 @@ def transform_path(a: SquareState, b: SquareState) -> MoveSequence:
     state is a valid proper or improper square.  One board runs from ``a``
     to ``b``, and a second resolves ``b``; only the end is built as a state.
     """
-    if a.n != b.n:
-        raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
+    _check_pair(a, b)
     if a == b:
         return MoveSequence(a, (), b)
     board, target = _Board(a), _Board(b)

@@ -135,7 +135,11 @@ def cube_from_grid(
     if rec is not None and 0 <= rec.row < len(rows) and 0 <= rec.col < len(rows[rec.row]):
         line = rows[rec.row]
         rows[rec.row] = (*line[: rec.col], rec.positive_pair[0], *line[rec.col + 1 :])
-    state = SquareState(tuple(rows), improper)
+    return _checked(SquareState(tuple(rows), improper))
+
+
+def _checked(state: SquareState) -> SquareState:
+    """``state`` itself if `validate` passes it; else InvalidSquare with its messages."""
     violations = validate(state)
     if violations:
         raise InvalidSquare("; ".join(violations))

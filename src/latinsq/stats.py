@@ -107,6 +107,8 @@ def cell_symbol_frequency_test(samples: list[SquareState], n: int) -> Uniformity
         raise InsufficientSamples(f"need at least {10 * n} samples, got {len(samples)}")
     counters: list[list[Counter]] = [[Counter() for _ in range(n)] for _ in range(n)]
     for sq in samples:
+        if sq.n != n:
+            raise UnknownSquare(f"sample of order {sq.n} in an order-{n} test")
         for r, row in enumerate(sq.grid):
             for c, s in enumerate(row):
                 counters[r][c][s] += 1

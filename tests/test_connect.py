@@ -1,17 +1,16 @@
 import itertools
+import random
+import signal
+from functools import partial
 
 import pytest
 
 from cube_reference import IncidenceCube
 from enumeration_reference import proper_row_cycles
-from latinsq import connect
+from latinsq import connect, core
 from latinsq.chain import ChainConfig, RngStream, sample
 from latinsq.connect import (
-    InvalidCycle,
-    MismatchedRows,
     MoveSequence,
-    NotImproper,
-    OrderMismatch,
     PreconditionViolated,
     cycle_swap,
     find_row_cycles,
@@ -57,18 +56,18 @@ def test_find_row_cycles_fixture(ex_improper):
 
 
 def test_find_row_cycles_preconditions(ex_improper, ex_proper):
-    with pytest.raises(NotImproper):
+    with pytest.raises(PreconditionViolated, match="state is proper"):
         find_row_cycles(ex_proper, 1)
-    with pytest.raises(MismatchedRows):
+    with pytest.raises(PreconditionViolated):
         find_row_cycles(ex_improper, 1)  # row 1 has no symbol 1 at col 1
-    with pytest.raises(MismatchedRows):
+    with pytest.raises(PreconditionViolated):
         find_row_cycles(ex_improper, 2)  # the improper row holds the -1 there
 
 
 @pytest.mark.parametrize("row", [-1, 4])
 def test_find_row_cycles_rejects_row_outside_square(ex_improper, row):
     # ex_improper has order 4: -1 would read row 3 from the bottom, 4 is past it
-    with pytest.raises(MismatchedRows, match=f"row {row} outside 0..3"):
+    with pytest.raises(PreconditionViolated, match=f"row {row} outside 0..3"):
         find_row_cycles(ex_improper, row)
 
 def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
@@ -177,12 +176,12 @@ def test_cycle_swap_off_cycle_cells_untouched():
 def test_cycle_swap_rejects_bad_patterns(ex_proper):
     # equal rows, then a row or a column of -1 or n
     for rows, column in (((0, 0), 0), ((-1, 1), 0), ((0, 4), 0), ((0, 1), -1), ((0, 1), 4)):
-        with pytest.raises(InvalidCycle):
+        with pytest.raises(PreconditionViolated):
             cycle_swap(ex_proper, rows, column)
 
 
 def test_cycle_swap_requires_proper(ex_improper):
-    with pytest.raises(InvalidCycle):
+    with pytest.raises(PreconditionViolated, match="row cycles need a proper state"):
         cycle_swap(ex_improper, (0, 1), 0)
 
 
@@ -228,12 +227,12 @@ def test_swap_row_entries_preconditions(ex_improper, ex_proper):
     # (i1, j1) must hold the negative symbol: row 1 holds 3 at column 1
     with pytest.raises(PreconditionViolated):
         swap_row_entries(ex_improper, 1, 1, 2)
-    # A corrupt state whose column j2 holds s twice: (3, 0) set to 1, unchecked.
-    grid = [list(r) for r in ex_improper.grid]
-    grid[3][0] = 1
-    bad = SquareState(tuple(map(tuple, grid)), ex_improper.improper)
-    with pytest.raises(PreconditionViolated, match="column 0 does not hold symbol 1 exactly once"):
+    # A corrupt state whose column j2 holds s twice, (3, 0) set to 1 unchecked,
+    # fails the check on entry with the messages of validate.
+    bad = _with_cell(ex_improper, 3, 0, 1)
+    with pytest.raises(InvalidSquare) as err:
         swap_row_entries(bad, 0, 1, 0)
+    assert str(err.value) == "; ".join(validate(bad))
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -245,10 +244,13 @@ def test_swap_row_entries_rejects_index_outside_square(ex_improper, bad):
             swap_row_entries(ex_improper, i1, 1, j2)
 
 
-def test_fix_row_rejects_an_improper_working_row(ex_improper):
-    # ex_improper's improper cell is (2, 1); row 2 cannot be fixed through it.
-    with pytest.raises(InvalidSquare, match=r"cell \(2,1\) is not a proper cell"):
+def test_fix_row_rejects_an_improper_working_row(ex_improper, ex_proper):
+    # ex_improper's improper cell is (2, 1); row 2 cannot be fixed through it,
+    # nor read as the target row.
+    with pytest.raises(PreconditionViolated, match="state is improper"):
         fix_row(ex_improper, cyclic_square(4), 2)
+    with pytest.raises(PreconditionViolated, match="row 2 of the target holds its improper cell"):
+        fix_row(ex_proper, ex_improper, 2)
 
 
 def _lemma_instances(n, seed, want):
@@ -312,8 +314,10 @@ def test_transform_path_identity(ex_proper):
 
 
 def test_transform_path_order_mismatch(ex_proper):
-    with pytest.raises(OrderMismatch):
+    with pytest.raises(PreconditionViolated, match="orders differ: 4 vs 3"):
         transform_path(ex_proper, cyclic_square(3))
+    with pytest.raises(PreconditionViolated, match="orders differ: 4 vs 3"):
+        fix_row(ex_proper, cyclic_square(3), 0)
 
 
 def test_transform_path_all_order_three_pairs():
@@ -431,12 +435,19 @@ def test_transform_path_move_text_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == PATH_DIGESTS[n]
 
 
+def _count_full_checks(monkeypatch):
+    """The list of states that `validate` is called on from here on, on entry or in a replay."""
+    full = []
+    for module in (core, connect):
+        monkeypatch.setattr(module, "validate", lambda state: full.append(state) or validate(state))
+    return full
+
+
 @pytest.mark.parametrize("n", sorted(PATH_DIGESTS))
 def test_restricted_validate_matches_full_on_pinned_paths(n, monkeypatch):
-    """The checked replay of a pinned path, either way, validates in full only its first prefix."""
+    """The checked replay of a pinned path, either way, validates in full only its first prefix, the start."""
     (p0, p1, p2, p3), (i0, i1, i2, i3) = _path_endpoints(n, 500 + n)
-    full = []
-    monkeypatch.setattr(connect, "validate", lambda state: full.append(state) or validate(state))
+    full = _count_full_checks(monkeypatch)
     for a, b in ((p0, p1), (i0, p2), (p3, i1), (i2, i3)):
         seq = transform_path(a, b)
         for path in (seq, seq.inverted()):
@@ -447,21 +458,31 @@ def test_restricted_validate_matches_full_on_pinned_paths(n, monkeypatch):
             assert all(validate(state) == [] for state in prefixes)
             full.clear()
             assert path.replay(check=True) == prefixes[-1]
-            assert full == prefixes[:1]
+            assert full == [path.start]
 
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_checked_replay_of_a_walk_validates_only_its_first_prefix(n, monkeypatch):
-    """Every walk step, proper or improper, passes the per-move check on its own, either way."""
+    """Every walk step, proper or improper, the first included, passes the per-move check on its own, either way.
+
+    The first prefix is the start, the only state validated in full.
+    """
     steps = list(itertools.islice(walk(cyclic_square(n), RngStream(2700 + n)), 8 * n))
     start, end = cyclic_square(n), steps[-1][0]
     assert {state.kind for state, _ in steps} == {"proper", "improper"}
-    full = []
-    monkeypatch.setattr(connect, "validate", lambda state: full.append(state) or validate(state))
+    full = _count_full_checks(monkeypatch)
     seq = MoveSequence(start, tuple(m for _, m in steps), end)
-    assert seq.replay(check=True) == end and full == [steps[0][0]]
+    assert seq.replay(check=True) == end and full == [start]
     full.clear()
-    assert seq.inverted().replay(check=True) == start and full == [steps[-2][0]]
+    assert seq.inverted().replay(check=True) == start and full == [end]
+
+
+def test_checked_replay_checks_its_start():
+    bad = SquareState(((0, 0), (0, 0)))
+    for path in (MoveSequence(bad, (), bad), MoveSequence(bad, (IntercalateMove(0, 0, 0, 1, 1, 1),), bad)):
+        with pytest.raises(InvalidSquare) as err:
+            path.replay(check=True)
+        assert str(err.value) == "; ".join(validate(bad))
 
 
 def _with_cell(state, r, c, s=None):
@@ -551,7 +572,7 @@ def _fault(kind, state, m):
     ],
 )
 def test_checked_replay_catches_faulty_apply_move(kind, monkeypatch):
-    """A faulty board move at a later prefix raises what a full check of the bad state reports.
+    """A faulty board move, at a later prefix or at the first, raises what a full check of the bad state reports.
 
     The first kind is seen only by the check that other rows kept their
     objects, a swap in row i off the move's columns only by row locality, a
@@ -580,9 +601,163 @@ def test_checked_replay_catches_faulty_apply_move(kind, monkeypatch):
             break
     expected = validate(_fault(kind, state, m))
     assert expected
-    faulty, calls = faulty_take(k + 1, lambda state, move: _fault(kind, state, move))
-    monkeypatch.setattr(connect._Board, "take", faulty)
-    with pytest.raises(LatinSquareError) as err:
-        seq.replay(check=True)
-    assert str(err.value) == f"invalid intermediate state: {expected}"
-    assert len(calls) == k + 1
+    # The same move as the first of a path that starts before it.
+    first = MoveSequence(before, seq.moves[k:], seq.end)
+    for path, at in ((seq, k + 1), (first, 1)):
+        faulty, calls = faulty_take(at, lambda state, move: _fault(kind, state, move))
+        monkeypatch.setattr(connect._Board, "take", faulty)
+        with pytest.raises(LatinSquareError) as err:
+            path.replay(check=True)
+        assert str(err.value) == f"invalid intermediate state: {expected}"
+        assert len(calls) == at
+
+
+# ---------------------------------------------------------------------------
+# The check on entry
+#
+# Every call here runs under a time bound, so a path finder that loops for
+# ever on a bad state fails in a second instead of growing its move list
+# until memory runs out.
+
+
+class _Overran(Exception):
+    """A path finder call ran past its time bound."""
+
+
+def _bounded(call, seconds):
+    """``call()``, or _Overran once it has run ``seconds`` of wall time."""
+
+    def overran(signum, frame):
+        raise _Overran
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _corrupt_order_four(ex_improper):
+    """Five unchecked order-4 states that fail `validate`, by what is wrong with them."""
+    grid, rec = ex_improper.grid, ex_improper.improper
+    square = cyclic_square(4).grid
+    return {
+        "duplicated row": SquareState((square[0], square[0], square[2], square[3])),
+        "ragged row": SquareState((square[0], square[1], square[2][:3], square[3])),
+        "symbol 9": _with_cell(cyclic_square(4), 1, 2, 9),
+        "record contradicting its cell": SquareState(grid, rec._replace(positive_pair=(0, 3))),
+        "record off the grid": SquareState(grid, rec._replace(row=4)),
+    }
+
+
+# Each public entry of the path finder on a bad state, with arguments that
+# would otherwise be in range; two-square entries take it either way.
+ENTRY_CALLS = {
+    "transform_path from": lambda bad, good: transform_path(bad, good),
+    "transform_path to": lambda bad, good: transform_path(good, bad),
+    "fix_row from": lambda bad, good: fix_row(bad, good, 0),
+    "fix_row to": lambda bad, good: fix_row(good, bad, 0),
+    "normalize_to_proper": lambda bad, good: normalize_to_proper(bad),
+    "cycle_swap": lambda bad, good: cycle_swap(bad, (0, 1), 0),
+    "swap_row_entries": lambda bad, good: swap_row_entries(bad, 0, 1, 2),
+    "find_row_cycles": lambda bad, good: find_row_cycles(bad, 0),
+    "checked replay": lambda bad, good: MoveSequence(bad, (), bad).replay(check=True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_CALLS))
+def test_every_entry_rejects_a_corrupt_state_before_any_move(entry, ex_improper, monkeypatch):
+    monkeypatch.setattr(connect._Board, "take", lambda board, m: pytest.fail(f"move {m} taken"))
+    for kind, bad in _corrupt_order_four(ex_improper).items():
+        messages = validate(bad)
+        assert messages, kind
+        with pytest.raises(InvalidSquare) as err:
+            _bounded(partial(ENTRY_CALLS[entry], bad, cyclic_square(4)), 1.0)
+        assert str(err.value) == "; ".join(messages), kind
+
+
+def test_corrupt_target_of_two_symbols_raises_at_once():
+    # Its row 0 holds 1 twice; the row fixer once flipped one intercalate back and forth for ever.
+    with pytest.raises(InvalidSquare, match="line row=0 sym=1"):
+        _bounded(partial(transform_path, cube_from_grid([[1, 0], [0, 1]]), SquareState(((1, 1), (0, 1)))), 1.0)
+
+
+@pytest.mark.parametrize("k", [99, -1, 4])
+def test_fix_row_rejects_a_row_outside_the_square(k, ex_proper):
+    with pytest.raises(PreconditionViolated, match=f"row {k} outside 0..3"):
+        _bounded(partial(fix_row, ex_proper, cyclic_square(4), k), 1.0)
+
+
+def _corrupt(rng, state):
+    """``state`` with one cell, row or record changed at random, unchecked."""
+    n, grid, rec = state.n, list(state.grid), state.improper
+    r, c = rng.randrange(n), rng.randrange(n)
+    kind = rng.randrange(5)
+    if kind == 0:
+        grid[r] = (*grid[r][:c], rng.randrange(-1, n + 1), *grid[r][c + 1:])
+    elif kind == 1:
+        grid[r] = grid[rng.randrange(n)]
+    elif kind == 2:
+        grid[r] = grid[r][:-1] if rng.random() < 0.5 else (*grid[r], 0)
+    elif rec is None or kind == 3:
+        p, q, neg = rng.sample(range(n + 1), 3)
+        rec = ImproperCell._make((r, c, (p, q), neg))  # unchecked, as a corrupt record may be
+    else:
+        field, value = rng.choice(rec._fields), rng.randrange(-1, n + 1)
+        rec = rec._replace(**{field: (value, rec.positive_pair[1]) if field == "positive_pair" else value})
+    return SquareState(tuple(grid), rec)
+
+
+def _fuzz_calls(seed, count):
+    """Seeded calls (name, thunk) of the six public path finder entries on ``count`` inputs.
+
+    An input is two walk states of order 2 to 5 (one in ten pairs of
+    different orders), three in four with one of them corrupted once, and
+    indices drawn from -1..n, so some lie outside the square.
+    """
+    rng = random.Random(seed)
+    pools = {
+        n: [s for s, _ in itertools.islice(walk(cyclic_square(n), RngStream(seed + n)), 0, 60 * n, 3)]
+        for n in range(2, 6)
+    }
+    for _ in range(count):
+        n = rng.randrange(2, 6)
+        a, b = rng.choice(pools[n]), rng.choice(pools[n if rng.random() < 0.9 else rng.randrange(2, 6)])
+        if rng.random() < 0.75:
+            if rng.random() < 0.5:
+                a = _corrupt(rng, a)
+            else:
+                b = _corrupt(rng, b)
+        i, j, k, m = (rng.randrange(-1, n + 1) for _ in range(4))
+        yield from (
+            ("transform_path", partial(transform_path, a, b)),
+            ("fix_row", partial(fix_row, a, b, i)),
+            ("normalize_to_proper", partial(normalize_to_proper, a)),
+            ("cycle_swap", partial(cycle_swap, a, (i, j), k)),
+            ("swap_row_entries", partial(swap_row_entries, a, i, k, m)),
+            ("find_row_cycles", partial(find_row_cycles, a, i)),
+        )
+
+
+def test_path_finder_fuzz_returns_valid_paths_or_package_errors():
+    """Every entry returns a valid path (or, for find_row_cycles, its chains) or raises a LatinSquareError.
+
+    Each call is bounded in time, so an unbounded loop fails here within a
+    second instead of growing its move list without end.
+    """
+    outcomes = {"path": 0, "raised": 0}
+    for name, call in _fuzz_calls(3001, 8000):
+        try:
+            seq = _bounded(call, 1.0)
+        except LatinSquareError:
+            outcomes["raised"] += 1
+            continue
+        except _Overran:
+            pytest.fail(f"{name} ran past its time bound")
+        if name != "find_row_cycles":
+            assert validate(seq.start) == [] and validate(seq.end) == [], name
+            assert seq.replay(check=True) == seq.end, name
+        outcomes["path"] += 1
+    assert min(outcomes.values()) > 200, outcomes

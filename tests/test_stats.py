@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import lfilter
 from scipy.stats import chi2
 
-from latinsq.core import SquareState
+from latinsq.core import SquareState, cyclic_square
 from latinsq.oracle import enumerate_latin_squares
 from latinsq.stats import (
     ALPHA,
@@ -48,6 +48,13 @@ def test_unknown_square_rejected():
     fake = SquareState(((9, 9, 9),) * 3)
     with pytest.raises(UnknownSquare):
         chi_square_uniformity([fake] + [rogue] * 200, universe)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_cell_test_rejects_samples_of_another_order(order):
+    # Smaller squares would be counted as order-4 samples, larger ones read past the counters.
+    with pytest.raises(UnknownSquare, match=f"sample of order {order} in an order-4 test"):
+        cell_symbol_frequency_test([cyclic_square(order)] * 100, 4)
 
 
 def test_insufficient_samples_rejected():
