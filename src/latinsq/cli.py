@@ -235,7 +235,7 @@ def _add_walk_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None,
                    help="raw walk steps discarded first (default n^3)")
     p.add_argument("--thin", type=int, default=None,
-                   help="proper visits between samples (default 2 n^2)")
+                   help="proper visits between samples (default 2 n^2 at n <= 4, else min(2 n^2, 4 ceil(log2 n) n))")
 
 
 def build_parser() -> argparse.ArgumentParser:

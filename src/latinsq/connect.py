@@ -229,13 +229,12 @@ def _resolve_improper(board: _Board, avoid: Iterable[int] = ()) -> None:
 
     A proper board is left as it is.  The helper row is the smallest row
     outside ``avoid`` that holds the negative symbol in the improper column;
-    none is left only when `fix_row`'s rows above its row disagree with its
-    target (or a lemma of the path finder fails), and then this raises.  The
-    working pair is (improper row, helper row); after each move the negative
-    cell hops to the other row of the pair, so the pair is fixed while the
-    roles alternate.  Each step picks the shorter of the two current chains
-    (ties go to the larger positive), which makes the total number of moves
-    at most the first minimum, i.e. floor((n-1)/2).
+    none is left only if a lemma of the path finder fails, and then this
+    raises.  The working pair is (improper row, helper row); after each move
+    the negative cell hops to the other row of the pair, so the pair is
+    fixed while the roles alternate.  Each step picks the shorter of the two
+    current chains (ties go to the larger positive), which makes the total
+    number of moves at most the first minimum, i.e. floor((n-1)/2).
     """
     rec = board.improper
     if rec is None:
@@ -381,9 +380,10 @@ def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
     """Make row ``k`` of a proper square equal to row ``k`` of ``target``.
 
     Preconditions (each violation is named): the squares have one order,
-    ``k`` lies in 0..n-1, ``state`` is proper and ``target`` has no record
-    in row ``k``.  Assumes rows above ``k`` already agree; no move ever
-    touches them.  Each round places the target symbol of the smallest
+    ``k`` lies in 0..n-1, ``state`` is proper, ``target`` has no record in
+    rows 0..k, the rows above ``k`` agree, and no column of ``target``
+    repeats in row ``k`` a symbol it holds above; no move ever touches the
+    rows above ``k``.  Each round places the target symbol of the smallest
     mismatched column, then chains row-entry swaps while a negative cell
     persists in the working column, resolving it within rows below ``k``
     once the displaced symbol reaches its own target column.  Costs at most
@@ -394,8 +394,14 @@ def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
         raise PreconditionViolated(f"row {k} outside 0..{state.n - 1}")
     if state.improper is not None:
         raise PreconditionViolated(f"state is improper; row {k} is fixed on a proper square")
-    if target.improper is not None and target.improper.row == k:
-        raise PreconditionViolated(f"row {k} of the target holds its improper cell")
+    if target.improper is not None and target.improper.row <= k:
+        raise PreconditionViolated(
+            f"row {target.improper.row} of the target holds its improper cell; rows 0..{k} must not"
+        )
+    if (i := next((i for i in range(k) if state.grid[i] != target.grid[i]), k)) < k:
+        raise PreconditionViolated(f"row {i} differs from the target's; the rows above row {k} must agree")
+    if any(len(set(col)) <= k for col in zip(*target.grid[: k + 1])):
+        raise PreconditionViolated(f"a column of the target repeats a symbol in rows 0..{k}")
     return _on_board(state, _fix_row, target.grid[k], k)
 
 
@@ -408,9 +414,7 @@ def _fix_row(board: _Board, target_row: Sequence[int], k: int) -> None:
         s = target_row[j2]
         t = row[j2]
         j1 = row.index(s)
-        i1 = board.rows_with(j2, s)[0]  # the board is proper, so column j2 holds s once
-        if i1 <= k:
-            raise LatinSquareError(f"symbol {s} of column {j2} is not below row {k}")
+        i1 = board.rows_with(j2, s)[0]  # proper, and the rows above k hold s elsewhere: i1 > k
         board.take(IntercalateMove.from_anchors(k, j2, s, i1, j1, t))
         while (rec := board.improper) is not None:
             tau = rec.negative

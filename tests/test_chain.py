@@ -27,6 +27,11 @@ from scripted_draws import ScriptedDraws, walk
 def test_config_defaults_and_validation():
     cfg = ChainConfig(4, seed=1)
     assert cfg.burn_in == 4**3 and cfg.thin == 2 * 4**2
+    # At n <= 4 the exact proper-visit chain gates 2 n^2; above, the thin
+    # measured in evidence/thin_tau.json may only be smaller.
+    for n in range(1, 65):
+        assert 1 <= ChainConfig(n).thin <= 2 * n * n
+        assert ChainConfig(n).thin == 2 * n * n or n > 4
     with pytest.raises(DegenerateOrder):
         ChainConfig(0)
     with pytest.raises(Exception):

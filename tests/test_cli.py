@@ -171,16 +171,16 @@ GOLDEN_STDOUT = [
     (("gen", "16", "--seed", "1", "--samples", "2", "--thin", "4096", "--burn-in", "40960"),
      "9a40fb4d921db9491dcc871a8932308ded59c58fe89efa1b2228e70778726dfe"),
     (("gen", "16", "--seed", "1", "--samples", "2", "--burn-in", "40960"),
-     "940923b285983f3eaf170de35ae63e02c42dc0cca5ae93f118520881a25c6051"),
+     "20b6f5c0c1cc0deb628a9288bfd2014c12c567b4a3af1b64444e98239c88aff8"),
     (("gen", "16", "--seed", "1", "--samples", "2"),
-     "1e6a97fc9b0c88cbc54d1388610b283953ef483c1e1e84ad138f255dd04d4d21"),
+     "b9719028746bf821889051b7549fba477d1004ee4c93cd42fe790e1ccc1fe4c8"),
     (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json", "--thin", "343",
       "--burn-in", "3430"),
      "fc4346579978ee1ad7b81270211d52c2a76adc7681dad06b59d32ce642ed7ae2"),
     (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json", "--burn-in", "3430"),
-     "74e5e9605e506500cccaaeba3332589f102d5698c7211685229aed00b439eaf7"),
+     "a392120a12d710c86bb81b49b7097089238f7028844024a955438ffea1e8e682"),
     (("gen", "7", "--seed", "5", "--samples", "11", "--chains", "5", "--format", "json"),
-     "471affb1c99d948433a54bec01435a26c9303714a3c0a30faa8e6924a70bd402"),
+     "cb25bdbbd382e90beb07d1680c363cfaf56e7d6493942244d95180a1ed41b415"),
     (("uniformity", "4", "--samples", "5760", "--chains", "8", "--seed", "3", "--thin", "64",
       "--burn-in", "640"),
      "7bbdc004d044a8672a47471a5ea4e29f2c422accc986edb66e7e64a82c08d036"),

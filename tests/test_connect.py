@@ -690,6 +690,31 @@ def test_fix_row_rejects_a_row_outside_the_square(k, ex_proper):
         _bounded(partial(fix_row, ex_proper, cyclic_square(4), k), 1.0)
 
 
+def test_fix_row_checks_the_rows_above_before_any_move(ex_proper, ex_improper, monkeypatch):
+    # Targets whose rows 0..k no proper square can share with a state: the
+    # order-5 one holds its negative symbol twice in one column in rows 0..k.
+    target = next(
+        s for s in _improper_states_from_chain(5, 11, 200)
+        if s.improper.row > max(i for i in range(5) if s.grid[i][s.improper.col] == s.improper.negative)
+    )
+    rec = target.improper
+    k = max(i for i in range(5) if target.grid[i][rec.col] == rec.negative)
+    state = cyclic_square(5)
+    for row in range(k):  # a state that agrees with the target above row k
+        state = fix_row(state, target, row).end
+    assert state.grid[:k] == target.grid[:k]
+    monkeypatch.setattr(connect._Board, "take", lambda board, m: pytest.fail(f"move {m} taken"))
+    cases = [
+        (cyclic_square(4), ex_proper, 1, "row 0 differs from the target's; the rows above row 1 must agree"),
+        (ex_proper, ex_improper, 3, "row 2 of the target holds its improper cell; rows 0..3 must not"),
+        (state, target, k, f"a column of the target repeats a symbol in rows 0..{k}"),
+    ]
+    for a, b, row, message in cases:
+        with pytest.raises(PreconditionViolated) as err:
+            fix_row(a, b, row)
+        assert str(err.value) == message
+
+
 def _corrupt(rng, state):
     """``state`` with one cell, row or record changed at random, unchecked."""
     n, grid, rec = state.n, list(state.grid), state.improper
@@ -751,7 +776,9 @@ def test_path_finder_fuzz_returns_valid_paths_or_package_errors():
     for name, call in _fuzz_calls(3001, 8000):
         try:
             seq = _bounded(call, 1.0)
-        except LatinSquareError:
+        except LatinSquareError as err:
+            # Bad input is named at the door; a bare LatinSquareError is an internal failure.
+            assert isinstance(err, (InvalidSquare, PreconditionViolated)), (name, err)
             outcomes["raised"] += 1
             continue
         except _Overran:
