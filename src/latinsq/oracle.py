@@ -4,19 +4,20 @@ These are deliberately independent of the constructive machinery so they can
 verify it: squares are enumerated by cell-wise backtracking, and the move
 graph is built on the signed incidence cube itself, held as two 64-bit
 masks per state, with the move rule stated on those masks instead of
-borrowed from `moves`; its vertices are found without following its
-edges and are numbered by their +1 masks, the one identity a state has
-there.  The tests check both against independent reference enumerations
-(symbol-wise placement, improper-square completion), the graph's edges
-against `moves` vertex by vertex, and the bit-parallel diameter probe
-against plain breadth-first search.
+borrowed from `moves`; its vertices are found without following its edges,
+numbered by their +1 masks, the one identity a state has there, and kept
+as arrays, decoded into states only when read.  The tests check both
+against independent reference enumerations (symbol-wise placement,
+improper-square completion), the graph's edges against `moves` vertex by
+vertex, and the bit-parallel diameter probe against plain breadth-first
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, permutations, product
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations, product
 
 from .core import ImproperCell, LatinSquareError, SquareState
 
@@ -78,30 +79,43 @@ def count_latin_squares(n: int) -> int:
     return len(_enumerate_grids(n))
 
 
-@dataclass
+@dataclass(eq=False)
 class StateGraph:
     """The move graph over all proper and improper squares of one order:
-    vertex k is `states[k]`, with its neighbours, ascending, in `adjacency[k]`."""
+    vertex k has the cube masks `pos[k]` (its +1s) and `neg[k]` (its -1, or 0),
+    ascending in `pos`, and its neighbours, ascending, in `nbrs[offsets[k]:
+    offsets[k + 1]]`; `states` and `adjacency` decode these on first read."""
 
     n: int
-    states: list[SquareState]
-    adjacency: list[list[int]]
+    pos: np.ndarray
+    neg: np.ndarray
+    offsets: np.ndarray
+    nbrs: np.ndarray
 
     @property
     def vertex_count(self) -> int:
-        return len(self.states)
+        return len(self.pos)
 
     @property
     def proper_count(self) -> int:
-        return sum(1 for s in self.states if s.is_proper)
+        return int((self.neg == 0).sum())
 
     @property
     def improper_count(self) -> int:
-        return sum(1 for s in self.states if not s.is_proper)
+        return self.vertex_count - self.proper_count
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.nbrs) // 2
+
+    @cached_property
+    def states(self) -> list[SquareState]:
+        return _decode(self.n, self.pos, self.neg)
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        flat, bounds = self.nbrs.tolist(), self.offsets.tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _move_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,13 +216,14 @@ def build_state_graph(n: int) -> StateGraph:
     A state is held as two bit masks over its signed incidence cube, one of
     its +1 entries and one of its -1 entry, so one array expression tests
     every move on a block of states (`_flips`).  The vertices are numbered
-    in the order `_states` returns them, by +1 mask, and decoded once.  A
-    blocked pass flips every vertex and finds each result's number by binary
-    search among those sorted masks: a vertex lists the neighbours its own
-    moves reach, and a move is fixed by the change it makes, so none is
-    listed twice.  No vertex is found by
-    following an edge, so a connected graph certifies that the moves
-    connect every state of the order.
+    in the order `_states` returns them, by +1 mask.  A move's inverse swaps
+    its +1 and -1 masks and takes its end back to its start, so a blocked
+    pass flips every vertex by the moves with the smaller +1 mask only, finds
+    each result's number by binary search among the sorted masks, and adds
+    each edge with its mirror; one sort puts them in CSR order.  A move is
+    fixed by the change it makes, so no edge is found twice.  No vertex is
+    found by following an edge, so a connected graph certifies that the
+    moves connect every state of the order.
     """
     if not 2 <= n <= GRAPH_LIMIT:
         raise TooLarge(f"state graph is limited to 2 <= n <= {GRAPH_LIMIT}")
@@ -216,20 +231,17 @@ def build_state_graph(n: int) -> StateGraph:
 
     plus, minus = _move_masks(n)
     pos, neg = _states(n, plus, minus)
-    states = _decode(n, pos, neg)
-    v = len(states)
-    index = list(range(v))  # one int object per vertex, shared by every list naming it
-    adjacency: list[list[int]] = []
+    one_way = plus < minus
+    plus, minus = plus[one_way], minus[one_way]
+    v = len(pos)
+    edges = []
     for lo in range(0, v, _BLOCK):
         ok, to, _ = _flips(pos[lo : lo + _BLOCK], neg[lo : lo + _BLOCK], plus, minus)
-        vertex = np.nonzero(ok)[0]
-        edges = np.sort(vertex * v + np.searchsorted(pos, to[ok])) - vertex * v
-        nbrs = list(map(index.__getitem__, edges.tolist()))
-        first = 0
-        for end in np.cumsum(ok.sum(axis=1)).tolist():
-            adjacency.append(nbrs[first:end])
-            first = end
-    return StateGraph(n, states, adjacency)
+        at = np.flatnonzero(ok)
+        u, w = at // len(plus) + lo, np.searchsorted(pos, to.ravel()[at])
+        edges += [u * v + w, w * v + u]
+    tail, nbrs = np.divmod(np.sort(np.concatenate(edges)), v)
+    return StateGraph(n, pos, neg, np.searchsorted(tail, np.arange(v + 1)), nbrs)
 
 
 def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
@@ -247,12 +259,11 @@ def check_connectivity_and_diameter(g: StateGraph) -> dict[str, int | bool]:
     v = g.vertex_count
     exact = g.n <= 3
     seeds = np.arange(v) if exact else np.arange(0, v, max(1, v // 32))[:32]
-    degree = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=v)
-    nbrs = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(degree.sum()))
+    nbrs, degree = g.nbrs, np.diff(g.offsets)
     # reduceat reads an empty segment as the element at its start (and past
     # the end for a last one), so only vertices with neighbours get one.
     linked = degree > 0
-    starts = (np.cumsum(degree) - degree)[linked]
+    starts = g.offsets[:-1][linked]
     seen = np.zeros((v, (seeds.size + 63) // 64), dtype=np.uint64)
     bits = np.arange(seeds.size)
     seen[seeds, bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)

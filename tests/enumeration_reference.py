@@ -7,7 +7,8 @@ improper squares by direct completion search, independent of the move
 machinery and of the state graph.  The tests check the library's
 enumeration and state graph against both.  `bfs_distances` is a plain
 queue-driven breadth-first search over a state graph's adjacency lists,
-the reference for the library's bit-parallel diameter probe.
+the reference for the library's bit-parallel diameter probe, and
+`graph_from_lists` builds a hand-made state graph from neighbour lists.
 `proper_row_cycles` splits the columns of a proper square into the cycles
 of two rows, for the tests of `cycle_swap`.  `reduced_form` names a
 square's class for the exact uniformity test at order 5, and
@@ -16,6 +17,8 @@ intercalate law at order 6.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from latinsq.core import ImproperCell, SquareState, cube_from_grid
 from latinsq.oracle import GRAPH_LIMIT, StateGraph, TooLarge
@@ -125,6 +128,15 @@ def bfs_distances(g: StateGraph, source: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def graph_from_lists(n: int, g: StateGraph, adjacency: list[list[int]]) -> StateGraph:
+    """A state graph of order n on the first len(adjacency) vertices of ``g``,
+    with ``adjacency`` as its neighbour lists, stored in the graph's CSR form."""
+    k = len(adjacency)
+    offsets = np.cumsum([0, *map(len, adjacency)])
+    nbrs = np.array([w for nbrs in adjacency for w in nbrs], dtype=np.intp)
+    return StateGraph(n, g.pos[:k], g.neg[:k], offsets, nbrs)
 
 
 def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[tuple[int, ...]]:

@@ -418,6 +418,22 @@ def test_graph_order_three_report(capsys):
     assert "satisfied: yes" in out
 
 
+def test_graph_decodes_no_state(capsys, monkeypatch):
+    # The report reads the graph's arrays only: no vertex becomes a square.
+    from latinsq import oracle
+
+    def refuse(*args):
+        raise AssertionError("graph decoded its states")
+
+    monkeypatch.setattr(oracle, "_decode", refuse)
+    assert run_cli(capsys, "graph", "3") == (
+        0, "12 proper, 54 improper, connected, diameter 3\nbound 2(n-1)^3 = 16 satisfied: yes\n", ""
+    )
+    assert run_cli(capsys, "graph", "4") == (
+        0, "576 proper, 6912 improper, connected, probed diameter bound 7\nbound 2(n-1)^3 = 54 satisfied: yes\n", ""
+    )
+
+
 def test_graph_limit(capsys):
     code, _, err = run_cli(capsys, "graph", "5")
     assert code == 2 and err
@@ -426,11 +442,11 @@ def test_graph_limit(capsys):
 def test_graph_disconnected_report(capsys, monkeypatch, graph3):
     # No real state graph is disconnected, so the report's other branch is
     # reached through a hand-built one: vertex 2 is isolated.
+    from enumeration_reference import graph_from_lists
     from latinsq import cli
-    from latinsq.oracle import StateGraph
 
     states = graph3.states[:3]
-    monkeypatch.setattr(cli, "build_state_graph", lambda n: StateGraph(n, states, [[1], [0], []]))
+    monkeypatch.setattr(cli, "build_state_graph", lambda n: graph_from_lists(n, graph3, [[1], [0], []]))
     code, out, _ = run_cli(capsys, "graph", "3")
     assert code == 1
     proper = sum(s.is_proper for s in states)

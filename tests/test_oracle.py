@@ -1,13 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from cube_reference import is_valid_move
-from enumeration_reference import bfs_distances, enumerate_grids_by_symbol, enumerate_improper_squares
+from enumeration_reference import bfs_distances, enumerate_grids_by_symbol, enumerate_improper_squares, graph_from_lists
+from latinsq import oracle
 from latinsq.core import validate
 from latinsq.moves import apply_move, enumerate_valid_moves
 from latinsq.oracle import (
-    StateGraph,
     TooLarge,
     _enumerate_grids,
     build_state_graph,
@@ -134,7 +135,7 @@ def test_probe_matches_plain_bfs(n, request):
     ],
 )
 def test_probe_reports_disconnected_graph(n, adjacency, graph3):
-    g = StateGraph(n, graph3.states[: len(adjacency)], adjacency)
+    g = graph_from_lists(n, graph3, adjacency)
     result = check_connectivity_and_diameter(g)
     assert result == _reference_probe(g)
     assert result["connected"] is False
@@ -142,14 +143,41 @@ def test_probe_reports_disconnected_graph(n, adjacency, graph3):
 
 @pytest.mark.parametrize("name", ["graph3", "graph4"])
 def test_graph_adjacency_lists_are_sets_and_symmetric(name, request):
-    # The search lists each vertex's neighbours as its own moves find them,
-    # with no edge set: no move may repeat a neighbour, and the inverse move
-    # must list every edge from its other end.
+    # The search finds each edge by one orientation of its move and adds
+    # the mirrored edge, so symmetry holds by construction; this checks that
+    # the CSR arrays decode to lists that keep it, repeat no neighbour and
+    # hold no loop.
     g = request.getfixturevalue(name)
     nbr_sets = [set(nbrs) for nbrs in g.adjacency]
     assert all(len(s) == len(nbrs) for s, nbrs in zip(nbr_sets, g.adjacency))
     assert all(u in nbr_sets[v] for u, s in enumerate(nbr_sets) for v in s)
     assert not any(u in s for u, s in enumerate(nbr_sets))
+
+
+def _full_search_adjacency(n):
+    """Every vertex's neighbours from every canonical move tried at that vertex.
+
+    The reference for the graph's one-orientation search: a blocked
+    `_flips` pass over both orientations of every move, each vertex's
+    results numbered by binary search among the sorted +1 masks.
+    """
+    plus, minus = oracle._move_masks(n)
+    pos, neg = oracle._states(n, plus, minus)
+    adjacency = []
+    for lo in range(0, len(pos), oracle._BLOCK):
+        ok, to, _ = oracle._flips(pos[lo : lo + oracle._BLOCK], neg[lo : lo + oracle._BLOCK], plus, minus)
+        adjacency += [sorted(np.searchsorted(pos, row[keep]).tolist()) for keep, row in zip(ok, to)]
+    return adjacency
+
+
+@pytest.mark.parametrize("n,edges", [(2, 1), (3, 351), (4, 57_024)])
+def test_graph_matches_search_over_every_move(n, edges, request):
+    # The one-orientation search with mirrored edges must list exactly what
+    # trying every move from every vertex lists, at every vertex.
+    g = build_state_graph(2) if n == 2 else request.getfixturevalue(f"graph{n}")
+    assert g.adjacency == _full_search_adjacency(n)
+    assert g.edge_count == edges
+    assert int(g.offsets[-1]) == len(g.nbrs) == 2 * edges
 
 
 def test_graph_vertices_are_distinct_states(graph3, graph4):
