@@ -125,7 +125,9 @@ class _Walker:
         rec = state.improper
         if rec is not None:
             r, c, s = self.neg = (rec.row, rec.col, rec.negative)
-            self.pairs = (tuple(state.rows_with(c, s)), tuple(state.cols_with(r, s)), rec.positive_pair)
+            # The grid shows the negative's two holders on each of its lines.
+            rows = tuple(i for i, line in enumerate(state.grid) if line[c] == s)
+            self.pairs = (rows, tuple(j for j, x in enumerate(state.grid[r]) if x == s), rec.positive_pair)
             plus.append((r, c, rec.positive_pair[1]))
         # Each line through the -1 has two +1s, so its map entry is stale;
         # steps read those lines from ``pairs``.

@@ -14,9 +14,10 @@ Everything here is built from three primitives and one driver:
 
 Each returns one `MoveSequence` whose ``end`` is the resulting square.  The
 moves are taken on one private mutable board, `_Board`: the rows as lists,
-the improper record and the list of moves taken, read through
-`SquareState`'s own readers and changed only by `moves._flip`, the rule
-`apply_move` states.  Each primitive runs on a board, so `transform_path`
+the improper record and the list of moves taken, read straight off the rows
+and changed only by `moves._flip`, the rule `apply_move` states.  Every
+read is a proper line or the negative symbol's two holders, which the rows
+show exactly.  Each primitive runs on a board, so `transform_path`
 drives a single board from start to end and builds a state only there.
 The board is the only place a path is built: a `MoveSequence` records one
 and can reverse or replay it, but never extends it.  A two-row chain or
@@ -79,17 +80,12 @@ class _Board:
     """The one mutable square a path is built and replayed on, with the moves taken so far.
 
     ``grid`` holds the rows as lists and ``improper`` the record, as a
-    `SquareState` holds them, so the state's readers serve it unchanged.
-    `take` applies a move through `moves._flip` and writes rows i and i2 as
-    new lists; a refused move raises InvalidMove, as `apply_move` does, and
-    leaves the board as it was.
+    `SquareState` holds them.  `take` applies a move through `moves._flip`
+    and writes rows i and i2 as new lists; a refused move raises
+    InvalidMove, as `apply_move` does, and leaves the board as it was.
     """
 
     __slots__ = ("grid", "improper", "moves")
-
-    n = SquareState.n
-    entry, symbol_at = SquareState.entry, SquareState.symbol_at
-    rows_with, cols_with = SquareState.rows_with, SquareState.cols_with
 
     def __init__(self, state: SquareState):
         self.grid = list(map(list, state.grid))
@@ -207,7 +203,7 @@ def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...
         raise PreconditionViolated("state is proper; it has no improper cell")
     if not 0 <= source_row < state.n:
         raise PreconditionViolated(f"row {source_row} outside 0..{state.n - 1}")
-    if state.entry(source_row, rec.col, rec.negative) != 1:
+    if state.grid[source_row][rec.col] != rec.negative:  # the improper row shows p there, not the negative
         raise PreconditionViolated(
             f"row {source_row} does not hold symbol {rec.negative} at column {rec.col}"
         )
@@ -239,7 +235,7 @@ def _resolve_improper(board: _Board, avoid: Iterable[int] = ()) -> None:
     rec = board.improper
     if rec is None:
         return
-    helpers = [r for r in board.rows_with(rec.col, rec.negative) if r not in avoid]
+    helpers = [r for r, line in enumerate(board.grid) if line[rec.col] == rec.negative and r not in avoid]
     if not helpers:
         raise LatinSquareError(
             f"no helper row outside the fixed rows holds symbol {rec.negative} in column {rec.col}"
@@ -273,7 +269,10 @@ def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSe
     the cycle changes.  The cycle closes at the column where row i2 holds
     the symbol row i1 holds at ``column``.
     """
-    return _on_board(_checked(state), _cycle_swap, rows, column)
+    _checked(state)
+    if not isinstance(rows, Sequence) or len(rows) != 2:
+        raise PreconditionViolated(f"rows must be a pair of row indices, got {rows!r}")
+    return _on_board(state, _cycle_swap, rows, column)
 
 
 def _cycle_swap(board: _Board, rows: tuple[int, int], column: int) -> None:
@@ -282,8 +281,8 @@ def _cycle_swap(board: _Board, rows: tuple[int, int], column: int) -> None:
         raise PreconditionViolated("row cycles need a proper state")
     if i1 == i2:
         raise PreconditionViolated("cycle rows must differ")
-    if not all(0 <= x < board.n for x in (i1, i2, column)):
-        raise PreconditionViolated(f"row {i1}, row {i2} or column {column} outside 0..{board.n - 1}")
+    if not all(0 <= x < len(board.grid) for x in (i1, i2, column)):
+        raise PreconditionViolated(f"row {i1}, row {i2} or column {column} outside 0..{len(board.grid) - 1}")
     top = board.grid[i1]  # a move replaces the board's row, so this one stays as it was
     first = top[column]
     cols = _two_row_chain(board, i1, i2, column, (first,))
@@ -313,8 +312,9 @@ def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
     rec = board.improper
     if rec is None:
         raise PreconditionViolated("state is proper; an improper cell in column j1 is required")
-    if not all(0 <= x < board.n for x in (i1, j1, j2)):
-        raise PreconditionViolated(f"row {i1}, column {j1} or column {j2} outside 0..{board.n - 1}")
+    grid = board.grid
+    if not all(0 <= x < len(grid) for x in (i1, j1, j2)):
+        raise PreconditionViolated(f"row {i1}, column {j1} or column {j2} outside 0..{len(grid) - 1}")
     if rec.col != j1:
         raise PreconditionViolated(
             f"improper cell sits in column {rec.col}, not in j1={j1}"
@@ -325,12 +325,12 @@ def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
     if j1 == j2:
         raise PreconditionViolated("j1 and j2 must differ")
     s = rec.negative
-    if board.entry(i1, j1, s) != 1:
+    if grid[i1][j1] != s:
         raise PreconditionViolated(
             f"cell ({i1},{j1}) does not hold the negative symbol {s}"
         )
-    t = board.symbol_at(i1, j2)
-    i3 = board.rows_with(j2, s)[0]
+    t = grid[i1][j2]
+    i3 = [line[j2] for line in grid].index(s)  # column j2 is proper
 
     if i3 == i2:
         # The negative row itself holds s at j2: one move does it all.
@@ -342,7 +342,7 @@ def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
     # row i3 yields one of the improper cell's positives and never touches
     # j2 (row i3 holding s there would derail the closing steps).
     ends = (*rec.positive_pair, s)
-    chains = [_two_row_chain(board, i2, i3, c, ends) for c in board.cols_with(i2, s)]
+    chains = [_two_row_chain(board, i2, i3, c, ends) for c, x in enumerate(grid[i2]) if x == s]
     bottom = board.grid[i3]  # i3 is not the improper row
     chains = [chain for chain in chains if bottom[chain[-1]] != s]
     if not chains:
@@ -414,7 +414,7 @@ def _fix_row(board: _Board, target_row: Sequence[int], k: int) -> None:
         s = target_row[j2]
         t = row[j2]
         j1 = row.index(s)
-        i1 = board.rows_with(j2, s)[0]  # proper, and the rows above k hold s elsewhere: i1 > k
+        i1 = [line[j2] for line in board.grid].index(s)  # proper, and the rows above k hold s elsewhere: i1 > k
         board.take(IntercalateMove.from_anchors(k, j2, s, i1, j1, t))
         while (rec := board.improper) is not None:
             tau = rec.negative

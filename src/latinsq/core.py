@@ -12,7 +12,6 @@ checks exactly that, from the grid and the record; no cube is built.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,7 +61,8 @@ class SquareState:
     ``grid`` is a tuple of row tuples holding min(positive_pair) at the
     improper cell; ``improper`` is None exactly when the square is proper.
     Equality and hashing compare the grid and the record.  The constructor
-    checks nothing: `cube_from_grid` is the checked one.
+    checks nothing: `cube_from_grid` is the checked one.  Lines are read off
+    the grid, which misses only the larger positive at the record's cell.
     """
 
     grid: tuple[tuple[int, ...], ...]
@@ -79,41 +79,6 @@ class SquareState:
     @property
     def kind(self) -> str:
         return "proper" if self.improper is None else "improper"
-
-    # Readers of the incidence structure, straight from the grid.
-
-    def entry(self, r: int, c: int, s: int) -> int:
-        """The cube entry at (r, c, s)."""
-        rec = self.improper
-        if rec is not None and r == rec.row and c == rec.col:
-            return -1 if s == rec.negative else int(s in rec.positive_pair)
-        return int(self.grid[r][c] == s)
-
-    def symbol_at(self, r: int, c: int) -> int:
-        """Symbol of a proper cell."""
-        rec = self.improper
-        if rec is not None and r == rec.row and c == rec.col:
-            raise InvalidSquare(f"cell ({r},{c}) is not a proper cell")
-        return self.grid[r][c]
-
-    def rows_with(self, c: int, s: int) -> list[int]:
-        """Rows holding +1 at (., c, s), ascending."""
-        col = [line[c] for line in self.grid]
-        # In a valid state s occurs once in all but the improper lines; count and index find it in C.
-        rows = [col.index(s)] if col.count(s) == 1 else [r for r, x in enumerate(col) if x == s]
-        rec = self.improper
-        if rec is not None and c == rec.col and s == rec.positive_pair[1]:
-            insort(rows, rec.row)  # the grid shows only the smaller positive there
-        return rows
-
-    def cols_with(self, r: int, s: int) -> list[int]:
-        """Columns holding +1 at (r, ., s), ascending."""
-        line = self.grid[r]
-        cols = [line.index(s)] if line.count(s) == 1 else [c for c, x in enumerate(line) if x == s]
-        rec = self.improper
-        if rec is not None and r == rec.row and s == rec.positive_pair[1]:
-            insort(cols, rec.col)
-        return cols
 
     def __repr__(self) -> str:
         return f"SquareState(n={self.n}, kind={self.kind})"

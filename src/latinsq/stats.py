@@ -23,7 +23,7 @@ SOKAL_WINDOW = 5  # autocorrelation sums stop at the first lag M >= 5 tau_int(M)
 
 
 class UnknownSquare(LatinSquareError):
-    """A sample fell outside the declared universe."""
+    """A sample fell outside the declared universe, or the universe is empty."""
 
 
 class InsufficientSamples(LatinSquareError):
@@ -67,6 +67,8 @@ def chi_square_uniformity(
 ) -> UniformityReport:
     """Exact-category goodness of fit against the full square list."""
     categories = len(universe)
+    if not categories:
+        raise UnknownSquare("the universe is empty: there is no square to test against")
     if len(samples) < 10 * categories:
         raise InsufficientSamples(
             f"need at least {10 * categories} samples for {categories} categories, "

@@ -3,7 +3,7 @@
 The paper defines a proper or improper square as an n x n x n array over
 {-1, 0, 1} indexed by (row, column, symbol).  The library keeps only the
 grid and the improper record; tests build the cube here, with numpy, and
-compare the library's grid-native readers and `validate` against it, and
+compare the library's grids, the walker's maps and `validate` against it, and
 read a move as the cube entries it adds 1 to and subtracts 1 from, valid
 when that sum is a proper or improper square again.  The
 cube checker also examines candidate data that no grid plus record can

@@ -395,6 +395,12 @@ def _check_walker_state(w):
                 assert cube.rows_with(a, b) == [w.row[a * n + b]]
 
 
+def test_fresh_walker_reads_every_small_state(graph3, graph4):
+    # `_Walker.__init__` reads the grid for its maps and improper pairs.
+    for state in [*graph3.states, *graph4.states]:
+        _check_walker_state(_Walker(state, RngStream(0)))
+
+
 def _improper_prefix_state(n, seed):
     """The first improper state of a walk from the cyclic square."""
     w = _Walker(cyclic_square(n), RngStream(seed))

@@ -46,13 +46,14 @@ def _improper_states_from_chain(n, seed, count):
 
 def test_find_row_cycles_fixture(ex_improper):
     through_larger, through_smaller = find_row_cycles(ex_improper, 0)
+    cube = IncidenceCube.of(ex_improper)
     assert through_larger == (0, 2)
-    assert ex_improper.symbol_at(0, through_larger[0]) == 2
+    assert cube.symbol_at(0, through_larger[0]) == 2
     assert through_smaller == (3,)
-    assert ex_improper.symbol_at(0, through_smaller[0]) == 0
+    assert cube.symbol_at(0, through_smaller[0]) == 0
     # chains terminate on the negative symbol in the improper row
-    assert ex_improper.symbol_at(2, through_larger[-1]) == 1
-    assert ex_improper.symbol_at(2, through_smaller[-1]) == 1
+    assert cube.symbol_at(2, through_larger[-1]) == 1
+    assert cube.symbol_at(2, through_smaller[-1]) == 1
 
 
 def test_find_row_cycles_preconditions(ex_improper, ex_proper):
@@ -148,8 +149,8 @@ def test_cycle_swap_exchanges_rows_and_counts(graph3):
             assert len(seq) == len(cycle) - 1
             cube = IncidenceCube.of(result)
             for c in cycle:
-                assert cube.symbol_at(0, c) == state.symbol_at(2, c)
-                assert cube.symbol_at(2, c) == state.symbol_at(0, c)
+                assert cube.symbol_at(0, c) == state.grid[2][c]
+                assert cube.symbol_at(2, c) == state.grid[0][c]
 
 
 def test_cycle_swap_off_cycle_cells_untouched():
@@ -178,6 +179,12 @@ def test_cycle_swap_rejects_bad_patterns(ex_proper):
     for rows, column in (((0, 0), 0), ((-1, 1), 0), ((0, 4), 0), ((0, 1), -1), ((0, 1), 4)):
         with pytest.raises(PreconditionViolated):
             cycle_swap(ex_proper, rows, column)
+
+
+@pytest.mark.parametrize("rows", [(0,), (0, 1, 2), (), 0])
+def test_cycle_swap_rejects_rows_that_are_not_a_pair(rows):
+    with pytest.raises(PreconditionViolated, match="rows must be a pair of row indices"):
+        cycle_swap(cyclic_square(4), rows, 0)
 
 
 def test_cycle_swap_requires_proper(ex_improper):

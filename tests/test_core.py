@@ -223,24 +223,6 @@ def test_line_sums_all_one_for_valid_states(ex_improper):
     assert np.all(data.sum(axis=2) == 1)
 
 
-def test_grid_readers_agree_with_cube_view(graph3, ex_improper):
-    # The state's readers work on the grid and the record; the cube view is
-    # the reference, on every line of every order-3 state.
-    for state in [*graph3.states, ex_improper]:
-        n, cube = state.n, IncidenceCube.of(state)
-        for a in range(n):
-            for b in range(n):
-                assert state.rows_with(a, b) == cube.rows_with(a, b)
-                assert state.cols_with(a, b) == cube.cols_with(a, b)
-                for s in range(n):
-                    assert state.entry(a, b, s) == cube.entry(a, b, s)
-                if len(cube.positive_symbols(a, b)) == 1:
-                    assert state.symbol_at(a, b) == cube.symbol_at(a, b)
-                else:
-                    with pytest.raises(InvalidSquare):
-                        state.symbol_at(a, b)
-
-
 def test_validate_matches_cube_checker_on_every_small_state(graph3, graph4, ex_improper):
     for state in [*graph3.states, *graph4.states, ex_improper]:
         assert validate(state) == validate_cube(IncidenceCube.of(state), state.improper) == []
@@ -323,6 +305,14 @@ def test_validate_reports_grids_that_are_not_squares(grid, message):
 
 
 def test_public_surface_is_pinned():
+    # A state is its grid and its record; lines are read off the grid.
+    assert [a for a in dir(cyclic_square(3)) if not a.startswith("_")] == [
+        "grid",
+        "improper",
+        "is_proper",
+        "kind",
+        "n",
+    ]
     assert sorted(latinsq.__all__) == [
         "ChainConfig",
         "ImproperCell",

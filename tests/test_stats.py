@@ -50,6 +50,12 @@ def test_unknown_square_rejected():
         chi_square_uniformity([fake] + [rogue] * 200, universe)
 
 
+def test_empty_universe_rejected():
+    # No category: the expected count per category would be 0 / 0.
+    with pytest.raises(UnknownSquare, match="the universe is empty"):
+        chi_square_uniformity([], [])
+
+
 @pytest.mark.parametrize("order", [3, 5])
 def test_cell_test_rejects_samples_of_another_order(order):
     # Smaller squares would be counted as order-4 samples, larger ones read past the counters.
