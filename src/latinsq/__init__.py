@@ -2,14 +2,7 @@
 paths between any two squares, and exhaustive/statistical verification."""
 
 from .chain import ChainConfig, RngStream, sample
-from .connect import (
-    MoveSequence,
-    cycle_swap,
-    find_row_cycles,
-    normalize_to_proper,
-    swap_row_entries,
-    transform_path,
-)
+from .connect import MoveSequence, transform_path
 from .core import (
     ImproperCell,
     InvalidSquare,
@@ -55,14 +48,10 @@ __all__ = [
     "chi_square_uniformity",
     "count_latin_squares",
     "cube_from_grid",
-    "cycle_swap",
     "cyclic_square",
     "enumerate_latin_squares",
     "enumerate_valid_moves",
-    "find_row_cycles",
-    "normalize_to_proper",
     "sample",
-    "swap_row_entries",
     "transform_path",
     "validate",
 ]

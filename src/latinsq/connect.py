@@ -1,45 +1,47 @@
 """Constructive connectivity of the +/-1-move state graph.
 
-Everything here is built from three primitives and one driver:
+`transform_path` turns any square into any other of its order by the
+lemma steps of the connectivity argument, each a function on one private
+mutable board, `_Board`:
 
-* ``normalize_to_proper`` resolves an improper square with moves confined to
-  two rows (at most floor((n-1)/2) of them).
-* ``cycle_swap`` exchanges two rows of a proper square along their symbol
+* `_resolve_improper` drives an improper board proper with moves confined
+  to two rows (at most floor((n-1)/2) of them).
+* `_cycle_swap` exchanges two rows of a proper board along their symbol
   cycle through one column, using exactly r-1 moves.
-* ``swap_row_entries`` exchanges two entries of one row of an improper
-  square (at most 2(n-1) moves), carrying the negative cell along its column.
-* ``transform_path`` composes the above to turn any square into any other,
-  fixing rows top-down; the emitted sequence never exceeds 2(n-1)^3 moves and
-  every intermediate state is a valid proper or improper square.
+* `_swap_row_entries` exchanges two entries of one row of an improper
+  board (at most 2(n-1) moves), carrying the negative cell along its column.
+* `_fix_row` makes one row of a proper board the target's with row-entry
+  swaps and one two-row resolution per round (at most 2(n-1)^2 moves).
 
-Each returns one `MoveSequence` whose ``end`` is the resulting square.  The
-moves are taken on one private mutable board, `_Board`: the rows as lists,
-the improper record and the list of moves taken, read straight off the rows
-and changed only by `moves._flip`, the rule `apply_move` states.  Every
-read is a proper line or the negative symbol's two holders, which the rows
-show exactly.  Each primitive runs on a board, so `transform_path`
-drives a single board from start to end and builds a state only there.
+`transform_path` drives the start and the target proper, fixes rows
+top-down and replays the target's resolution in reverse; the path never
+exceeds 2(n-1)^3 moves and every intermediate state is a valid proper or
+improper square.  The board holds the rows as lists, the improper record
+and the list of moves taken, read straight off the rows and changed only
+by `moves._flip`, the rule `apply_move` states.  Every read is a proper
+line or the negative symbol's two holders, which the rows show exactly.
 The board is the only place a path is built: a `MoveSequence` records one
 and can reverse or replay it, but never extends it.  A two-row chain or
 cycle is the tuple of its columns in walk order; its symbols are read from
 the rows.
 
-Each public function checks the states it is given once, on entry: one that
-fails `validate` raises InvalidSquare with its messages, a bad argument
-PreconditionViolated.  The board code behind them trusts its board.
+`transform_path` checks its two states once, on entry: one that fails
+`validate` raises InvalidSquare with its messages, two of different orders
+PreconditionViolated.  The lemma steps trust their board; a guard that
+only a failed lemma could trip raises LatinSquareError, "internal error".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import ImproperCell, LatinSquareError, SquareState, _checked, validate
 from .moves import IntercalateMove, InvalidMove, _flip
 
 
 class PreconditionViolated(LatinSquareError):
-    """An argument breaks a path primitive's named precondition, an index outside 0..n-1 included."""
+    """The two squares given to `transform_path` have different orders."""
 
 
 @dataclass
@@ -153,16 +155,7 @@ def _moved_lines_hold(board: _Board, before: list[list[int]], old: ImproperCell 
     return lost == gained
 
 
-def _on_board(state: SquareState, primitive: Callable[..., None], *args) -> MoveSequence:
-    """Run a board primitive on a board of ``state``: the path of the moves it takes."""
-    board = _Board(state)
-    primitive(board, *args)
-    return MoveSequence(state, tuple(board.moves), board.state())
-
-
-def _two_row_chain(
-    state: SquareState | _Board, top: int, bottom: int, col: int, ends: tuple[int, ...]
-) -> tuple[int, ...]:
+def _two_row_chain(board: _Board, top: int, bottom: int, col: int, ends: tuple[int, ...]) -> tuple[int, ...]:
     """Walk the chain of rows (``top``, ``bottom``) from column ``col``.
 
     At each column read the bottom row's symbol; stop when it is in ``ends``,
@@ -176,7 +169,7 @@ def _two_row_chain(
     column: the negative for `_row_cycles`, p for the row-swap chains, and
     `_cycle_swap` runs on proper boards only.
     """
-    upper, lower = state.grid[top], state.grid[bottom]
+    upper, lower = board.grid[top], board.grid[bottom]
     cols: list[int] = []
     for _ in range(len(lower)):
         cols.append(col)
@@ -187,36 +180,23 @@ def _two_row_chain(
     raise LatinSquareError("chain did not terminate; internal error")
 
 
-def find_row_cycles(state: SquareState, source_row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _row_cycles(board: _Board, source_row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two chains rooted at the improper cell, chased from each positive.
 
-    ``source_row`` must hold the negative symbol in the improper column.
-    Each chain starts at the column where ``source_row`` holds the positive,
-    then jumps, at each column, to the column where ``source_row`` holds the
-    improper row's symbol there; it ends on the column where the improper
-    row holds the negative.  Returns the columns of (the chain through the
-    larger positive, the chain through the smaller); the two share no column
-    and the shorter has length <= floor((n-1)/2).
+    ``source_row``, a proper row, holds the negative symbol in the improper
+    column, so it holds each positive once.  Each chain starts at the column
+    where ``source_row`` holds the positive, then jumps, at each column, to
+    the column where ``source_row`` holds the improper row's symbol there;
+    it ends on the column where the improper row holds the negative.
+    Returns the columns of (the chain through the larger positive, the chain
+    through the smaller); the two share no column and the shorter has
+    length <= floor((n-1)/2).
     """
-    rec = _checked(state).improper
-    if rec is None:
-        raise PreconditionViolated("state is proper; it has no improper cell")
-    if not 0 <= source_row < state.n:
-        raise PreconditionViolated(f"row {source_row} outside 0..{state.n - 1}")
-    if state.grid[source_row][rec.col] != rec.negative:  # the improper row shows p there, not the negative
-        raise PreconditionViolated(
-            f"row {source_row} does not hold symbol {rec.negative} at column {rec.col}"
-        )
-    return _row_cycles(state, source_row)
-
-
-def _row_cycles(state: SquareState | _Board, source_row: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`find_row_cycles` on a valid board; ``source_row``, a proper row, holds each positive once."""
-    rec = state.improper
-    (lo, hi), ends, top = rec.positive_pair, (rec.negative,), state.grid[source_row]
+    rec = board.improper
+    (lo, hi), ends, top = rec.positive_pair, (rec.negative,), board.grid[source_row]
     return (
-        _two_row_chain(state, source_row, rec.row, top.index(hi), ends),
-        _two_row_chain(state, source_row, rec.row, top.index(lo), ends),
+        _two_row_chain(board, source_row, rec.row, top.index(hi), ends),
+        _two_row_chain(board, source_row, rec.row, top.index(lo), ends),
     )
 
 
@@ -224,11 +204,12 @@ def _resolve_improper(board: _Board, avoid: Iterable[int] = ()) -> None:
     """Drive an improper board proper with moves confined to two rows.
 
     A proper board is left as it is.  The helper row is the smallest row
-    outside ``avoid`` that holds the negative symbol in the improper column;
-    none is left only if a lemma of the path finder fails, and then this
-    raises.  The working pair is (improper row, helper row); after each move
-    the negative cell hops to the other row of the pair, so the pair is
-    fixed while the roles alternate.  Each step picks the shorter of the two
+    outside ``avoid`` that holds the negative symbol in the improper column
+    (with no ``avoid``, the smaller of the two such rows); none is left only
+    if a lemma of the path finder fails, and then this raises.  The working
+    pair is (improper row, helper row); after each move the negative cell
+    hops to the other row of the pair, so the moves touch only these two
+    rows while the roles alternate.  Each step picks the shorter of the two
     current chains (ties go to the larger positive), which makes the total
     number of moves at most the first minimum, i.e. floor((n-1)/2).
     """
@@ -249,40 +230,16 @@ def _resolve_improper(board: _Board, avoid: Iterable[int] = ()) -> None:
         helper_row = rec.row
 
 
-def normalize_to_proper(state: SquareState) -> MoveSequence:
-    """Resolve an improper square into a proper one (identity on proper input).
+def _cycle_swap(board: _Board, rows: tuple[int, int], column: int) -> None:
+    """Exchange two distinct rows of a proper board along their cycle through ``column``.
 
-    The helper row is the smaller of the two rows holding the negative
-    symbol in the improper column, as `_resolve_improper` picks it.  The
-    emitted sequence touches only the improper row and the helper row and
-    has length at most floor((n-1)/2).
-    """
-    return _on_board(_checked(state), _resolve_improper)
-
-
-def cycle_swap(state: SquareState, rows: tuple[int, int], column: int) -> MoveSequence:
-    """Exchange two rows of a proper square along their cycle through ``column``.
-
-    Emits exactly r-1 moves for a cycle of r columns: the first opens the
-    cycle (making the state improper for r >= 3), and each later move walks
+    Takes exactly r-1 moves for a cycle of r columns: the first opens the
+    cycle (making the board improper for r >= 3), and each later move walks
     the negative cell one column further until it closes.  No cell outside
     the cycle changes.  The cycle closes at the column where row i2 holds
     the symbol row i1 holds at ``column``.
     """
-    _checked(state)
-    if not isinstance(rows, Sequence) or len(rows) != 2:
-        raise PreconditionViolated(f"rows must be a pair of row indices, got {rows!r}")
-    return _on_board(state, _cycle_swap, rows, column)
-
-
-def _cycle_swap(board: _Board, rows: tuple[int, int], column: int) -> None:
     i1, i2 = rows
-    if board.improper is not None:
-        raise PreconditionViolated("row cycles need a proper state")
-    if i1 == i2:
-        raise PreconditionViolated("cycle rows must differ")
-    if not all(0 <= x < len(board.grid) for x in (i1, i2, column)):
-        raise PreconditionViolated(f"row {i1}, row {i2} or column {column} outside 0..{len(board.grid) - 1}")
     top = board.grid[i1]  # a move replaces the board's row, so this one stays as it was
     first = top[column]
     cols = _two_row_chain(board, i1, i2, column, (first,))
@@ -291,44 +248,23 @@ def _cycle_swap(board: _Board, rows: tuple[int, int], column: int) -> None:
         board.take(IntercalateMove.from_anchors(i2, c, first, i1, d, top[d]))
 
 
-def swap_row_entries(state: SquareState, i1: int, j1: int, j2: int) -> MoveSequence:
-    """Swap the symbols of row ``i1`` at columns ``j1`` and ``j2``.
+def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
+    """Swap the symbols of row ``i1`` at columns ``j1`` and ``j2 != j1``.
 
-    Preconditions (each violation is named): i1, j1 and j2 lie in 0..n-1;
-    the state is improper with its negative cell in column ``j1`` at some
-    row i2 != i1; j2 != j1; and cell (i1, j1) holds that cell's negative
-    symbol s.  Column ``j2`` is then a proper column, so one row i3 holds s
-    there.
+    The board is improper with its negative cell in column ``j1`` at a row
+    i2 != i1, and cell (i1, j1) holds that cell's negative symbol s; `_fix_row`
+    relies on both, and a board that breaks them raises.  Column ``j2`` is
+    then a proper column, so one row i3 holds s there.
 
     The result holds t = old (i1, j2) symbol at (i1, j1) and s at (i1, j2),
     is proper or improper with the negative cell at (i2 or i3, j1) carrying
     negative symbol t, and differs from the input only at those two cells
-    and within rows i2 and i3.  At most 2(n-1) moves are emitted.
+    and within rows i2 and i3.  At most 2(n-1) moves are taken.
     """
-    return _on_board(_checked(state), _swap_row_entries, i1, j1, j2)
-
-
-def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
-    rec = board.improper
-    if rec is None:
-        raise PreconditionViolated("state is proper; an improper cell in column j1 is required")
-    grid = board.grid
-    if not all(0 <= x < len(grid) for x in (i1, j1, j2)):
-        raise PreconditionViolated(f"row {i1}, column {j1} or column {j2} outside 0..{len(grid) - 1}")
-    if rec.col != j1:
-        raise PreconditionViolated(
-            f"improper cell sits in column {rec.col}, not in j1={j1}"
-        )
-    i2 = rec.row
-    if i2 == i1:
-        raise PreconditionViolated("the improper cell must lie in a row other than i1")
-    if j1 == j2:
-        raise PreconditionViolated("j1 and j2 must differ")
-    s = rec.negative
-    if grid[i1][j1] != s:
-        raise PreconditionViolated(
-            f"cell ({i1},{j1}) does not hold the negative symbol {s}"
-        )
+    rec, grid = board.improper, board.grid
+    i2, s = rec.row, rec.negative
+    if i2 == i1 or grid[i1][j1] != s:
+        raise LatinSquareError(f"row {i1} must hold symbol {s} at column {j1}, off row {i2}; internal error")
     t = grid[i1][j2]
     i3 = [line[j2] for line in grid].index(s)  # column j2 is proper
 
@@ -368,44 +304,17 @@ def _swap_row_entries(board: _Board, i1: int, j1: int, j2: int) -> None:
     board.take(IntercalateMove.from_anchors(i1, j1, t, i3, j2, s))
 
 
-def _check_pair(a: SquareState, b: SquareState) -> None:
-    """Check both squares on entry, then that their orders agree."""
-    _checked(a)
-    _checked(b)
-    if a.n != b.n:
-        raise PreconditionViolated(f"orders differ: {a.n} vs {b.n}")
-
-
-def fix_row(state: SquareState, target: SquareState, k: int) -> MoveSequence:
-    """Make row ``k`` of a proper square equal to row ``k`` of ``target``.
-
-    Preconditions (each violation is named): the squares have one order,
-    ``k`` lies in 0..n-1, ``state`` is proper, ``target`` has no record in
-    rows 0..k, the rows above ``k`` agree, and no column of ``target``
-    repeats in row ``k`` a symbol it holds above; no move ever touches the
-    rows above ``k``.  Each round places the target symbol of the smallest
-    mismatched column, then chains row-entry swaps while a negative cell
-    persists in the working column, resolving it within rows below ``k``
-    once the displaced symbol reaches its own target column.  Costs at most
-    2(n-1)^2 moves.
-    """
-    _check_pair(state, target)
-    if not 0 <= k < state.n:
-        raise PreconditionViolated(f"row {k} outside 0..{state.n - 1}")
-    if state.improper is not None:
-        raise PreconditionViolated(f"state is improper; row {k} is fixed on a proper square")
-    if target.improper is not None and target.improper.row <= k:
-        raise PreconditionViolated(
-            f"row {target.improper.row} of the target holds its improper cell; rows 0..{k} must not"
-        )
-    if (i := next((i for i in range(k) if state.grid[i] != target.grid[i]), k)) < k:
-        raise PreconditionViolated(f"row {i} differs from the target's; the rows above row {k} must agree")
-    if any(len(set(col)) <= k for col in zip(*target.grid[: k + 1])):
-        raise PreconditionViolated(f"a column of the target repeats a symbol in rows 0..{k}")
-    return _on_board(state, _fix_row, target.grid[k], k)
-
-
 def _fix_row(board: _Board, target_row: Sequence[int], k: int) -> None:
+    """Make row ``k`` of a proper board equal to ``target_row``, row ``k`` of a target square.
+
+    The board agrees with the target above row ``k``, the target holds no
+    record in rows 0..k, and no column of the target repeats in row ``k`` a
+    symbol it holds above; no move ever touches the rows above ``k``.  Each
+    round places the target symbol of the smallest mismatched column, then
+    chains row-entry swaps while a negative cell persists in the working
+    column, resolving it within rows below ``k`` once the displaced symbol
+    reaches its own target column.  Costs at most 2(n-1)^2 moves.
+    """
     while True:
         row = board.grid[k]  # proper at the start of a round
         j2 = next((c for c, (x, y) in enumerate(zip(row, target_row)) if x != y), None)
@@ -435,7 +344,10 @@ def transform_path(a: SquareState, b: SquareState) -> MoveSequence:
     state is a valid proper or improper square.  One board runs from ``a``
     to ``b``, and a second resolves ``b``; only the end is built as a state.
     """
-    _check_pair(a, b)
+    _checked(a)
+    _checked(b)
+    if a.n != b.n:
+        raise PreconditionViolated(f"orders differ: {a.n} vs {b.n}")
     if a == b:
         return MoveSequence(a, (), b)
     board, target = _Board(a), _Board(b)

@@ -13,6 +13,7 @@ checks exactly that, from the grid and the record; no cube is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 
@@ -97,7 +98,7 @@ def cube_from_grid(
     """
     rows = list(map(tuple, grid))
     rec = improper
-    if rec is not None and 0 <= rec.row < len(rows) and 0 <= rec.col < len(rows[rec.row]):
+    if rec is not None and _integral(rec) and 0 <= rec.row < len(rows) and 0 <= rec.col < len(rows[rec.row]):
         line = rows[rec.row]
         rows[rec.row] = (*line[: rec.col], rec.positive_pair[0], *line[rec.col + 1 :])
     return _checked(SquareState(tuple(rows), improper))
@@ -111,13 +112,19 @@ def _checked(state: SquareState) -> SquareState:
     return state
 
 
+def _integral(rec: ImproperCell) -> bool:
+    """Whether every field of the record is an integer, so that it can index a line."""
+    return all(isinstance(x, Integral) for x in (rec.row, rec.col, *rec.positive_pair, rec.negative))
+
+
 def validate(state: SquareState) -> list[str]:
     """Check the lines of the state's incidence cube; one message per violation.
 
     An empty list means the state is a valid proper or improper square.  A
     state that is not an n x n grid over 0..n-1 with its record inside gets
-    one message, the first of: a row of the wrong length, a record cell
-    outside the grid, a record symbol or a grid symbol outside 0..n-1.
+    one message, the first of: a row of the wrong length, a record field
+    that is not an integer, a record cell outside the grid, a record symbol
+    or a grid symbol outside 0..n-1.
     Otherwise one pass counts the symbols of each row and column; the
     improper cell counts with its cube entries instead of its grid symbol.
     Messages come in the cube's order: the cell, then rows by (row, symbol),
@@ -131,6 +138,8 @@ def validate(state: SquareState) -> list[str]:
         r = next(r for r, line in enumerate(grid) if len(line) != n)
         return [f"row {r} has length {len(grid[r])}, expected {n}"]
     if rec is not None:
+        if not _integral(rec):
+            return ["improper record has a field that is not an integer"]
         if not (0 <= rec.row < n and 0 <= rec.col < n):
             return [f"improper cell ({rec.row},{rec.col}) outside the grid"]
         if not all(0 <= s < n for s in (*rec.positive_pair, rec.negative)):

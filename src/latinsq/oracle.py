@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from .core import ImproperCell, LatinSquareError, SquareState
 
@@ -162,10 +162,10 @@ def _flips(
 def _states(n: int, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The masks of every valid state of order n <= 4, sorted by +1 mask.
 
-    Every improper state is one move from a proper square:
-    `normalize_to_proper` resolves it in at most floor((n-1)/2) moves, one
-    when n <= 4, and a move's inverse is valid.  So one flip of every
-    enumerated square finds them all.  The +1 mask alone fixes a valid
+    Every improper state is one move from a proper square: the two-row
+    resolution of `connect` drives it proper in at most floor((n-1)/2)
+    moves, one when n <= 4, and a move's inverse is valid.  So one flip of
+    every enumerated square finds them all.  The +1 mask alone fixes a valid
     state (the -1 sits where three lines of it hold two +1s), so states
     are told apart by it.
     """
@@ -184,29 +184,18 @@ def _states(n: int, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _decode(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SquareState]:
-    """The states of cube masks; equal rows and equal records are shared objects."""
-    import numpy as np
-
+    """The states of cube masks: each cell shows its smallest +1 symbol, and the -1 names the record."""
     low = (1 << n) - 1
-    cells = ((pos[:, None] >> (np.arange(n * n, dtype=np.uint64) * np.uint64(n))) & np.uint64(low)).astype(np.uint8)
-    smallest = np.array([max(0, (x & -x).bit_length() - 1) for x in range(low + 1)], dtype=np.uint8)
-    # Each row as its index in `rows`, which lists every n-tuple over 0..n-1;
-    # the grid holds the smaller positive at the improper cell.
-    codes = smallest[cells].reshape(-1, n, n) @ n ** np.arange(n - 1, -1, -1)
-    rows = list(product(range(n), repeat=n))
-    records: dict[tuple[int, int], ImproperCell] = {}
     states = []
-    for line_codes, p, q in zip(codes.tolist(), pos.tolist(), neg.tolist()):
+    for p, q in zip(pos.tolist(), neg.tolist()):
+        cells = [(p >> (cell * n)) & low for cell in range(n * n)]
+        grid = tuple(tuple((x & -x).bit_length() - 1 for x in cells[r * n : r * n + n]) for r in range(n))
         rec = None
         if q:
-            at = q.bit_length() - 1
-            cell, negative = divmod(at, n)
-            content = (p >> (cell * n)) & low
-            rec = records.get((at, content))
-            if rec is None:
-                pair = tuple(s for s in range(n) if content >> s & 1)
-                rec = records[at, content] = ImproperCell(*divmod(cell, n), pair, negative)
-        states.append(SquareState(tuple(map(rows.__getitem__, line_codes)), rec))
+            cell, negative = divmod(q.bit_length() - 1, n)
+            pair = tuple(s for s in range(n) if cells[cell] >> s & 1)
+            rec = ImproperCell(*divmod(cell, n), pair, negative)
+        states.append(SquareState(grid, rec))
     return states
 
 

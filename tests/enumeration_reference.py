@@ -10,7 +10,7 @@ queue-driven breadth-first search over a state graph's adjacency lists,
 the reference for the library's bit-parallel diameter probe, and
 `graph_from_lists` builds a hand-made state graph from neighbour lists.
 `proper_row_cycles` splits the columns of a proper square into the cycles
-of two rows, for the tests of `cycle_swap`.  `reduced_form` names a
+of two rows, for the tests of `connect._cycle_swap`.  `reduced_form` names a
 square's class for the exact uniformity test at order 5, and
 `enumerate_reduced_grids` lists the classes for that test and for the
 intercalate law at order 6.
@@ -142,7 +142,7 @@ def graph_from_lists(n: int, g: StateGraph, adjacency: list[list[int]]) -> State
 def proper_row_cycles(state: SquareState, row_a: int, row_b: int) -> list[tuple[int, ...]]:
     """The columns of a proper square split into the cycles of two rows.
 
-    Each cycle lists its columns in `cycle_swap`'s walk order for rows
+    Each cycle lists its columns in `connect._cycle_swap`'s walk order for rows
     (row_a, row_b), from its smallest column: from column c the walk goes to
     the column where row_a holds row_b's symbol at c.  The cycles are ordered
     by their smallest column; each has length >= 2.

@@ -1,7 +1,7 @@
-"""Helpers that drive the library in tests: scripted draws, checked walks and a faulty board move."""
+"""Helpers that drive the library in tests: scripted draws, checked walks, a lemma step on a board and a faulty board move."""
 
 from latinsq.chain import _Walker
-from latinsq.connect import _Board
+from latinsq.connect import MoveSequence, _Board
 from latinsq.core import validate
 from latinsq.moves import IntercalateMove
 
@@ -37,6 +37,17 @@ def walk(start, rng):
         state = w.view()
         assert validate(state) == []
         yield state, move
+
+
+def on_board(state, step, *args):
+    """The path a lemma step of `connect` takes from ``state``.
+
+    Builds a `_Board` of ``state``, runs ``step(board, *args)`` on it and
+    returns the moves it took, from ``state`` to the board's end state.
+    """
+    board = _Board(state)
+    step(board, *args)
+    return MoveSequence(state, tuple(board.moves), board.state())
 
 
 def faulty_take(at, fault):

@@ -31,10 +31,12 @@ from enumeration_reference import (
 from latinsq.chain import ChainConfig, RngStream, _Walker, iter_chains, iter_samples, sample
 from latinsq.cli import format_square_text, main as cli_main
 from latinsq.connect import (
-    cycle_swap,
-    fix_row,
-    normalize_to_proper,
-    swap_row_entries,
+    _Board,
+    _cycle_swap,
+    _fix_row,
+    _resolve_improper,
+    _row_cycles,
+    _swap_row_entries,
     transform_path,
 )
 from latinsq.core import cube_from_grid, cyclic_square, validate
@@ -57,7 +59,7 @@ from latinsq.stats import (
     chi_square_uniformity,
     pearson_statistic,
 )
-from scripted_draws import ScriptedDraws, walk
+from scripted_draws import ScriptedDraws, on_board, walk
 
 from conftest import EX_PROPER_GRID
 
@@ -165,7 +167,7 @@ def test_criterion_4_constructive_path_bounds(acceptance_record):
             assert seq.replay(check=True) == b
             state = a
             for row in range(n - 1):
-                row_moves = fix_row(state, b, row)
+                row_moves = on_board(state, _fix_row, b.grid[row], row)
                 state = row_moves.end
                 assert len(row_moves) <= row_budget
             assert state == b
@@ -180,10 +182,10 @@ def test_criterion_4_constructive_path_bounds(acceptance_record):
 
 
 def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
-    # normalize_to_proper: exhaustive at n=3, sampled at n=5..8
+    # two-row resolution (_resolve_improper): exhaustive at n=3, sampled at n=5..8
     improper3 = [s for s in graph3.states if not s.is_proper]
     for state in improper3:
-        seq = normalize_to_proper(state)
+        seq = on_board(state, _resolve_improper)
         result = seq.end
         assert result.is_proper and len(seq) <= 1
         assert len({r for m in seq.moves for r in (m.i, m.i2)}) <= 2
@@ -196,21 +198,21 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
             if state.improper is None:
                 continue
             seen += 1
-            seq = normalize_to_proper(state)
+            seq = on_board(state, _resolve_improper)
             result = seq.end
             assert result.is_proper
             assert len(seq) <= (n - 1) // 2
             assert len({r for m in seq.moves for r in (m.i, m.i2)}) <= 2
         sampled += seen
 
-    # cycle_swap: exactly r-1 moves, off-cycle cells untouched
+    # _cycle_swap: exactly r-1 moves, off-cycle cells untouched
     cycles_checked = 0
     for n in (4, 6, 8):
         for k in range(20):
             (a,) = _random_states(n, seed=CI_SEED + 31 * n + k, count=1)
             for rows in ((0, 1), (1, n - 1)):
                 for cycle in proper_row_cycles(a, *rows):
-                    seq = cycle_swap(a, rows, cycle[0])
+                    seq = on_board(a, _cycle_swap, rows, cycle[0])
                     result = seq.end
                     assert len(seq) == len(cycle) - 1
                     diff = np.argwhere(IncidenceCube.of(result).data != IncidenceCube.of(a).data)
@@ -222,7 +224,7 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
         if cycles_checked >= 100:
             break
 
-    # swap_row_entries: move bound and the two-cell row contract
+    # _swap_row_entries: move bound and the two-cell row contract
     instances = 0
     for n in (5, 6, 7):
         steps = walk(cyclic_square(n), RngStream(CI_SEED + 7 * n))
@@ -239,7 +241,7 @@ def test_criterion_5_lemma_level_counts(acceptance_record, graph3):
             if j2 == j1:
                 j2 = (j2 + 1) % n
             t = before.symbol_at(i1, j2)
-            seq = swap_row_entries(state, i1, j1, j2)
+            seq = on_board(state, _swap_row_entries, i1, j1, j2)
             result = seq.end
             after = IncidenceCube.of(result)
             assert len(seq) <= 2 * (n - 1)
@@ -262,8 +264,6 @@ def test_graph4_states_valid_and_row_cycles_bounded(graph4):
     # Supporting sweep over the full n=4 state set: every vertex validates,
     # improper-cell symbols are pairwise distinct, and the two chains rooted
     # at each improper cell are column-disjoint with bounded total length.
-    from latinsq.connect import find_row_cycles
-
     for state in graph4.states:
         assert validate(state) == []
         rec = state.improper
@@ -272,7 +272,7 @@ def test_graph4_states_valid_and_row_cycles_bounded(graph4):
         assert len({*rec.positive_pair, rec.negative}) == 3
         sources = [r for r in IncidenceCube.of(state).rows_with(rec.col, rec.negative) if r != rec.row]
         assert len(sources) == 2
-        a, b = find_row_cycles(state, sources[0])
+        a, b = _row_cycles(_Board(state), sources[0])
         assert not (set(a) & set(b))
         assert len(a) + len(b) <= 3
         assert min(len(a), len(b)) <= 1

@@ -12,17 +12,18 @@ from latinsq.chain import ChainConfig, RngStream, sample
 from latinsq.connect import (
     MoveSequence,
     PreconditionViolated,
-    cycle_swap,
-    find_row_cycles,
-    fix_row,
-    normalize_to_proper,
-    swap_row_entries,
+    _Board,
+    _cycle_swap,
+    _fix_row,
+    _resolve_improper,
+    _row_cycles,
+    _swap_row_entries,
     transform_path,
 )
 from latinsq.core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, apply_move
 from latinsq.oracle import enumerate_latin_squares
-from scripted_draws import faulty_take, walk
+from scripted_draws import faulty_take, on_board, walk
 
 
 def _touched_rows(moves):
@@ -41,11 +42,11 @@ def _improper_states_from_chain(n, seed, count):
 
 
 # ---------------------------------------------------------------------------
-# find_row_cycles
+# _row_cycles
 
 
 def test_find_row_cycles_fixture(ex_improper):
-    through_larger, through_smaller = find_row_cycles(ex_improper, 0)
+    through_larger, through_smaller = _row_cycles(_Board(ex_improper), 0)
     cube = IncidenceCube.of(ex_improper)
     assert through_larger == (0, 2)
     assert cube.symbol_at(0, through_larger[0]) == 2
@@ -56,21 +57,6 @@ def test_find_row_cycles_fixture(ex_improper):
     assert cube.symbol_at(2, through_smaller[-1]) == 1
 
 
-def test_find_row_cycles_preconditions(ex_improper, ex_proper):
-    with pytest.raises(PreconditionViolated, match="state is proper"):
-        find_row_cycles(ex_proper, 1)
-    with pytest.raises(PreconditionViolated):
-        find_row_cycles(ex_improper, 1)  # row 1 has no symbol 1 at col 1
-    with pytest.raises(PreconditionViolated):
-        find_row_cycles(ex_improper, 2)  # the improper row holds the -1 there
-
-
-@pytest.mark.parametrize("row", [-1, 4])
-def test_find_row_cycles_rejects_row_outside_square(ex_improper, row):
-    # ex_improper has order 4: -1 would read row 3 from the bottom, 4 is past it
-    with pytest.raises(PreconditionViolated, match=f"row {row} outside 0..3"):
-        find_row_cycles(ex_improper, row)
-
 def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
     for state in graph3.states:
         if state.is_proper:
@@ -78,18 +64,18 @@ def test_find_row_cycles_share_no_column_and_sum_bound(graph3):
         rec = state.improper
         sources = [r for r in IncidenceCube.of(state).rows_with(rec.col, rec.negative) if r != rec.row]
         for src in sources:
-            a, b = find_row_cycles(state, src)
+            a, b = _row_cycles(_Board(state), src)
             assert not (set(a) & set(b))
             assert len(a) + len(b) <= state.n - 1
             assert min(len(a), len(b)) <= (state.n - 1) // 2
 
 
 # ---------------------------------------------------------------------------
-# normalize_to_proper
+# _resolve_improper
 
 
 def test_normalize_fixture_single_move(ex_improper, ex_proper):
-    seq = normalize_to_proper(ex_improper)
+    seq = on_board(ex_improper, _resolve_improper)
     result = seq.end
     assert result == ex_proper
     assert seq.moves == (IntercalateMove.from_anchors(2, 1, 1, 0, 3, 0),)
@@ -97,7 +83,7 @@ def test_normalize_fixture_single_move(ex_improper, ex_proper):
 
 
 def test_normalize_proper_input_is_identity(ex_proper):
-    seq = normalize_to_proper(ex_proper)
+    seq = on_board(ex_proper, _resolve_improper)
     result = seq.end
     assert result == ex_proper
     assert len(seq) == 0
@@ -107,7 +93,7 @@ def test_normalize_exhaustive_order_three(graph3):
     for state in graph3.states:
         if state.is_proper:
             continue
-        seq = normalize_to_proper(state)
+        seq = on_board(state, _resolve_improper)
         result = seq.end
         assert result.is_proper
         assert validate(result) == []
@@ -118,7 +104,7 @@ def test_normalize_exhaustive_order_three(graph3):
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_normalize_sampled_larger_orders(n):
     for state in _improper_states_from_chain(n, seed=n, count=60):
-        seq = normalize_to_proper(state)
+        seq = on_board(state, _resolve_improper)
         result = seq.end
         assert result.is_proper
         assert len(seq) <= (n - 1) // 2
@@ -127,13 +113,13 @@ def test_normalize_sampled_larger_orders(n):
 
 
 # ---------------------------------------------------------------------------
-# cycle_swap
+# _cycle_swap
 
 
 def test_cycle_swap_full_cycle_order_three():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
-    seq = cycle_swap(state, (0, 1), cycle[0])
+    seq = on_board(state, _cycle_swap, (0, 1), cycle[0])
     result = seq.end
     assert len(seq) == 2
     assert result.grid[0] == (1, 2, 0) and result.grid[1] == (0, 1, 2)
@@ -144,7 +130,7 @@ def test_cycle_swap_exchanges_rows_and_counts(graph3):
         if not state.is_proper:
             continue
         for cycle in proper_row_cycles(state, 0, 2):
-            seq = cycle_swap(state, (0, 2), cycle[0])
+            seq = on_board(state, _cycle_swap, (0, 2), cycle[0])
             result = seq.end
             assert len(seq) == len(cycle) - 1
             cube = IncidenceCube.of(result)
@@ -161,7 +147,7 @@ def test_cycle_swap_off_cycle_cells_untouched():
         state = _random_square(6, seed)
         for rows in ((0, 1), (2, 4), (3, 5)):
             for cycle in proper_row_cycles(state, *rows):
-                seq = cycle_swap(state, rows, cycle[0])
+                seq = on_board(state, _cycle_swap, rows, cycle[0])
                 result = seq.end
                 assert len(seq) == len(cycle) - 1
                 diff = np.argwhere(IncidenceCube.of(result).data != IncidenceCube.of(state).data)
@@ -172,24 +158,6 @@ def test_cycle_swap_off_cycle_cells_untouched():
         if hits >= 100:
             break
     assert hits >= 100
-
-
-def test_cycle_swap_rejects_bad_patterns(ex_proper):
-    # equal rows, then a row or a column of -1 or n
-    for rows, column in (((0, 0), 0), ((-1, 1), 0), ((0, 4), 0), ((0, 1), -1), ((0, 1), 4)):
-        with pytest.raises(PreconditionViolated):
-            cycle_swap(ex_proper, rows, column)
-
-
-@pytest.mark.parametrize("rows", [(0,), (0, 1, 2), (), 0])
-def test_cycle_swap_rejects_rows_that_are_not_a_pair(rows):
-    with pytest.raises(PreconditionViolated, match="rows must be a pair of row indices"):
-        cycle_swap(cyclic_square(4), rows, 0)
-
-
-def test_cycle_swap_requires_proper(ex_improper):
-    with pytest.raises(PreconditionViolated, match="row cycles need a proper state"):
-        cycle_swap(ex_improper, (0, 1), 0)
 
 
 def test_cycle_swap_from_every_column_of_every_cycle_order_four():
@@ -204,60 +172,33 @@ def test_cycle_swap_from_every_column_of_every_cycle_order_four():
                     grid[i1][c], grid[i2][c] = grid[i2][c], grid[i1][c]
                 expected = tuple(map(tuple, grid))
                 for c in cycle:
-                    seq = cycle_swap(state, rows, c)
+                    seq = on_board(state, _cycle_swap, rows, c)
                     assert len(seq) == len(cycle) - 1
                     assert seq.end.grid == expected and seq.end.is_proper
 
 
 # ---------------------------------------------------------------------------
-# swap_row_entries
+# _swap_row_entries
 
 
 def test_swap_row_entries_single_move_fixture():
     state = cube_from_grid([[1, 0, 2], [0, 1, 0], [2, 0, 1]], ImproperCell(1, 1, (1, 2), 0))
-    seq = swap_row_entries(state, 0, 1, 0)
+    seq = on_board(state, _swap_row_entries, 0, 1, 0)
     result = seq.end
     assert seq.moves == (IntercalateMove.from_anchors(0, 1, 1, 1, 0, 0),)
     assert result.is_proper
     assert result.grid == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def test_swap_row_entries_preconditions(ex_improper, ex_proper):
-    with pytest.raises(PreconditionViolated):
-        swap_row_entries(ex_proper, 0, 1, 2)
-    with pytest.raises(PreconditionViolated):
-        swap_row_entries(ex_improper, 0, 0, 2)  # improper cell not in column 0
-    with pytest.raises(PreconditionViolated):
-        swap_row_entries(ex_improper, 2, 1, 2)  # i1 equals the improper row
-    with pytest.raises(PreconditionViolated):
-        swap_row_entries(ex_improper, 0, 1, 1)  # j1 == j2
-    # (i1, j1) must hold the negative symbol: row 1 holds 3 at column 1
-    with pytest.raises(PreconditionViolated):
-        swap_row_entries(ex_improper, 1, 1, 2)
-    # A corrupt state whose column j2 holds s twice, (3, 0) set to 1 unchecked,
-    # fails the check on entry with the messages of validate.
-    bad = _with_cell(ex_improper, 3, 0, 1)
-    with pytest.raises(InvalidSquare) as err:
-        swap_row_entries(bad, 0, 1, 0)
-    assert str(err.value) == "; ".join(validate(bad))
-
-
-@pytest.mark.parametrize("bad", [-1, 4])
-def test_swap_row_entries_rejects_index_outside_square(ex_improper, bad):
-    # ex_improper has order 4 and its improper cell in column 1; row 0 holds
-    # its negative symbol there, so (0, 1, 2) meets every other precondition.
-    for i1, j2 in ((bad, 2), (0, bad)):
-        with pytest.raises(PreconditionViolated, match="outside 0..3"):
-            swap_row_entries(ex_improper, i1, 1, j2)
-
-
-def test_fix_row_rejects_an_improper_working_row(ex_improper, ex_proper):
-    # ex_improper's improper cell is (2, 1); row 2 cannot be fixed through it,
-    # nor read as the target row.
-    with pytest.raises(PreconditionViolated, match="state is improper"):
-        fix_row(ex_improper, cyclic_square(4), 2)
-    with pytest.raises(PreconditionViolated, match="row 2 of the target holds its improper cell"):
-        fix_row(ex_proper, ex_improper, 2)
+def test_swap_row_entries_preconditions(ex_improper):
+    # The two facts of the row-swap lemma that `_fix_row` relies on raise
+    # before any move: row i1 must not hold the improper cell (row 2 does),
+    # and must hold its negative symbol 1 in column 1 (row 1 holds 3 there).
+    for i1 in (2, 1):
+        board = _Board(ex_improper)
+        with pytest.raises(LatinSquareError, match=f"row {i1} must hold symbol 1 at column 1, off row 2; internal error"):
+            _swap_row_entries(board, i1, 1, 2)
+        assert board.moves == []
 
 
 def _lemma_instances(n, seed, want):
@@ -286,7 +227,7 @@ def test_swap_row_entries_contract_randomized(n):
         t = before.symbol_at(i1, j2)
         i2 = state.improper.row
         i3 = before.rows_with(j2, s)[0]
-        seq = swap_row_entries(state, i1, j1, j2)
+        seq = on_board(state, _swap_row_entries, i1, j1, j2)
         result = seq.end
         after = IncidenceCube.of(result)
         assert len(seq) <= 2 * (n - 1)
@@ -323,8 +264,6 @@ def test_transform_path_identity(ex_proper):
 def test_transform_path_order_mismatch(ex_proper):
     with pytest.raises(PreconditionViolated, match="orders differ: 4 vs 3"):
         transform_path(ex_proper, cyclic_square(3))
-    with pytest.raises(PreconditionViolated, match="orders differ: 4 vs 3"):
-        fix_row(ex_proper, cyclic_square(3), 0)
 
 
 def test_transform_path_all_order_three_pairs():
@@ -353,7 +292,7 @@ def test_transform_path_randomized(n):
         state = a
         total = 0
         for row in range(n - 1):
-            row_seq = fix_row(state, b, row)
+            row_seq = on_board(state, _fix_row, b.grid[row], row)
             state = row_seq.end
             assert len(row_seq) <= row_budget
             total += len(row_seq)
@@ -370,12 +309,12 @@ def test_transform_path_improper_endpoints(ex_improper):
     assert len(seq) <= 54 and len(back) <= 54
 
 
-# One call of each path primitive on the fixtures: (start, call).
+# One run of each lemma step, and of transform_path, on the fixtures: (start, path).
 PRIMITIVE_CALLS = {
-    "normalize_to_proper": lambda imp, pro: (imp, normalize_to_proper(imp)),
-    "cycle_swap": lambda imp, pro: (pro, cycle_swap(pro, (0, 2), max(proper_row_cycles(pro, 0, 2), key=len)[0])),
-    "swap_row_entries": lambda imp, pro: (imp, swap_row_entries(imp, 0, 1, 0)),
-    "fix_row": lambda imp, pro: (pro, fix_row(pro, cyclic_square(4), 0)),
+    "normalize_to_proper": lambda imp, pro: (imp, on_board(imp, _resolve_improper)),
+    "cycle_swap": lambda imp, pro: (pro, on_board(pro, _cycle_swap, (0, 2), max(proper_row_cycles(pro, 0, 2), key=len)[0])),
+    "swap_row_entries": lambda imp, pro: (imp, on_board(imp, _swap_row_entries, 0, 1, 0)),
+    "fix_row": lambda imp, pro: (pro, on_board(pro, _fix_row, cyclic_square(4).grid[0], 0)),
     "transform_path": lambda imp, pro: (imp, transform_path(imp, cyclic_square(4))),
 }
 
@@ -659,17 +598,11 @@ def _corrupt_order_four(ex_improper):
     }
 
 
-# Each public entry of the path finder on a bad state, with arguments that
-# would otherwise be in range; two-square entries take it either way.
+# Each public entry of the path finder on a bad state: transform_path takes
+# it either way.
 ENTRY_CALLS = {
     "transform_path from": lambda bad, good: transform_path(bad, good),
     "transform_path to": lambda bad, good: transform_path(good, bad),
-    "fix_row from": lambda bad, good: fix_row(bad, good, 0),
-    "fix_row to": lambda bad, good: fix_row(good, bad, 0),
-    "normalize_to_proper": lambda bad, good: normalize_to_proper(bad),
-    "cycle_swap": lambda bad, good: cycle_swap(bad, (0, 1), 0),
-    "swap_row_entries": lambda bad, good: swap_row_entries(bad, 0, 1, 2),
-    "find_row_cycles": lambda bad, good: find_row_cycles(bad, 0),
     "checked replay": lambda bad, good: MoveSequence(bad, (), bad).replay(check=True),
 }
 
@@ -689,37 +622,6 @@ def test_corrupt_target_of_two_symbols_raises_at_once():
     # Its row 0 holds 1 twice; the row fixer once flipped one intercalate back and forth for ever.
     with pytest.raises(InvalidSquare, match="line row=0 sym=1"):
         _bounded(partial(transform_path, cube_from_grid([[1, 0], [0, 1]]), SquareState(((1, 1), (0, 1)))), 1.0)
-
-
-@pytest.mark.parametrize("k", [99, -1, 4])
-def test_fix_row_rejects_a_row_outside_the_square(k, ex_proper):
-    with pytest.raises(PreconditionViolated, match=f"row {k} outside 0..3"):
-        _bounded(partial(fix_row, ex_proper, cyclic_square(4), k), 1.0)
-
-
-def test_fix_row_checks_the_rows_above_before_any_move(ex_proper, ex_improper, monkeypatch):
-    # Targets whose rows 0..k no proper square can share with a state: the
-    # order-5 one holds its negative symbol twice in one column in rows 0..k.
-    target = next(
-        s for s in _improper_states_from_chain(5, 11, 200)
-        if s.improper.row > max(i for i in range(5) if s.grid[i][s.improper.col] == s.improper.negative)
-    )
-    rec = target.improper
-    k = max(i for i in range(5) if target.grid[i][rec.col] == rec.negative)
-    state = cyclic_square(5)
-    for row in range(k):  # a state that agrees with the target above row k
-        state = fix_row(state, target, row).end
-    assert state.grid[:k] == target.grid[:k]
-    monkeypatch.setattr(connect._Board, "take", lambda board, m: pytest.fail(f"move {m} taken"))
-    cases = [
-        (cyclic_square(4), ex_proper, 1, "row 0 differs from the target's; the rows above row 1 must agree"),
-        (ex_proper, ex_improper, 3, "row 2 of the target holds its improper cell; rows 0..3 must not"),
-        (state, target, k, f"a column of the target repeats a symbol in rows 0..{k}"),
-    ]
-    for a, b, row, message in cases:
-        with pytest.raises(PreconditionViolated) as err:
-            fix_row(a, b, row)
-        assert str(err.value) == message
 
 
 def _corrupt(rng, state):
@@ -742,12 +644,11 @@ def _corrupt(rng, state):
     return SquareState(tuple(grid), rec)
 
 
-def _fuzz_calls(seed, count):
-    """Seeded calls (name, thunk) of the six public path finder entries on ``count`` inputs.
+def _fuzz_pairs(seed, count):
+    """``count`` seeded input pairs for `transform_path`.
 
-    An input is two walk states of order 2 to 5 (one in ten pairs of
-    different orders), three in four with one of them corrupted once, and
-    indices drawn from -1..n, so some lie outside the square.
+    A pair is two walk states of order 2 to 5 (one in ten of different
+    orders), three in four with one of them corrupted once.
     """
     rng = random.Random(seed)
     pools = {
@@ -762,36 +663,27 @@ def _fuzz_calls(seed, count):
                 a = _corrupt(rng, a)
             else:
                 b = _corrupt(rng, b)
-        i, j, k, m = (rng.randrange(-1, n + 1) for _ in range(4))
-        yield from (
-            ("transform_path", partial(transform_path, a, b)),
-            ("fix_row", partial(fix_row, a, b, i)),
-            ("normalize_to_proper", partial(normalize_to_proper, a)),
-            ("cycle_swap", partial(cycle_swap, a, (i, j), k)),
-            ("swap_row_entries", partial(swap_row_entries, a, i, k, m)),
-            ("find_row_cycles", partial(find_row_cycles, a, i)),
-        )
+        yield a, b
 
 
 def test_path_finder_fuzz_returns_valid_paths_or_package_errors():
-    """Every entry returns a valid path (or, for find_row_cycles, its chains) or raises a LatinSquareError.
+    """`transform_path` returns a path that replays, checked, to its end, or raises a LatinSquareError.
 
     Each call is bounded in time, so an unbounded loop fails here within a
     second instead of growing its move list without end.
     """
     outcomes = {"path": 0, "raised": 0}
-    for name, call in _fuzz_calls(3001, 8000):
+    for a, b in _fuzz_pairs(3001, 8000):
         try:
-            seq = _bounded(call, 1.0)
+            seq = _bounded(partial(transform_path, a, b), 1.0)
         except LatinSquareError as err:
             # Bad input is named at the door; a bare LatinSquareError is an internal failure.
-            assert isinstance(err, (InvalidSquare, PreconditionViolated)), (name, err)
+            assert isinstance(err, (InvalidSquare, PreconditionViolated)), (a, b, err)
             outcomes["raised"] += 1
             continue
         except _Overran:
-            pytest.fail(f"{name} ran past its time bound")
-        if name != "find_row_cycles":
-            assert validate(seq.start) == [] and validate(seq.end) == [], name
-            assert seq.replay(check=True) == seq.end, name
+            pytest.fail(f"transform_path ran past its time bound on {a!r}, {b!r}")
+        assert validate(seq.start) == [] and validate(seq.end) == []
+        assert seq.replay(check=True) == seq.end
         outcomes["path"] += 1
     assert min(outcomes.values()) > 200, outcomes

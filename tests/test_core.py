@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import latinsq
 from cube_reference import IncidenceCube, from_cube, validate_cube
 from latinsq.chain import RngStream
-from latinsq.connect import MoveSequence, _Board
+from latinsq import connect
+from latinsq.connect import MoveSequence, _Board, transform_path
 from latinsq.core import (
     ImproperCell,
     InvalidSquare,
@@ -132,6 +133,32 @@ def test_validate_catches_record_mismatch(ex_improper):
     grid[2][1] = 2
     unsorted = SquareState(tuple(map(tuple, grid)), ex_improper.improper._replace(positive_pair=(2, 0)))
     assert validate(unsorted) == ["improper record (2, 0)-1 does not match cell content (0, 2)-1"]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        ImproperCell(0.5, 0, (0, 1), 2),
+        ImproperCell(0, 0.5, (0, 1), 2),
+        ImproperCell(0, 0, (0, 2.0), 1),
+        ImproperCell(0, 0, (0, 1), 2.0),
+    ],
+    ids=["row", "column", "larger positive", "negative"],
+)
+def test_record_field_that_is_not_an_integer_is_named(record):
+    # Such a field cannot index a line; each entry that validates gives the one message.
+    square = cyclic_square(3)
+    state = SquareState(square.grid, record)
+    message = "improper record has a field that is not an integer"
+    assert validate(state) == [message]
+    for call in (
+        lambda: cube_from_grid(square.grid, record),
+        lambda: transform_path(state, square),
+        lambda: MoveSequence(state, (), state).replay(check=True),
+    ):
+        with pytest.raises(InvalidSquare) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_improper_cell_distinctness_enforced():
@@ -332,16 +359,17 @@ def test_public_surface_is_pinned():
         "chi_square_uniformity",
         "count_latin_squares",
         "cube_from_grid",
-        "cycle_swap",
         "cyclic_square",
         "enumerate_latin_squares",
         "enumerate_valid_moves",
-        "find_row_cycles",
-        "normalize_to_proper",
         "sample",
-        "swap_row_entries",
         "transform_path",
         "validate",
     ]
     for name in latinsq.__all__:
         assert getattr(latinsq, name) is not None
+    # The path finder's one entry, its path type and its error; the lemma steps are private.
+    assert sorted(
+        name for name, obj in vars(connect).items()
+        if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == connect.__name__
+    ) == ["MoveSequence", "PreconditionViolated", "transform_path"]

@@ -7,8 +7,8 @@ from enumeration_reference import proper_row_cycles
 from latinsq.chain import RngStream
 from latinsq.core import cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, InvalidMove, _flip, apply_move, enumerate_valid_moves
-from latinsq.connect import _Board, cycle_swap
-from scripted_draws import walk
+from latinsq.connect import _Board, _cycle_swap
+from scripted_draws import on_board, walk
 
 EX_MOVE = IntercalateMove.from_anchors(0, 1, 0, 2, 3, 1)
 
@@ -307,7 +307,7 @@ def test_two_rowed_proper_move_full_cycle():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
     assert len(cycle) == 3
-    seq = cycle_swap(state, (0, 1), cycle[0])
+    seq = on_board(state, _cycle_swap, (0, 1), cycle[0])
     result = seq.end
     assert len(seq) == 2
     assert result.grid[0] == (1, 2, 0)
@@ -320,7 +320,7 @@ def test_two_rowed_proper_move_intercalate_is_single_move():
     cycles = proper_row_cycles(state, 0, 1)
     two = [c for c in cycles if len(c) == 2]
     assert two
-    seq = cycle_swap(state, (0, 1), two[0][0])
+    seq = on_board(state, _cycle_swap, (0, 1), two[0][0])
     result = seq.end
     assert len(seq) == 1
     assert result.is_proper
@@ -329,9 +329,9 @@ def test_two_rowed_proper_move_intercalate_is_single_move():
 def test_two_rowed_proper_move_is_involution():
     state = cube_from_grid([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     cycle = proper_row_cycles(state, 0, 1)[0]
-    once = cycle_swap(state, (0, 1), cycle[0]).end
+    once = on_board(state, _cycle_swap, (0, 1), cycle[0]).end
     again_cycle = proper_row_cycles(once, 0, 1)[0]
-    twice = cycle_swap(once, (0, 1), again_cycle[0]).end
+    twice = on_board(once, _cycle_swap, (0, 1), again_cycle[0]).end
     assert twice == state
 
 
