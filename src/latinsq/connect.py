@@ -25,6 +25,11 @@ and can reverse or replay it, but never extends it.  A two-row chain or
 cycle is the tuple of its columns in walk order; its symbols are read from
 the rows.
 
+`MoveSequence.replay` takes no move through `_flip` and uses no board: it
+adds each move to the signed incidence cube of the start, held as two ints,
+under the mask rule of `oracle`.  So a checked replay is the path finder's
+independent check, and `path --verify` runs it.
+
 `transform_path` checks its two states once, on entry: one that fails
 `validate` raises InvalidSquare with its messages, two of different orders
 PreconditionViolated.  The lemma steps trust their board; a guard that
@@ -34,10 +39,12 @@ only a failed lemma could trip raises LatinSquareError, "internal error".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
-from .core import ImproperCell, LatinSquareError, SquareState, _checked, validate
-from .moves import IntercalateMove, InvalidMove, _flip
+from .core import LatinSquareError, SquareState, _checked
+from .moves import IntercalateMove, InvalidMove, _flip, apply_move
+from .oracle import _decode, _encode, _flips, _move_bits
 
 
 class PreconditionViolated(LatinSquareError):
@@ -60,22 +67,31 @@ class MoveSequence:
         return MoveSequence(self.end, tuple(m.inverted() for m in reversed(self.moves)), self.start)
 
     def replay(self, check: bool = False) -> SquareState:
-        """Take the moves on a board of ``start``; with ``check`` validate every prefix.
+        """Take the moves on the signed incidence cube of ``start``; return the end.
 
-        ``start`` is validated in full, and a bad one raises InvalidSquare.
-        Every later prefix, the first move's included, follows a valid one,
-        so `_moved_lines_hold` reads only the four cells its move can have
-        changed, and one it cannot show valid is validated in full.  A
-        refused move raises `apply_move`'s InvalidMove, a bad prefix the
-        full check's messages.
+        With ``check``, ``start`` is validated in full first, and a bad one
+        raises InvalidSquare; that is all ``check`` governs.  Every move,
+        either way, is checked by the cube rule of `oracle._flips`: from a
+        valid state a move is valid exactly when its +1s miss the state's
+        +1s, its -1s miss its -1 and at most one -1 is left, for the move
+        keeps every line sum.  So from a valid start every prefix is valid,
+        and none is built as a state but the end, read off the cube once.
+        A refused move, or one with an index outside the order, raises
+        `apply_move`'s InvalidMove on the prefix it left.
         """
-        board = _Board(_checked(self.start) if check else self.start)
+        start = _checked(self.start) if check else self.start
+        n = start.n
+        pos, neg = _encode(start)
         for m in self.moves:
-            before, rec = board.grid[:], board.improper
-            board.take(m)
-            if check and not _moved_lines_hold(board, before, rec, m) and (problems := validate(board.state())):
-                raise LatinSquareError(f"invalid intermediate state: {problems}")
-        return board.state()
+            i, j, a, i2, j2, b = map(index, m)
+            if i2 < n and j2 < n and a < n and b < n:
+                ok, new_pos, new_neg = _flips(pos, neg, *_move_bits(n, i, j, a, i2, j2, b))
+                if ok:
+                    pos, neg = new_pos, new_neg
+                    continue
+            apply_move(_decode(n, pos, neg), m)
+            raise LatinSquareError(f"move ({m.text()}) refused by the cube rule only; internal error")
+        return _decode(n, pos, neg)
 
 
 class _Board:
@@ -103,56 +119,6 @@ class _Board:
 
     def state(self) -> SquareState:
         return SquareState(tuple(map(tuple, self.grid)), self.improper)
-
-
-def _moved_lines_hold(board: _Board, before: list[list[int]], old: ImproperCell | None, m: IntercalateMove) -> bool:
-    """Whether ``board`` is still valid after move ``m``, read on the four cells it can have changed.
-
-    ``before`` (a copy of the row list, overwritten here) and ``old`` held
-    the valid square before the move.  Rows other than i and i2 must be the
-    same, rows i and i2 may change only at columns j and j2, and a new record
-    and the one it replaced must sit on those four cells.  Then only the
-    four cells changed, and each of rows i, i2 and columns j, j2 still sums
-    to 1 on every symbol exactly when the +1s it lost and the -1s it gained
-    are, as a multiset, the +1s it gained and the -1s it lost.  A proper cell
-    holds +s; a record's cell holds +p, +q and -negative, with p on the grid,
-    p < q and the negative distinct from both.  False means only that this
-    could not show the board valid.
-    """
-    grid, rec = board.grid, board.improper
-    i, j, _, i2, j2, _ = m
-    top, bottom = before[i], before[i2]
-    new_top, new_bottom = before[i], before[i2] = grid[i], grid[i2]
-    if before != grid:
-        return False
-    for line, new in ((top, new_top), (bottom, new_bottom)):
-        line = line[:]
-        line[j], line[j2] = new[j], new[j2]
-        if line != new:
-            return False
-    # Symbol s on line k (0 and 1: rows i and i2; 2 and 3: columns j and j2)
-    # counts as 4s + k, one integer per pair.  Only a new record's negative
-    # can be lost outside 0..n-1, and its row and column could then balance
-    # only through the record's own p or q; so balanced lines stay in range.
-    t, u, v, w = 4 * top[j], 4 * top[j2], 4 * bottom[j], 4 * bottom[j2]
-    t2, u2, v2, w2 = 4 * new_top[j], 4 * new_top[j2], 4 * new_bottom[j], 4 * new_bottom[j2]
-    lost = [t, u, v + 1, w + 1, t + 2, v + 2, u + 3, w + 3]
-    gained = [t2, u2, v2 + 1, w2 + 1, t2 + 2, v2 + 2, u2 + 3, w2 + 3]
-    if rec is not old:
-        for cell, plus, minus in ((old, lost, gained), (rec, gained, lost)):
-            if cell is None:
-                continue
-            r, c, (p, q), neg = cell
-            if r not in (i, i2) or c not in (j, j2) or not p < q or neg in (p, q):
-                return False
-            row, col = r != i, 2 + (c != j)
-            plus += (4 * q + row, 4 * q + col)
-            minus += (4 * neg + row, 4 * neg + col)
-    if rec is not None and grid[rec.row][rec.col] != rec.positive_pair[0]:
-        return False
-    lost.sort()
-    gained.sort()
-    return lost == gained
 
 
 def _two_row_chain(board: _Board, top: int, bottom: int, col: int, ends: tuple[int, ...]) -> tuple[int, ...]:

@@ -13,8 +13,9 @@ checks exactly that, from the grid and the record; no cube is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class LatinSquareError(Exception):
@@ -98,7 +99,7 @@ def cube_from_grid(
     """
     rows = list(map(tuple, grid))
     rec = improper
-    if rec is not None and _integral(rec) and 0 <= rec.row < len(rows) and 0 <= rec.col < len(rows[rec.row]):
+    if rec is not None and _integral(rec[:2]) and 0 <= rec.row < len(rows) and 0 <= rec.col < len(rows[rec.row]):
         line = rows[rec.row]
         rows[rec.row] = (*line[: rec.col], rec.positive_pair[0], *line[rec.col + 1 :])
     return _checked(SquareState(tuple(rows), improper))
@@ -112,9 +113,9 @@ def _checked(state: SquareState) -> SquareState:
     return state
 
 
-def _integral(rec: ImproperCell) -> bool:
-    """Whether every field of the record is an integer, so that it can index a line."""
-    return all(isinstance(x, Integral) for x in (rec.row, rec.col, *rec.positive_pair, rec.negative))
+def _integral(values: Iterable) -> bool:
+    """Whether every value is an integer, so that it can index a line."""
+    return all(issubclass(t, Integral) for t in set(map(type, values)))
 
 
 def validate(state: SquareState) -> list[str]:
@@ -124,7 +125,8 @@ def validate(state: SquareState) -> list[str]:
     state that is not an n x n grid over 0..n-1 with its record inside gets
     one message, the first of: a row of the wrong length, a record field
     that is not an integer, a record cell outside the grid, a record symbol
-    or a grid symbol outside 0..n-1.
+    outside 0..n-1, a grid symbol outside 0..n-1, or one that is not an
+    integer (1.0 equals 1 but cannot index a line).
     Otherwise one pass counts the symbols of each row and column; the
     improper cell counts with its cube entries instead of its grid symbol.
     Messages come in the cube's order: the cell, then rows by (row, symbol),
@@ -138,7 +140,7 @@ def validate(state: SquareState) -> list[str]:
         r = next(r for r, line in enumerate(grid) if len(line) != n)
         return [f"row {r} has length {len(grid[r])}, expected {n}"]
     if rec is not None:
-        if not _integral(rec):
+        if not _integral((rec.row, rec.col, *rec.positive_pair, rec.negative)):
             return ["improper record has a field that is not an integer"]
         if not (0 <= rec.row < n and 0 <= rec.col < n):
             return [f"improper cell ({rec.row},{rec.col}) outside the grid"]
@@ -148,6 +150,9 @@ def validate(state: SquareState) -> list[str]:
     if not all(map(symbols.issuperset, grid)):
         r, c, s = next((r, c, s) for r, line in enumerate(grid) for c, s in enumerate(line) if s not in symbols)
         return [f"symbol {s} at ({r},{c}) outside 0..{n - 1}"]
+    if not _integral(chain.from_iterable(grid)):
+        r, c, s = next((r, c, s) for r, line in enumerate(grid) for c, s in enumerate(line) if not _integral((s,)))
+        return [f"symbol {s!r} at ({r},{c}) is not an integer"]
     violations: list[str] = []
     at = (-1, -1)
     if rec is not None:

@@ -15,6 +15,9 @@ A move's inverse, `IntercalateMove.inverted`, exchanges a and b.  That
 rule is stated once, in `_flip`, on a state's rows and record: `apply_move`
 raises on its verdict, the path finder's board (`connect`) takes a move the
 same way, and `enumerate_valid_moves` keeps every canonical move it accepts.
+The checked replay of a path states it a second time on purpose, on the
+cube's masks (`oracle._flips`), so that it checks `_flip` instead of
+trusting it.
 """
 
 from __future__ import annotations

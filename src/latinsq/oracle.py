@@ -2,22 +2,25 @@
 
 These are deliberately independent of the constructive machinery so they can
 verify it: squares are enumerated by cell-wise backtracking, and the move
-graph is built on the signed incidence cube itself, held as two 64-bit
-masks per state, with the move rule stated on those masks instead of
-borrowed from `moves`; its vertices are found without following its edges,
-numbered by their +1 masks, the one identity a state has there, and kept
-as arrays, decoded into states only when read.  The tests check both
-against independent reference enumerations (symbol-wise placement,
-improper-square completion), the graph's edges against `moves` vertex by
-vertex, and the bit-parallel diameter probe against plain breadth-first
-search.
+graph is built on the signed incidence cube itself, each state held as two
+masks, one of its +1 entries and one of its -1, with the move rule stated on
+those masks (`_flips`) instead of borrowed from `moves`; its vertices are
+found without following its edges, numbered by their +1 masks, the one
+identity a state has there, and kept as arrays, decoded into states only
+when read.  The tests check both against independent reference enumerations
+(symbol-wise placement, improper-square completion), the graph's edges
+against `moves` vertex by vertex, and the bit-parallel diameter probe
+against plain breadth-first search.  The same cube rule, on two Python ints
+of any order (`_encode`, `_move_bits`, `_flips`, `_decode`), is the check of
+`connect.MoveSequence.replay`, independent of the path finder's `moves._flip`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from operator import index
 
 from .core import ImproperCell, LatinSquareError, SquareState
 
@@ -110,7 +113,7 @@ class StateGraph:
 
     @cached_property
     def states(self) -> list[SquareState]:
-        return _decode(self.n, self.pos, self.neg)
+        return [_decode(self.n, p, q) for p, q in zip(self.pos.tolist(), self.neg.tolist())]
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
@@ -118,45 +121,50 @@ class StateGraph:
         return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _move_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The +1 and the -1 positions of every canonical move, as cube masks.
+def _move_bits(n: int, i: int, j: int, a: int, i2: int, j2: int, b: int) -> tuple[int, int]:
+    """The +1 and the -1 positions of the move ((i,j;a),(i2,j2;b)) as cube masks.
 
-    Bit (r*n + c)*n + s stands for the cube entry (r, c, s).  The move
-    ((i,j;a),(i2,j2;b)) with i < i2, j < j2 and a != b adds +1 at
-    (i,j,a), (i,j2,b), (i2,j,b), (i2,j2,a) and -1 at the other four
-    corners of its 2 x 2 x 2 box.
+    Bit (r*n + c)*n + s stands for the cube entry (r, c, s).  The move adds
+    +1 at (i,j,a), (i,j2,b), (i2,j,b), (i2,j2,a) and -1 at the other four
+    corners of its 2 x 2 x 2 box: row i2 takes the pattern of row i with
+    the signs exchanged.  Each row's pattern is built small, at cell (i, j),
+    and shifted there.  Every index must lie below n.
     """
+    dj, di, at = (j2 - j) * n, (i2 - i) * n * n, (i * n + j) * n
+    top, bottom = 1 << a | 1 << (dj + b), 1 << b | 1 << (dj + a)
+    return (top | bottom << di) << at, (bottom | top << di) << at
+
+
+def _move_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_move_bits` of every canonical move (i < i2, j < j2, a != b), as two uint64 arrays."""
     import numpy as np
 
-    def bit(r: int, c: int, s: int) -> int:
-        return 1 << ((r * n + c) * n + s)
-
-    plus, minus = [], []
-    for i, i2 in combinations(range(n), 2):
-        for j, j2 in combinations(range(n), 2):
-            for a, b in permutations(range(n), 2):
-                plus.append(bit(i, j, a) | bit(i, j2, b) | bit(i2, j, b) | bit(i2, j2, a))
-                minus.append(bit(i, j, b) | bit(i, j2, a) | bit(i2, j, a) | bit(i2, j2, b))
+    lines = range(n)
+    plus, minus = zip(
+        *(
+            _move_bits(n, i, j, a, i2, j2, b)
+            for i, i2 in combinations(lines, 2)
+            for j, j2 in combinations(lines, 2)
+            for a, b in permutations(lines, 2)
+        )
+    )
     return np.array(plus, dtype=np.uint64), np.array(minus, dtype=np.uint64)
 
 
-def _flips(
-    pos: np.ndarray, neg: np.ndarray, plus: np.ndarray, minus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every move on a block of states: validity and the resulting masks.
+def _flips(pos, neg, plus, minus):
+    """Moves on states: validity and the resulting masks.
 
-    ``pos`` and ``neg`` hold the +1 and the -1 entries of each state.  A
-    move keeps every entry in {-1, 0, 1} when none of its +1s lands on a
-    +1 and none of its -1s on a -1; its +1s cancel a -1 and its -1s cancel
-    a +1, and the result is valid when at most one -1 is left.  Each
-    output has one row per state and one column per move.
+    ``pos`` and ``neg`` hold the +1 and the -1 entries of a state, ``plus``
+    and ``minus`` those of a move: Python ints, or uint64 arrays that
+    broadcast, one row per state and one column per move.  A move keeps
+    every entry in {-1, 0, 1} when none of its +1s lands on a +1 and none
+    of its -1s on a -1; its +1s cancel a -1 and its -1s cancel a +1, and
+    the result is valid when at most one -1 is left.  Line sums are
+    conserved by construction, so from a valid state that is the whole rule.
     """
-    import numpy as np
-
-    p, q = pos[:, None], neg[:, None]
-    new_neg = (q & ~plus) | (minus & ~p)
-    ok = ((plus & p) == 0) & ((minus & q) == 0) & ((new_neg & (new_neg - np.uint64(1))) == 0)
-    return ok, (p & ~minus) | (plus & ~q), new_neg
+    new_neg = (neg & ~plus) | (minus & ~pos)
+    ok = ((plus & pos) == 0) & ((minus & neg) == 0) & ((new_neg & (new_neg - 1)) == 0)
+    return ok, (pos & ~minus) | (plus & ~neg), new_neg
 
 
 def _states(n: int, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,27 +184,36 @@ def _states(n: int, plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, np
     found_pos, found_neg = [proper], [np.zeros_like(proper)]
     for lo in range(0, proper.size, _BLOCK):
         block = proper[lo : lo + _BLOCK]
-        ok, pos, neg = _flips(block, np.zeros_like(block), plus, minus)
+        ok, pos, neg = _flips(block[:, None], np.zeros_like(block)[:, None], plus, minus)
         found_pos.append(pos[ok])
         found_neg.append(neg[ok])
     pos, first = np.unique(np.concatenate(found_pos), return_index=True)
     return pos, np.concatenate(found_neg)[first]
 
 
-def _decode(n: int, pos: np.ndarray, neg: np.ndarray) -> list[SquareState]:
-    """The states of cube masks: each cell shows its smallest +1 symbol, and the -1 names the record."""
+def _encode(state: SquareState) -> tuple[int, int]:
+    """The cube masks of a valid state, as two ints: its +1 entries and its -1 entry, or 0."""
+    n = state.n
+    pos = sum(1 << (k + s) for k, s in zip(range(0, n**3, n), map(index, chain.from_iterable(state.grid))))
+    neg, rec = 0, state.improper
+    if rec is not None:
+        cell = (rec.row * n + rec.col) * n
+        pos |= 1 << (cell + index(rec.positive_pair[1]))
+        neg = 1 << (cell + index(rec.negative))
+    return pos, neg
+
+
+def _decode(n: int, pos: int, neg: int) -> SquareState:
+    """The state of cube masks: each cell shows its smallest +1 symbol, and the -1 names the record."""
     low = (1 << n) - 1
-    states = []
-    for p, q in zip(pos.tolist(), neg.tolist()):
-        cells = [(p >> (cell * n)) & low for cell in range(n * n)]
-        grid = tuple(tuple((x & -x).bit_length() - 1 for x in cells[r * n : r * n + n]) for r in range(n))
-        rec = None
-        if q:
-            cell, negative = divmod(q.bit_length() - 1, n)
-            pair = tuple(s for s in range(n) if cells[cell] >> s & 1)
-            rec = ImproperCell(*divmod(cell, n), pair, negative)
-        states.append(SquareState(grid, rec))
-    return states
+    cells = [(pos >> (cell * n)) & low for cell in range(n * n)]
+    grid = tuple(tuple((x & -x).bit_length() - 1 for x in cells[r * n : r * n + n]) for r in range(n))
+    rec = None
+    if neg:
+        cell, negative = divmod(neg.bit_length() - 1, n)
+        pair = tuple(s for s in range(n) if cells[cell] >> s & 1)
+        rec = ImproperCell(*divmod(cell, n), pair, negative)
+    return SquareState(grid, rec)
 
 
 def build_state_graph(n: int) -> StateGraph:
@@ -225,7 +242,7 @@ def build_state_graph(n: int) -> StateGraph:
     v = len(pos)
     edges = []
     for lo in range(0, v, _BLOCK):
-        ok, to, _ = _flips(pos[lo : lo + _BLOCK], neg[lo : lo + _BLOCK], plus, minus)
+        ok, to, _ = _flips(pos[lo : lo + _BLOCK, None], neg[lo : lo + _BLOCK, None], plus, minus)
         at = np.flatnonzero(ok)
         u, w = at // len(plus) + lo, np.searchsorted(pos, to.ravel()[at])
         edges += [u * v + w, w * v + u]

@@ -1,4 +1,6 @@
-"""Helpers that drive the library in tests: scripted draws, checked walks, a lemma step on a board and a faulty board move."""
+"""Test helpers: scripted draws, checked walks, a lemma step on a board, every move of an order, a faulty board move."""
+
+from itertools import combinations, permutations
 
 from latinsq.chain import _Walker
 from latinsq.connect import MoveSequence, _Board
@@ -50,24 +52,40 @@ def on_board(state, step, *args):
     return MoveSequence(state, tuple(board.moves), board.state())
 
 
-def faulty_take(at, fault):
-    """A `_Board.take` whose ``at``-th call (counting from 1) writes a faulty result.
+def canonical_moves(n):
+    """Every canonical move of order n, in (i, i2, j, j2, a, b) order, then
+    the four moves with one index at n, which no state of order n admits."""
+    lines = range(n)
+    moves = [
+        IntercalateMove(i, j, a, i2, j2, b)
+        for i, i2 in combinations(lines, 2)
+        for j, j2 in combinations(lines, 2)
+        for a, b in permutations(lines, 2)
+    ]
+    moves += [IntercalateMove(0, 0, 0, n, 1, 1), IntercalateMove(0, 0, 0, 1, n, 1)]
+    return moves + [IntercalateMove(0, 0, n, 1, 1, 1), IntercalateMove(0, 0, 0, 1, 1, n)]
 
-    That call takes its move, then writes ``fault(state, move)`` of the true
-    result over the board as a faulty move rule would: each row that differs
-    as a new list, and the record.  Returns the take and the list of moves
-    it was called with.
+
+def faulty_take(before, move, fault):
+    """A `_Board.take` that writes a faulty result where a board holding ``before`` takes ``move``.
+
+    The first such call takes its move, then writes ``fault(state, move)`` of
+    the true result over the board as a faulty move rule would: each row
+    that differs as a new list, and the record.  Every other call takes its
+    move as `_Board.take` does.  Returns the take and the list of the
+    (board, move) pairs it wrote a fault after.
     """
-    take, calls = _Board.take, []
+    take, fired = _Board.take, []
 
-    def faulty(board, move):
-        calls.append(move)
-        take(board, move)
-        if len(calls) == at:
-            bad = fault(board.state(), move)
+    def faulty(board, m):
+        hit = not fired and m == move and board.state() == before
+        take(board, m)
+        if hit:
+            fired.append((board, m))
+            bad = fault(board.state(), m)
             for r, line in enumerate(bad.grid):
                 if tuple(board.grid[r]) != line:
                     board.grid[r] = list(line)
             board.improper = bad.improper
 
-    return faulty, calls
+    return faulty, fired

@@ -1,14 +1,15 @@
 import itertools
 import random
 import signal
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 
 from cube_reference import IncidenceCube
 from enumeration_reference import proper_row_cycles
-from latinsq import connect, core
+from latinsq import connect, core, moves
 from latinsq.chain import ChainConfig, RngStream, sample
+from latinsq.cli import format_square_text, main
 from latinsq.connect import (
     MoveSequence,
     PreconditionViolated,
@@ -21,9 +22,9 @@ from latinsq.connect import (
     transform_path,
 )
 from latinsq.core import ImproperCell, InvalidSquare, LatinSquareError, SquareState, cube_from_grid, cyclic_square, validate
-from latinsq.moves import IntercalateMove, apply_move
+from latinsq.moves import IntercalateMove, _flip, apply_move, enumerate_valid_moves
 from latinsq.oracle import enumerate_latin_squares
-from scripted_draws import faulty_take, on_board, walk
+from scripted_draws import canonical_moves, faulty_take, on_board, walk
 
 
 def _touched_rows(moves):
@@ -382,18 +383,21 @@ def test_transform_path_move_text_pinned(n):
 
 
 def _count_full_checks(monkeypatch):
-    """The list of states that `validate` is called on from here on, on entry or in a replay."""
-    full = []
-    for module in (core, connect):
-        monkeypatch.setattr(module, "validate", lambda state: full.append(state) or validate(state))
-    return full
+    """The lists of states that `validate` is called on from here on, on entry or in a
+    replay, and of moves that `moves._flip` is called with, by `apply_move` or a board."""
+    full, flips = [], []
+    monkeypatch.setattr(core, "validate", lambda state: full.append(state) or validate(state))
+    for module in (moves, connect):
+        monkeypatch.setattr(module, "_flip", lambda grid, rec, m: flips.append(m) or _flip(grid, rec, m))
+    return full, flips
 
 
 @pytest.mark.parametrize("n", sorted(PATH_DIGESTS))
 def test_restricted_validate_matches_full_on_pinned_paths(n, monkeypatch):
-    """The checked replay of a pinned path, either way, validates in full only its first prefix, the start."""
+    """The checked replay of a pinned path, either way, validates in full only its first prefix, the start,
+    and takes no move through `moves._flip`: the cube rule checks every move on its own."""
     (p0, p1, p2, p3), (i0, i1, i2, i3) = _path_endpoints(n, 500 + n)
-    full = _count_full_checks(monkeypatch)
+    full, flips = _count_full_checks(monkeypatch)
     for a, b in ((p0, p1), (i0, p2), (p3, i1), (i2, i3)):
         seq = transform_path(a, b)
         for path in (seq, seq.inverted()):
@@ -403,24 +407,63 @@ def test_restricted_validate_matches_full_on_pinned_paths(n, monkeypatch):
                 prefixes.append(state)
             assert all(validate(state) == [] for state in prefixes)
             full.clear()
+            flips.clear()
             assert path.replay(check=True) == prefixes[-1]
-            assert full == [path.start]
+            assert full == [path.start] and flips == []
 
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_checked_replay_of_a_walk_validates_only_its_first_prefix(n, monkeypatch):
     """Every walk step, proper or improper, the first included, passes the per-move check on its own, either way.
 
-    The first prefix is the start, the only state validated in full.
+    The first prefix is the start, the only state validated in full, and no
+    move goes through `moves._flip`.
     """
     steps = list(itertools.islice(walk(cyclic_square(n), RngStream(2700 + n)), 8 * n))
     start, end = cyclic_square(n), steps[-1][0]
     assert {state.kind for state, _ in steps} == {"proper", "improper"}
-    full = _count_full_checks(monkeypatch)
+    full, flips = _count_full_checks(monkeypatch)
     seq = MoveSequence(start, tuple(m for _, m in steps), end)
-    assert seq.replay(check=True) == end and full == [start]
+    assert seq.replay(check=True) == end and full == [start] and flips == []
     full.clear()
-    assert seq.inverted().replay(check=True) == start and full == [end]
+    assert seq.inverted().replay(check=True) == start and full == [end] and flips == []
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the type and text of the LatinSquareError it raises."""
+    try:
+        return call(*args)
+    except LatinSquareError as err:
+        return type(err), str(err)
+
+
+def _replay_matches_apply_move(state, moves):
+    """Each move on ``state`` replays, checked, to `apply_move`'s result, or raises its exception and text."""
+    for m in moves:
+        expected = _outcome(apply_move, state, m)
+        assert _outcome(MoveSequence(state, (m,), state).replay, True) == expected, (state, m)
+
+
+def test_checked_replay_matches_apply_move_on_every_move_at_order_three(graph3):
+    for state in graph3.states:
+        _replay_matches_apply_move(state, canonical_moves(3))
+
+
+def test_checked_replay_matches_apply_move_on_seeded_states_at_order_four(graph4):
+    for state in random.Random(3504).sample(graph4.states, 80):
+        _replay_matches_apply_move(state, canonical_moves(4))
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_checked_replay_matches_apply_move_on_walk_states(n):
+    # A proper and an improper walk state: every valid move, every move with
+    # an index at n, and a seeded sample of the others.
+    rng = random.Random(3500 + n)
+    moves = canonical_moves(n)
+    for kind in ("proper", "improper"):
+        steps = itertools.islice(walk(cyclic_square(n), RngStream(3500 + n)), n * n, None)
+        state = next(s for s, _ in steps if s.kind == kind)
+        _replay_matches_apply_move(state, [*enumerate_valid_moves(state), *moves[-4:], *rng.sample(moves[:-4], 600)])
 
 
 def test_checked_replay_checks_its_start():
@@ -493,6 +536,11 @@ def _fault(kind, state, m):
     return _with_cell(SquareState(state.grid, rec._replace(positive_pair=(other, p))), rec.row, rec.col, q)
 
 
+def _fold(path):
+    """The end of ``path`` taken by `apply_move` from its start, one move after another."""
+    return reduce(apply_move, path.moves, path.start)
+
+
 @pytest.mark.parametrize(
     "kind",
     [
@@ -517,22 +565,23 @@ def _fault(kind, state, m):
         "record on a move cell with its positives unsorted, q on the grid",
     ],
 )
-def test_checked_replay_catches_faulty_apply_move(kind, monkeypatch):
-    """A faulty board move, at a later prefix or at the first, raises what a full check of the bad state reports.
+def test_checked_replay_catches_faulty_apply_move(kind, tmp_path, monkeypatch):
+    """A faulty board move leaves no invalid path that passes verification.
 
-    The first kind is seen only by the check that other rows kept their
-    objects, a swap in row i off the move's columns only by row locality, a
-    record moved to row r + n only by the check that a new record sits on a
-    move cell, a record whose negative is its q only by the check that
-    its symbols differ, a record that names another positive only by the
-    check that the grid holds its first, an unsorted record only by the
-    check that p < q, and the other swaps and records by the signed counts
-    of the four lines.  A record moved by -n would alias its own cell.
+    The fault is written over the path finder's board after one of its
+    moves, as a faulty move rule would write it, and each fault leaves a
+    state that `validate` rejects.  Then `transform_path` raises, or it
+    returns a path whose checked replay reaches the target exactly when
+    `apply_move` takes it there, and `path --verify` exits 0 only on such a
+    path.  The moves the board took replay as `apply_move` takes them.  The
+    replay checks moves on the cube, not the board's states: an unsorted
+    record names the same cube, and the board's later moves from it form a
+    valid path.
     """
     (p0, *_), (i0, *_) = _path_endpoints(6, 506)
     seq = transform_path(p0, i0)
-    # A later move (so only the lines it changed are read) whose result is
-    # improper, or for a proper step whose start and result are proper.
+    # A later move whose result is improper, or for a proper step whose
+    # start and result are proper.
     proper = kind.endswith("proper step")
     on_move = kind.startswith("record on a move cell") and not proper
     state = seq.start
@@ -545,17 +594,31 @@ def test_checked_replay_catches_faulty_apply_move(kind, monkeypatch):
             found = rec is not None and (not on_move or rec.row in (m.i, m.i2) and rec.col in (m.j, m.j2))
         if k and found:
             break
-    expected = validate(_fault(kind, state, m))
-    assert expected
-    # The same move as the first of a path that starts before it.
-    first = MoveSequence(before, seq.moves[k:], seq.end)
-    for path, at in ((seq, k + 1), (first, 1)):
-        faulty, calls = faulty_take(at, lambda state, move: _fault(kind, state, move))
+    assert validate(_fault(kind, state, m))
+    fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+    fa.write_text(format_square_text(p0))
+    fb.write_text(format_square_text(i0))
+    valid = False
+    for run in (partial(transform_path, p0, i0), partial(main, ["path", str(fa), str(fb), "--verify"])):
+        faulty, fired = faulty_take(before, m, lambda state, move: _fault(kind, state, move))
         monkeypatch.setattr(connect._Board, "take", faulty)
-        with pytest.raises(LatinSquareError) as err:
-            path.replay(check=True)
-        assert str(err.value) == f"invalid intermediate state: {expected}"
-        assert len(calls) == at
+        try:
+            out = _bounded(run, 1.0)
+        except _Overran:
+            pytest.fail(f"the path finder ran past its time bound on a board with {kind!r}")
+        except Exception:  # a board left invalid may trip any guard of the path finder; uncaught, exit status 1
+            out = None
+        [(board, move)] = fired
+        assert move == m
+        # The moves the faulty board took, to its end or to the guard that
+        # stopped it, replay as `apply_move` takes them.
+        taken = MoveSequence(p0, tuple(board.moves), board.state())
+        assert _outcome(taken.replay, True) == _outcome(_fold, taken)
+        if isinstance(out, MoveSequence):
+            valid = _outcome(_fold, out) == i0
+            assert (_outcome(out.replay, True) == i0) == valid
+        else:
+            assert (out == 0) == valid
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ import latinsq
 from cube_reference import IncidenceCube, from_cube, validate_cube
 from latinsq.chain import RngStream
 from latinsq import connect
-from latinsq.connect import MoveSequence, _Board, transform_path
+from latinsq.connect import MoveSequence, transform_path
 from latinsq.core import (
     ImproperCell,
     InvalidSquare,
-    LatinSquareError,
     SquareState,
     cube_from_grid,
     cyclic_square,
@@ -21,7 +21,7 @@ from latinsq.core import (
 )
 from latinsq.moves import IntercalateMove
 from latinsq.oracle import enumerate_latin_squares
-from scripted_draws import faulty_take, walk
+from scripted_draws import walk
 
 
 def test_proper_two_by_two_encoding():
@@ -161,6 +161,32 @@ def test_record_field_that_is_not_an_integer_is_named(record):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("symbol", [1.0, np.float64(1.0), Fraction(1)], ids=["1.0", "numpy 1.0", "Fraction 1"])
+def test_grid_symbol_that_is_not_an_integer_is_named(symbol):
+    # 1.0 equals 1 but cannot index a line; each entry that validates gives the one message.
+    grid = ((0, symbol, 2), (1, 2, 0), (2, 0, 1))
+    state = SquareState(grid)
+    message = f"symbol {symbol!r} at (0,1) is not an integer"
+    assert validate(state) == [message]
+    for call in (
+        lambda: cube_from_grid(grid),
+        lambda: transform_path(state, cyclic_square(3)),
+        lambda: transform_path(cyclic_square(3), state),
+        lambda: MoveSequence(state, (), state).replay(check=True),
+    ):
+        with pytest.raises(InvalidSquare) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_numpy_integer_symbols_validate_and_replay():
+    # numpy integers are integers: a square of them validates, and its path replays.
+    a = cube_from_grid(np.array(cyclic_square(5).grid))
+    b = cube_from_grid(cyclic_square(5).grid[::-1])
+    seq = transform_path(a, b)
+    assert len(seq) and seq.replay(check=True) == b and seq.inverted().replay(check=True) == a
+
+
 def test_improper_cell_distinctness_enforced():
     with pytest.raises(InvalidSquare):
         ImproperCell(0, 0, (1, 1), 2)
@@ -284,40 +310,27 @@ def test_validate_matches_cube_checker_on_fuzzed_candidates(state):
 def _near_miss_improper_states(draw):
     # A valid improper state one walk step from a row-permuted cyclic
     # square, with one cell of its improper row or column overwritten: the
-    # cell itself, q, a second copy of a symbol or the negative.  Returns
-    # the overwritten state, the valid one and the step's move.
+    # cell itself, q, a second copy of a symbol or the negative.
     n = draw(st.integers(min_value=3, max_value=7))
     rows = draw(st.permutations(range(n)))
     state = cube_from_grid([[(i + j) % n for j in range(n)] for i in rows])
     steps = walk(state, RngStream(draw(st.integers(0, 2**32 - 1))))
     while state.improper is None:
-        state, move = next(steps)
+        state, _ = next(steps)
     rec = state.improper
     k = draw(st.integers(0, n - 1))
     r, c = (rec.row, k) if draw(st.booleans()) else (k, rec.col)
     grid = [list(line) for line in state.grid]
     grid[r][c] = draw(st.sampled_from([*rec.positive_pair, rec.negative, draw(st.integers(0, n - 1))]))
-    return SquareState(tuple(map(tuple, grid)), rec), state, move
+    return SquareState(tuple(map(tuple, grid)), rec)
 
 
 @settings(max_examples=300)
 @given(_near_miss_improper_states())
-def test_validate_restricted_lines_on_near_miss_improper_states(case):
-    state, valid, move = case
-    full = validate(state)
-    assert full == validate_cube(IncidenceCube.of(state), state.improper)
-    # The checked replay of the step back and forth, the second step's board
-    # overwritten with ``state``: only the lines that step changed are read.
-    seq = MoveSequence(valid, (move.inverted(), move), valid)
-    faulty, _ = faulty_take(2, lambda *_: state)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Board, "take", faulty)
-        if not full:
-            assert seq.replay(check=True) == state
-            return
-        with pytest.raises(LatinSquareError) as err:
-            seq.replay(check=True)
-    assert str(err.value) == f"invalid intermediate state: {full}"
+def test_validate_restricted_lines_on_near_miss_improper_states(state):
+    # `validate` passes an improper line on its shape alone (p at the cell,
+    # q absent, the negative twice); one cell off must fall to the counts.
+    assert validate(state) == validate_cube(IncidenceCube.of(state), state.improper)
 
 
 @pytest.mark.parametrize(

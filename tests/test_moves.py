@@ -8,7 +8,7 @@ from latinsq.chain import RngStream
 from latinsq.core import cube_from_grid, cyclic_square, validate
 from latinsq.moves import IntercalateMove, InvalidMove, _flip, apply_move, enumerate_valid_moves
 from latinsq.connect import _Board, _cycle_swap
-from scripted_draws import on_board, walk
+from scripted_draws import canonical_moves, on_board, walk
 
 EX_MOVE = IntercalateMove.from_anchors(0, 1, 0, 2, 3, 1)
 
@@ -349,17 +349,8 @@ def test_line_sums_preserved_by_all_valid_moves(graph3):
 def _flip_verdicts(state):
     """One line per canonical move on ``state``, and per move with one index
     at n: the move text, then `_flip`'s refusal or its two rows and record."""
-    n = state.n
-    moves = [
-        IntercalateMove(i, j, a, i2, j2, b)
-        for i, i2 in itertools.combinations(range(n), 2)
-        for j, j2 in itertools.combinations(range(n), 2)
-        for a, b in itertools.permutations(range(n), 2)
-    ]
-    moves += [IntercalateMove(0, 0, 0, n, 1, 1), IntercalateMove(0, 0, 0, 1, n, 1)]
-    moves += [IntercalateMove(0, 0, n, 1, 1, 1), IntercalateMove(0, 0, 0, 1, 1, n)]
     lines = []
-    for m in moves:
+    for m in canonical_moves(state.n):
         out = _flip(state.grid, state.improper, m)
         if not isinstance(out, str):
             top, bottom, rec = out

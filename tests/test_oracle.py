@@ -165,7 +165,7 @@ def _full_search_adjacency(n):
     pos, neg = oracle._states(n, plus, minus)
     adjacency = []
     for lo in range(0, len(pos), oracle._BLOCK):
-        ok, to, _ = oracle._flips(pos[lo : lo + oracle._BLOCK], neg[lo : lo + oracle._BLOCK], plus, minus)
+        ok, to, _ = oracle._flips(pos[lo : lo + oracle._BLOCK, None], neg[lo : lo + oracle._BLOCK, None], plus, minus)
         adjacency += [sorted(np.searchsorted(pos, row[keep]).tolist()) for keep, row in zip(ok, to)]
     return adjacency
 
